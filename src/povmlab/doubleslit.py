@@ -19,6 +19,7 @@ and bin n <= -1 the mirrored strip delta*n < y <= delta*(n+1).
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -458,6 +459,94 @@ def _factor_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) 
     return dl, d, du, du2, ipiv
 
 
+def _halves(n_lines: int, n_points: int) -> list[tuple[slice, slice, slice]]:
+    """The first ``n_lines // 2`` lines and the rest, as ``(lines, cells, couplings)``.
+
+    ``cells`` is the flat range of the block and ``couplings`` the range of
+    the off-diagonal entries inside it.
+    """
+    cut = n_lines // 2
+    n = n_lines * n_points
+    return [
+        (slice(0, cut), slice(0, cut * n_points), slice(0, cut * n_points - 1)),
+        (slice(cut, n_lines), slice(cut * n_points, n), slice(cut * n_points, n - 1)),
+    ]
+
+
+def _factor_halves(halves, lower, main, upper) -> list[tuple]:
+    """``_factor_tridiagonal`` of each block of one matrix, split by ``_halves``.
+
+    The full-size diagonals are arguments, so they are freed on return,
+    before the constructor makes the next sweep's arrays.
+    """
+    return [
+        _factor_tridiagonal(lower[inner], main[cells], upper[inner])
+        for _, cells, inner in halves
+    ]
+
+
+@dataclass(frozen=True)
+class _LineBlock:
+    """One of the two independent halves of a sweep's line system.
+
+    ``lines`` indexes the sweep's lines and ``cells`` the flat vector of its
+    layout.  A y block also carries its slices of the explicit y half and of
+    the edge damping: ``damp_at`` counts from the block's first cell and
+    ``losses`` is its share of the per-step loss array.
+    """
+
+    lines: slice
+    cells: slice
+    lu: tuple
+    explicit: tuple = ()
+    damp_at: np.ndarray | None = None
+    damp: np.ndarray | None = None
+    keep: np.ndarray | None = None
+    losses: slice | None = None
+
+
+def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src.T``, copied in square tiles that stay in cache.
+
+    A plain transposed copy strides through one side a whole line at a
+    time; on the 512x384 grid tiles of 64 halve the y phase's copy.
+    """
+    tile = 64
+    rows, cols = dst.shape
+    for i in range(0, rows, tile):
+        for j in range(0, cols, tile):
+            dst[i : i + tile, j : j + tile] = src[j : j + tile, i : i + tile].T
+
+
+class _Work:
+    """Work arrays of one ``Propagator.run`` call; blocks write disjoint slices.
+
+    The state ``z`` starts as ``psi`` transposed to the y layout.
+    """
+
+    def __init__(self, psi: np.ndarray, n_damped: int, per_step_losses: bool):
+        self.z = np.empty(psi.size, dtype=complex)  # the state, y layout
+        _transpose_into(self.z.reshape(psi.shape[::-1]), psi)
+        self.w = np.empty_like(self.z)  # explicit y half of the next step, y layout
+        self.u = np.empty_like(self.z)  # x solve of w, x layout
+        self.scratch = np.empty_like(self.z)
+        self.held = np.empty(n_damped, dtype=complex)
+        self.loss = np.empty(n_damped) if per_step_losses else None
+
+
+def _on_both(pool, sweep, *args) -> None:
+    """Run ``sweep`` on block 1 in ``pool`` and on block 0 here, or both here."""
+    if pool is None:
+        sweep(0, *args)
+        sweep(1, *args)
+        return
+    other = pool.submit(sweep, 1, *args)
+    try:
+        sweep(0, *args)
+    finally:
+        other.result()
+
+
 class Propagator:
     """Alternating-direction Crank-Nicolson stepper for one wall mask.
 
@@ -468,6 +557,14 @@ class Propagator:
     instance for chunked runs.  The explicit x half needs no operator:
     ``(1 - i a H)(1 + i a H)^-1 = 2 (1 + i a H)^-1 - 1``, so it is
     ``2u - w`` for ``u`` the x solve of ``w``.
+
+    Couplings never cross line ends, so each sweep is factored as two
+    independent blocks of whole lines: rows ``[0, ny//2)`` and
+    ``[ny//2, ny)`` for x, columns ``[0, nx//2)`` and ``[nx//2, nx)`` for y.
+    Pivoting never crosses a block edge, so the block solves are bit for
+    bit the solve of the whole flattened system.  ``run`` can step the two
+    blocks on two threads.  An instance holds no per-run state, so several
+    threads may run it at once.
     """
 
     def __init__(
@@ -491,7 +588,11 @@ class Propagator:
         # x lines are contiguous in the (ny, nx) layout
         cx = hbar**2 / (2.0 * mass * grid.dx**2)
         main_x, off_x = _line_operator(grid.ny, grid.nx, free.ravel(), cx)
-        self._lu_x = _factor_tridiagonal(1j * a * off_x, 1.0 + 1j * a * main_x, 1j * a * off_x)
+        halves = _halves(grid.ny, grid.nx)
+        lus = _factor_halves(halves, 1j * a * off_x, 1.0 + 1j * a * main_x, 1j * a * off_x)
+        self._x_blocks = tuple(
+            _LineBlock(lines, cells, lu) for (lines, cells, _), lu in zip(halves, lus)
+        )
 
         # y lines are contiguous in the transposed (nx, ny) layout
         cy = hbar**2 / (2.0 * mass * grid.dy**2)
@@ -504,16 +605,14 @@ class Propagator:
         else:
             main_y, low_y = _line_operator(grid.nx, grid.ny, free_t.ravel(), cy)
             up_y = low_y
-        self._lu_y = _factor_tridiagonal(1j * a * low_y, 1.0 + 1j * a * main_y, 1j * a * up_y)
+        halves = _halves(grid.nx, grid.ny)
+        lus = _factor_halves(halves, 1j * a * low_y, 1.0 + 1j * a * main_y, 1j * a * up_y)
         # explicit y half (1 - i a H_y) as three diagonals; the off-diagonals
-        # are zero across line ends, so the flat slice product never mixes lines
-        self._ry_main = 1.0 - 1j * a * main_y
-        self._ry_low = -1j * a * low_y
-        self._ry_up = -1j * a * up_y
+        # are zero across line ends, so a slice product never mixes lines
+        explicit = (1.0 - 1j * a * main_y, -1j * a * low_y, -1j * a * up_y)
 
         if sponge is None:
-            self._damp = None
-            self._damp_idx = None
+            damp = np.ones(grid.nx * grid.ny)
         else:
             w = min(sponge.width, grid.nx // 4, grid.ny // 4)
             ix = np.arange(grid.nx)
@@ -523,11 +622,27 @@ class Propagator:
             # laid out (nx, ny) to match the flattened vector the step ends on
             ramp = np.maximum(rx[:, None], ry[None, :])
             gamma = sponge.strength * ramp**2
-            damp = np.exp(-gamma * dt)
-            self._damp_idx = np.where(damp.ravel() < 1.0)
-            self._damp = damp.ravel()[self._damp_idx]
+            damp = np.exp(-gamma * dt).ravel()
+        damped = np.flatnonzero(damp < 1.0)
+        self._n_damped = damped.size
 
-    def run(self, packet: WavePacket2D, steps: int) -> WavePacket2D:
+        y_blocks = []
+        for (lines, cells, inner), lu in zip(halves, lus):
+            lo, hi = np.searchsorted(damped, (cells.start, cells.stop))
+            at = damped[lo:hi]
+            y_blocks.append(_LineBlock(
+                lines, cells, lu,
+                explicit=(explicit[0][cells], explicit[1][inner], explicit[2][inner]),
+                damp_at=at - cells.start,
+                damp=damp[at],
+                keep=1.0 - damp[at] ** 2,
+                losses=slice(lo, hi),
+            ))
+        self._y_blocks = tuple(y_blocks)
+
+    def run(
+        self, packet: WavePacket2D, steps: int, pool: Executor | None = None
+    ) -> WavePacket2D:
         """Advance a packet; returns a new packet, absorbed mass accumulated.
 
         Any amplitude the incoming packet carries on blocked cells is
@@ -535,6 +650,14 @@ class Propagator:
         projected onto the states compatible with the hard walls.  The
         stepping itself keeps blocked cells at exactly zero, so this is a
         no-op for packets already produced by a run.
+
+        Each step has two phases over the two line blocks, with a join after
+        each: the x solve in the x layout, then in the y layout ``2u - w``,
+        the y solve, the edge damping and the next step's explicit y half.
+        Given ``pool``, an executor with a worker to spare, block 1 of each
+        phase runs on it while the calling thread runs block 0; without one
+        both run here in turn.  Either way the result is the same to the bit.
+        Work arrays are allocated once per call.
         """
         if steps < 0:
             raise ValidationError("steps must be nonnegative")
@@ -558,28 +681,67 @@ class Propagator:
         if track_by_norm:
             n0 = float(np.sum(np.abs(psi) ** 2))
         # the state is carried in the (nx, ny) layout between steps
-        z = np.ascontiguousarray(psi.T).ravel()
-        for _ in range(steps):
-            w = self._ry_main * z
-            w[:-1] += self._ry_up * z[1:]
-            w[1:] += self._ry_low * z[:-1]
-            w = np.ascontiguousarray(w.reshape(nx, ny).T).ravel()
-            u, _ = lapack.zgttrs(*self._lu_x, w)
-            u *= 2.0
-            u -= w
-            v = np.ascontiguousarray(u.reshape(ny, nx).T).ravel()
-            z, _ = lapack.zgttrs(*self._lu_y, v, overwrite_b=1)
-            if self._damp is not None:
-                before = z[self._damp_idx]
-                if not track_by_norm:
-                    absorbed += float(
-                        np.sum(np.abs(before) ** 2 * (1.0 - self._damp**2))
-                    ) * area
-                z[self._damp_idx] = before * self._damp
-        psi = np.ascontiguousarray(z.reshape(nx, ny).T)
+        work = _Work(psi, self._n_damped, not track_by_norm and self._n_damped > 0)
+        if steps:
+            _on_both(pool, self._explicit_y, work)
+        for step in range(steps):
+            _on_both(pool, self._x_sweep, work)
+            _on_both(pool, self._y_sweep, work, step + 1 < steps)
+            if work.loss is not None:
+                # one sum over both blocks' losses keeps the summation order
+                absorbed += float(np.sum(work.loss)) * area
+        # the result reuses the entry copy: an array made after the work
+        # arrays and kept would stop the heap shrinking when they are freed
+        _transpose_into(psi, work.z.reshape(nx, ny))
         if track_by_norm:
             absorbed += (n0 - float(np.sum(np.abs(psi) ** 2))) * area
         return WavePacket2D(self.grid, psi, absorbed)
+
+    def _explicit_y(self, k: int, work: _Work) -> None:
+        """w = (1 - i a H_y) z on y block k."""
+        block = self._y_blocks[k]
+        z, w = work.z[block.cells], work.w[block.cells]
+        product = work.scratch[block.cells][:-1]
+        main, low, up = block.explicit
+        np.multiply(main, z, out=w)
+        np.multiply(up, z[1:], out=product)
+        w[:-1] += product
+        np.multiply(low, z[:-1], out=product)
+        w[1:] += product
+
+    def _x_sweep(self, k: int, work: _Work) -> None:
+        """u = (1 + i a H_x)^-1 w on x block k, w transposed in."""
+        block = self._x_blocks[k]
+        ny, nx = self.grid.ny, self.grid.nx
+        u = work.u[block.cells]
+        _transpose_into(u.reshape(-1, nx), work.w.reshape(nx, ny)[:, block.lines])
+        lapack.zgttrs(*block.lu, u, overwrite_b=1)
+
+    def _y_sweep(self, k: int, work: _Work, more: bool) -> None:
+        """z = (1 + i a H_y)^-1 (2u - w) on y block k, u transposed in, then damped.
+
+        With ``more`` steps to go, also forms the next step's explicit half.
+        """
+        block = self._y_blocks[k]
+        ny, nx = self.grid.ny, self.grid.nx
+        z = work.z[block.cells]
+        _transpose_into(z.reshape(-1, ny), work.u.reshape(ny, nx)[:, block.lines])
+        # the explicit x half 2u - w, elementwise, so in either layout
+        z *= 2.0
+        z -= work.w[block.cells]
+        lapack.zgttrs(*block.lu, z, overwrite_b=1)
+        if block.damp_at.size:
+            held = work.held[block.losses]
+            np.take(z, block.damp_at, out=held, mode="clip")
+            if work.loss is not None:
+                loss = work.loss[block.losses]
+                np.abs(held, out=loss)
+                np.square(loss, out=loss)
+                loss *= block.keep
+            held *= block.damp
+            z[block.damp_at] = held
+        if more:
+            self._explicit_y(k, work)
 
 
 def evolve(
@@ -656,7 +818,11 @@ def fringe_visibility(pmf: Pmf, window: Sequence[int], smooth: int = 3) -> float
 
 def which_way_mass(packet: WavePacket2D, binning: DetectorBinning) -> WhichWayMass:
     """Mass beyond the screen split by sign of y; the rest is the remainder."""
-    pmf = detector_pmf(packet, binning)
+    return _which_way_from_pmf(detector_pmf(packet, binning))
+
+
+def _which_way_from_pmf(pmf: Pmf) -> WhichWayMass:
+    """The split of ``which_way_mass`` from a detector pmf already at hand."""
     upper = sum(p for n, p in pmf.probabilities.items() if n >= 1)
     lower = sum(p for n, p in pmf.probabilities.items() if n <= -1)
     return WhichWayMass(upper, lower, pmf.probabilities.get(0, 0.0) + pmf.no_detection)

@@ -25,12 +25,13 @@ from .doubleslit import (
     Propagator,
     SlitGeometry,
     SpongeConfig,
+    WavePacket2D,
+    _which_way_from_pmf,
     build_potential,
     detector_pmf,
     fringe_visibility,
     init_packet,
     momentum_expectation,
-    which_way_mass,
 )
 from .errors import InvalidAmplitudes, NonCommuting, ValidationError
 from .measurement import (
@@ -522,14 +523,16 @@ def _propagator(config, potential) -> Propagator:
 def _propagate_lockstep(config, pool, potentials, packet):
     """Step fields in lockstep chunks; stop at the first field's screen-mass peak.
 
-    Every field starts from ``packet``, and each chunk of every field runs
-    on ``pool``.  Mass beyond the screen of the first field rises while the
-    transmitted packet arrives and falls once its front reaches the edge
-    absorber, so its peak is the moment the pattern is fully formed.  The
-    peak is seen one chunk late; every field keeps its previous chunk and
-    rolls back with the first.  Reaching ``mass_target`` outright also
-    stops; ``max_steps`` always caps the run.  A field's arithmetic is the
-    same as stepping it alone.  Returns (packets, steps, stop reason).
+    Every field starts from ``packet``.  Paired fields run one per thread of
+    ``pool``; a lone field runs from this thread and steps its two line
+    blocks on ``pool``, so no pool worker waits on its own pool.  Mass
+    beyond the screen of the first field rises while the transmitted packet
+    arrives and falls once its front reaches the edge absorber, so its peak
+    is the moment the pattern is fully formed.  The peak is seen one chunk
+    late; every field keeps its previous chunk and rolls back with the
+    first.  Reaching ``mass_target`` outright also stops; ``max_steps``
+    always caps the run.  A field's arithmetic is the same as stepping it
+    alone.  Returns (packets, steps, stop reason).
     """
     props = [_propagator(config, potential) for potential in potentials]
     packets = [packet] * len(props)
@@ -538,7 +541,10 @@ def _propagate_lockstep(config, pool, potentials, packet):
     mass = packet.mass_beyond(config.b)
     while done < config.max_steps:
         chunk = min(config.check_interval, config.max_steps - done)
-        stepped = list(pool.map(lambda prop, p: prop.run(p, chunk), props, packets))
+        if len(props) == 1:
+            stepped = [props[0].run(packets[0], chunk, pool=pool)]
+        else:
+            stepped = list(pool.map(lambda prop, p: prop.run(p, chunk), props, packets))
         stepped_mass = stepped[0].mass_beyond(config.b)
         if stepped_mass >= config.mass_target:
             packets, done = stepped, done + chunk
@@ -552,13 +558,14 @@ def _propagate_lockstep(config, pool, potentials, packet):
     return packets, done, reason
 
 
-def _ordering_spot_check() -> dict:
+def _ordering_spot_check(pool) -> dict:
     """Order sensitivity of the two branch dynamics on a coarse grid.
 
     Applies 'propagate under branch i, keep the screen-side part, undo the
     propagation' in both orders to one packet and reports the distance of
     the results.  A nonzero value witnesses that the branch evolutions
-    cannot share one observable tree.
+    cannot share one observable tree.  The two orders are independent
+    chains and run on the two threads of ``pool``, sharing the propagators.
     """
     grid = Grid2D(128, 96, 38.4, 28.8)
     params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=8.0)
@@ -578,13 +585,15 @@ def _ordering_spot_check() -> dict:
     def heisenberg_indicator(branch, amplitudes):
         # U* chi U with U the branch propagator: forward, clip, backward.
         prop = props[branch]
-        fwd = prop.run(_raw_packet(grid, amplitudes), steps).amplitudes
+        fwd = prop.run(WavePacket2D(grid, amplitudes), steps).amplitudes
         clipped = fwd * beyond
         # the generator is real, so backward evolution is conjugation
-        return np.conj(prop.run(_raw_packet(grid, np.conj(clipped)), steps).amplitudes)
+        return np.conj(prop.run(WavePacket2D(grid, np.conj(clipped)), steps).amplitudes)
 
-    first = heisenberg_indicator(1, heisenberg_indicator(2, packet.amplitudes))
-    second = heisenberg_indicator(2, heisenberg_indicator(1, packet.amplitudes))
+    def after(later, earlier):
+        return heisenberg_indicator(later, heisenberg_indicator(earlier, packet.amplitudes))
+
+    first, second = pool.map(after, (1, 2), (2, 1))
     residual = float(np.sqrt(np.sum(np.abs(first - second) ** 2) * grid.cell_area))
     return {
         "residual_norm": residual,
@@ -592,12 +601,6 @@ def _ordering_spot_check() -> dict:
         "grid": [grid.nx, grid.ny],
         "note": "norm of the order difference of screen-side clipping under the two branch dynamics",
     }
-
-
-def _raw_packet(grid, amplitudes):
-    from .doubleslit import WavePacket2D
-
-    return WavePacket2D(grid, amplitudes)
 
 
 def _histogram(pmf: Pmf, shots: int, seed: int) -> Counter:
@@ -636,10 +639,12 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     visibly striped only in branch 1, and that seeded shot histograms track
     the pmfs.
 
-    The fields are stepped two at a time on a pool of two threads: the
-    branch fields first, then the two single-opening fields.  Each field's
-    arithmetic is the same as stepping it alone, so the result does not
-    depend on scheduling.
+    The run uses a pool of two threads.  Paired fields are stepped one per
+    thread: the branch fields first, then the two single-opening fields.  A
+    lone field (``branch='1'`` or ``'2'``) is stepped as two line blocks,
+    one per thread.  The two orders of the ordering check also run one per
+    thread.  Each field's arithmetic is the same as stepping it alone and
+    inline, so the result does not depend on scheduling.
     """
     config = config if config is not None else DoubleSlitConfig()
     grid = _grid(config)
@@ -659,6 +664,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     ]
     seals = (("upper-only", {"seal_lower": True}), ("lower-only", {"seal_upper": True}))
     single_packets = []
+    ordering = None
     with ThreadPoolExecutor(max_workers=2) as pool:
         # the branch fields in lockstep, the first deciding the stop
         packets, steps_shared, reason = _propagate_lockstep(config, pool, potentials, packet0)
@@ -673,6 +679,8 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
                 lambda potential: _propagator(config, potential).run(packet0, steps_shared),
                 sealed,
             ))
+            if config.ordering_check:
+                ordering = _ordering_spot_check(pool)
 
     runs: dict[str, dict] = {}
     for name, packet in zip(wanted, packets):
@@ -766,12 +774,12 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
             tv += abs(p2.get(n, 0.0) - ref)
         identities.append(IdentityCheck.within("superposition-of-paths", tv, 1e-3))
 
-        way = which_way_mass(runs["2"]["packet"], binning)
+        way = _which_way_from_pmf(runs["2"]["pmf"])
         metadata["which-way-branch-2"] = {
             "upper": way.upper, "lower": way.lower, "remainder": way.remainder,
         }
-        if config.ordering_check:
-            metadata["ordering-check"] = _ordering_spot_check()
+        if ordering is not None:
+            metadata["ordering-check"] = ordering
 
     parameters = {
         "branch": config.branch,

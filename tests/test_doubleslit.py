@@ -1,5 +1,10 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from povmlab.doubleslit import (
     DetectorBinning,
@@ -9,6 +14,7 @@ from povmlab.doubleslit import (
     SlitGeometry,
     SpongeConfig,
     WavePacket2D,
+    _factor_tridiagonal,
     _line_operator,
     _stretched_line_operator,
     bin_indicator_expectation,
@@ -284,6 +290,124 @@ def test_one_step_matches_dense_sweep_solves(branch):
     assert np.abs(out.amplitudes - damped).max() <= 1e-12
     assert abs(out.absorbed - expected_absorbed) <= 1e-12
     assert out.absorbed > 1e-3  # the sponge and the lining both did work
+
+
+# ------------------------------------------------------------- line blocks
+
+# odd in both axes, so the two line blocks of each sweep differ in size
+ODD_GRID = Grid2D(67, 49, 20.1, 14.7)
+
+
+def _flat_reference_run(pot, dt, sponge, amplitudes, steps):
+    """The stepper on one flattened system per sweep, without line blocks.
+
+    Same operators, same arithmetic, one ``zgttrs`` call per sweep over all
+    lines; the block solves must reproduce it bit for bit.
+    """
+    grid = pot.grid
+    nx, ny, area = grid.nx, grid.ny, grid.cell_area
+    psi = amplitudes.copy()
+    wall_mass = float(np.sum(np.abs(psi[pot.blocked]) ** 2))
+    if wall_mass > 0.0:
+        psi[pot.blocked] = 0.0
+        remaining = float(np.sum(np.abs(psi) ** 2))
+        psi *= np.sqrt((remaining + wall_mass) / remaining)
+    a = dt / 2.0
+    free = ~pot.blocked
+    main_x, off_x = _line_operator(ny, nx, free.ravel(), 0.5 / grid.dx**2)
+    lu_x = _factor_tridiagonal(1j * a * off_x, 1.0 + 1j * a * main_x, 1j * a * off_x)
+    free_t = free.T.ravel()
+    if pot.septum is not None:
+        main_y, low_y, up_y = _stretched_line_operator(
+            nx, ny, free_t, 0.5 / grid.dy**2, pot.septum.T.ravel()
+        )
+    else:
+        main_y, low_y = _line_operator(nx, ny, free_t, 0.5 / grid.dy**2)
+        up_y = low_y
+    lu_y = _factor_tridiagonal(1j * a * low_y, 1.0 + 1j * a * main_y, 1j * a * up_y)
+    # quadratic edge ramp in the (nx, ny) layout the step ends on
+    ix, iy = np.indices((nx, ny))
+    depth = np.maximum.reduce([
+        sponge.width - ix, ix - (nx - 1 - sponge.width),
+        sponge.width - iy, iy - (ny - 1 - sponge.width), np.zeros_like(ix),
+    ])
+    damp = np.exp(-sponge.strength * (depth / sponge.width) ** 2 * dt).ravel()
+    at = np.flatnonzero(damp < 1.0)
+
+    absorbed = 0.0
+    n0 = float(np.sum(np.abs(psi) ** 2))
+    z = psi.T.ravel()
+    for _ in range(steps):
+        w = (1.0 - 1j * a * main_y) * z
+        w[:-1] += (-1j * a * up_y) * z[1:]
+        w[1:] += (-1j * a * low_y) * z[:-1]
+        w = w.reshape(nx, ny).T.ravel()
+        u, _ = lapack.zgttrs(*lu_x, w)
+        u *= 2.0
+        u -= w
+        z, _ = lapack.zgttrs(*lu_y, u.reshape(ny, nx).T.ravel())
+        before = z[at]
+        if pot.septum is None:
+            absorbed += float(np.sum(np.abs(before) ** 2 * (1.0 - damp[at] ** 2))) * area
+        z[at] = before * damp[at]
+    psi = np.ascontiguousarray(z.reshape(nx, ny).T)
+    if pot.septum is not None:
+        absorbed += (n0 - float(np.sum(np.abs(psi) ** 2))) * area
+    return psi, absorbed
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40])
+@pytest.mark.parametrize("branch", [1, 2])
+def test_line_blocks_step_exactly_like_one_flat_system(branch, steps):
+    # branch 1 books the sponge loss every step; branch 2 (with the septum)
+    # books it from the norm at the ends of the run
+    pot = build_potential(ODD_GRID, PARAMS, branch, GEOMETRY)
+    sponge = SpongeConfig(6, 6.0)
+    prop = Propagator(pot, 0.01, sponge=sponge)
+    packet = init_packet(ODD_GRID, PARAMS, center=(-1.0, 0.5))  # straddles the barrier
+    assert np.abs(packet.amplitudes[pot.blocked]).max() > 0.0
+
+    inline = prop.run(packet, steps)
+    with ThreadPoolExecutor(1) as pool:
+        pooled = prop.run(packet, steps, pool=pool)
+    expected, absorbed = _flat_reference_run(pot, 0.01, sponge, packet.amplitudes, steps)
+
+    assert np.array_equal(pooled.amplitudes, inline.amplitudes)
+    assert pooled.absorbed == inline.absorbed
+    assert np.array_equal(inline.amplitudes, expected)
+    assert inline.absorbed == absorbed
+    if steps == 40:
+        assert inline.absorbed > 0.0
+
+
+def test_one_propagator_runs_on_many_threads_at_once():
+    # more threads than cores, each with its own packet, all on one
+    # instance: per-run work arrays keep the runs from mixing
+    pot = build_potential(GRID, PARAMS, 1, GEOMETRY)
+    prop = Propagator(pot, 0.01, sponge=SpongeConfig(10, 6.0))
+    packets = [small_packet(center=(-7.0 + i, 0.4 * i - 1.0)) for i in range(4)]
+    serial = [prop.run(p, 60) for p in packets]
+    results = [None] * len(packets)
+    start = threading.Barrier(len(packets))
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = prop.run(packets[i], 60)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(packets))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert got.absorbed == want.absorbed
 
 
 def test_bad_time_steps_are_rejected():
