@@ -4,9 +4,11 @@ A causal map carries observables backwards along an arrow of time: if U
 propagates states from the source instant to the target instant, the map
 sends an effect F at the target to U* F U at the source.  Trees of such
 maps, with an observable attached to each node, collapse into a single
-observable at the root by repeated pull-back and product; the product step
-inherits the commutativity gate, so a tree whose branches disagree simply
-has no sequential realization and says so.
+observable at the root by repeated pull-back and product.  Pull-back is
+``measurement.conjugate_observable`` by the map's generator; the product is
+measurement's ordered-product kernel behind its commutativity gate, so a
+tree whose branches disagree simply has no sequential realization and says
+so.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NodeMismatch, NonCommuting, ValidationError
 from . import operators as op
-from .measurement import Povm, COMMUTE_TOL, _max_commutator
+from .measurement import COMMUTE_TOL, Povm, conjugate_observable, first_clash, ordered_product
 
 __all__ = [
     "CausalMap",
@@ -95,8 +97,7 @@ def pull_back(m: CausalMap, observable: Povm) -> Povm:
         raise DimensionMismatch(
             f"observable dim {observable.dim} does not match map dim {m.dim}"
         )
-    effects = {x: m.apply(observable.effect(x)) for x in observable.outcomes}
-    return Povm(observable.outcomes, effects)
+    return conjugate_observable(observable, m.generator)
 
 
 class CausalTree:
@@ -182,30 +183,6 @@ class CausalTree:
         return m
 
 
-def _product_tagged(parts: list[tuple[Node, Povm]], tol: float) -> Povm:
-    """Ordered product of observables tagged by node, gated pairwise.
-
-    Outcomes are tuples, one slot per factor; effects are the ordered
-    operator products.  A failed gate names the two nodes involved.
-    """
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            worst, _, _ = _max_commutator(parts[i][1], parts[j][1])
-            if worst > tol:
-                raise NonCommuting(parts[i][0], parts[j][0], worst)
-    dim = parts[0][1].dim
-    outcomes = [()]
-    for _, o in parts:
-        outcomes = [prev + (x,) for prev in outcomes for x in o.outcomes]
-    effects = {}
-    for combo in outcomes:
-        acc = op.identity(dim)
-        for (_, o), x in zip(parts, combo):
-            acc = acc @ o.effect(x)
-        effects[combo] = acc
-    return Povm(outcomes, effects)
-
-
 def realize_sequential(tree: CausalTree, tol: float = COMMUTE_TOL) -> Povm:
     """Collapse a causal tree into one observable at the root.
 
@@ -222,9 +199,12 @@ def realize_sequential(tree: CausalTree, tol: float = COMMUTE_TOL) -> Povm:
         kids = tree.children(node)
         if not kids:
             return own
-        parts = [(node, own)]
-        for t in kids:
-            parts.append((t, pull_back(tree.maps[t], realize(t))))
-        return _product_tagged(parts, tol)
+        nodes = [node] + kids
+        factors = [own] + [pull_back(tree.maps[t], realize(t)) for t in kids]
+        clash = first_clash(factors, tol)
+        if clash is not None:
+            i, j, _, _, norm = clash
+            raise NonCommuting(nodes[i], nodes[j], norm)
+        return Povm(*ordered_product(factors))
 
     return realize(tree.root)

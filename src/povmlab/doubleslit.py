@@ -395,56 +395,43 @@ def build_potential(
 # ------------------------------------------------------------- propagation
 
 
-def _line_operator(n_lines: int, n_points: int, free_flat: np.ndarray, coeff: float):
-    """Hermitian 1-d kinetic operator along the fast axis of a flattened grid.
-
-    Blocked cells get zero rows and columns; couplings never cross line
-    boundaries.  Returns (main diagonal, off diagonal) arrays.
-    """
-    main = np.where(free_flat, 2.0 * coeff, 0.0)
-    off = np.zeros(n_lines * n_points - 1)
-    pair = free_flat[:-1] & free_flat[1:]
-    ends = np.arange(1, n_lines) * n_points - 1
-    pair[ends] = False
-    off[pair] = -coeff
-    return main, off
-
-
-def _stretched_line_operator(
+def _line_operator(
     n_lines: int,
     n_points: int,
     free_flat: np.ndarray,
     coeff: float,
-    stretch_flat: np.ndarray,
+    stretch_flat: np.ndarray | float = 0.0,
 ):
-    """Kinetic operator with complex coordinate stretching (matched layer).
+    """1-d kinetic operator along the fast axis of a flattened grid.
 
-    Where the stretch field is zero this reduces exactly to _line_operator.
-    Inside an absorbing layer the derivative is taken along a complex path,
+    Blocked cells get zero rows and columns; couplings never cross line
+    ends.  Where the stretch field is zero this is the Hermitian 3-point
+    operator: ``2 coeff`` on free cells, ``-coeff`` between free in-line
+    neighbours.  Inside an absorbing layer (complex coordinate stretching,
+    a matched layer) the derivative is taken along a complex path,
     d/dy -> (1/s) d/dy with s = 1 + e^{i pi/4} stretch, which attenuates
     waves of every incidence angle with essentially no reflection; a graded
-    imaginary potential cannot do that at grazing incidence.  The result is
-    non-Hermitian by construction.  Returns (main, lower, upper) diagonals.
+    imaginary potential cannot do that at grazing incidence.  There the
+    operator is non-Hermitian.  Returns (main, lower, upper) diagonals.
     """
-    s = 1.0 + np.exp(1j * np.pi / 4) * stretch_flat
-    n = n_lines * n_points
+    s = 1.0 + np.exp(1j * np.pi / 4) * np.broadcast_to(stretch_flat, free_flat.shape)
     pair = free_flat[:-1] & free_flat[1:]
-    ends = np.arange(1, n_lines) * n_points - 1
-    pair[ends] = False
+    pair[np.arange(1, n_lines) * n_points - 1] = False
     s_mid = 0.5 * (s[:-1] + s[1:])
 
-    # half-cell factors toward each neighbor; a wall or boundary neighbor
-    # behaves as an unstretched mirror cell
-    up_factor = np.ones(n, dtype=complex)
-    up_factor[:-1] = np.where(pair, 1.0 / s_mid, 1.0)
-    down_factor = np.ones(n, dtype=complex)
-    down_factor[1:] = np.where(pair, 1.0 / s_mid, 1.0)
-
-    main = np.where(free_flat, coeff * (up_factor + down_factor) / s, 0.0)
-    upper = np.zeros(n - 1, dtype=complex)
-    upper[pair] = (-coeff / (s[:-1] * s_mid))[pair]
-    lower = np.zeros(n - 1, dtype=complex)
-    lower[pair] = (-coeff / (s[1:] * s_mid))[pair]
+    # half-cell factors toward the next and the previous cell, summed on the
+    # main diagonal; a wall or boundary neighbour is an unstretched mirror
+    # cell.  The sum is built in place: with full-size temporaries here a
+    # run's work arrays no longer fit into what the constructor freed.
+    toward = np.where(pair, 1.0 / s_mid, 1.0)
+    main = np.r_[toward, 1.0]
+    main[1:] += toward
+    main[0] += 1.0
+    main *= coeff
+    main /= s
+    main[~free_flat] = 0.0
+    upper = np.where(pair, -coeff / (s[:-1] * s_mid), 0.0)
+    lower = np.where(pair, -coeff / (s[1:] * s_mid), 0.0)
     return main, lower, upper
 
 
@@ -473,12 +460,15 @@ def _halves(n_lines: int, n_points: int) -> list[tuple[slice, slice, slice]]:
     ]
 
 
-def _factor_halves(halves, lower, main, upper) -> list[tuple]:
-    """``_factor_tridiagonal`` of each block of one matrix, split by ``_halves``.
+def _factor_halves(halves, a: float, lower, main, upper) -> list[tuple]:
+    """``_factor_tridiagonal`` of each block of ``1 + i a H``, split by ``_halves``.
 
-    The full-size diagonals are arguments, so they are freed on return,
-    before the constructor makes the next sweep's arrays.
+    The diagonals of ``H`` are overwritten with those of ``1 + i a H``:
+    fresh copies would raise the constructor's peak memory by a fifth.
     """
+    for diagonal in (lower, main, upper):
+        diagonal *= 1j * a
+    main += 1.0
     return [
         _factor_tridiagonal(lower[inner], main[cells], upper[inner])
         for _, cells, inner in halves
@@ -585,31 +575,26 @@ class Propagator:
         free = ~potential.blocked
         a = dt / (2.0 * hbar)
 
-        # x lines are contiguous in the (ny, nx) layout
+        # x lines are contiguous in the (ny, nx) layout; no stretch acts along x
         cx = hbar**2 / (2.0 * mass * grid.dx**2)
-        main_x, off_x = _line_operator(grid.ny, grid.nx, free.ravel(), cx)
+        main, lower, upper = _line_operator(grid.ny, grid.nx, free.ravel(), cx)
         halves = _halves(grid.ny, grid.nx)
-        lus = _factor_halves(halves, 1j * a * off_x, 1.0 + 1j * a * main_x, 1j * a * off_x)
+        lus = _factor_halves(halves, a, lower, main, upper)
+        del main, lower, upper
         self._x_blocks = tuple(
             _LineBlock(lines, cells, lu) for (lines, cells, _), lu in zip(halves, lus)
         )
 
         # y lines are contiguous in the transposed (nx, ny) layout
         cy = hbar**2 / (2.0 * mass * grid.dy**2)
-        free_t = np.ascontiguousarray(free.T)
-        if potential.septum is not None and potential.septum.any():
-            stretch_t = np.ascontiguousarray(potential.septum.T)
-            main_y, low_y, up_y = _stretched_line_operator(
-                grid.nx, grid.ny, free_t.ravel(), cy, stretch_t.ravel()
-            )
-        else:
-            main_y, low_y = _line_operator(grid.nx, grid.ny, free_t.ravel(), cy)
-            up_y = low_y
-        halves = _halves(grid.nx, grid.ny)
-        lus = _factor_halves(halves, 1j * a * low_y, 1.0 + 1j * a * main_y, 1j * a * up_y)
+        stretch = 0.0 if potential.septum is None else potential.septum.T.ravel()
+        main, lower, upper = _line_operator(grid.nx, grid.ny, free.T.ravel(), cy, stretch)
         # explicit y half (1 - i a H_y) as three diagonals; the off-diagonals
         # are zero across line ends, so a slice product never mixes lines
-        explicit = (1.0 - 1j * a * main_y, -1j * a * low_y, -1j * a * up_y)
+        explicit = (1.0 - 1j * a * main, -1j * a * lower, -1j * a * upper)
+        halves = _halves(grid.nx, grid.ny)
+        lus = _factor_halves(halves, a, lower, main, upper)
+        del main, lower, upper
 
         if sponge is None:
             damp = np.ones(grid.nx * grid.ny)
@@ -767,13 +752,15 @@ def detector_pmf(packet: WavePacket2D, binning: DetectorBinning) -> Pmf:
     Mass removed by an absorbing layer (packet.absorbed) plus any numerical
     deficit shows up as the no-detection probability.
     """
-    labels = binning.indices(packet.grid)
-    dens = packet.density()
-    flat_labels = labels.ravel()
-    order = np.unique(flat_labels)
-    sums = {int(n): float(dens.ravel()[flat_labels == n].sum()) for n in order}
-    if 0 not in sums:
-        sums[0] = 0.0
+    labels = binning.indices(packet.grid).ravel()
+    # a stable sort keeps each bin's cells in grid order, so every bin is
+    # summed as one contiguous run of the same values as a masked gather
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    runs = np.split(packet.density().ravel()[order], cuts)
+    sums = {int(n): float(run.sum()) for n, run in zip(grouped[np.r_[0, cuts]], runs)}
+    sums.setdefault(0, 0.0)
     keys = sorted(sums.keys())
     probs = {n: min(max(sums[n], 0.0), 1.0) for n in keys}
     nd = min(max(1.0 - sum(probs.values()), 0.0), 1.0)

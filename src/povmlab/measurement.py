@@ -6,7 +6,10 @@ is reported as a ``no detection`` outcome rather than silently renormalized.
 Products of observables exist only when every pair of effects commutes;
 without that gate the operator products are still available, but only as a
 formal operator-valued measure whose values need not be positive or even
-Hermitian.
+Hermitian.  One kernel, ``ordered_product``, builds every such product and
+one gate, ``first_clash``, tests it: ``product_observable`` and
+``causality.realize_sequential`` apply both, ``formal_product`` the kernel
+alone.  ``Povm`` and ``OperatorValuedMeasure`` share one outcome table.
 """
 
 from __future__ import annotations
@@ -130,26 +133,51 @@ def _expectation(state: State, a: np.ndarray) -> complex:
     return complex(np.trace(state.matrix @ a))
 
 
-def _coerce_effects(outcomes, effects) -> tuple[tuple[Label, ...], dict]:
-    outcomes = tuple(outcomes)
-    if len(outcomes) == 0:
-        raise ValidationError("an observable needs at least one outcome")
-    if len(set(outcomes)) != len(outcomes):
-        raise ValidationError("outcome labels must be unique")
-    if isinstance(effects, Mapping):
-        table = {x: op.as_operator(effects[x]) for x in outcomes}
-    else:
-        effects = list(effects)
-        if len(effects) != len(outcomes):
-            raise ValidationError("effect count does not match outcome count")
-        table = {x: op.as_operator(e) for x, e in zip(outcomes, effects)}
-    dims = {e.shape[0] for e in table.values()}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"effects live on different dimensions: {sorted(dims)}")
-    return outcomes, table
+class _OutcomeTable:
+    """Operators indexed by a finite, ordered outcome set.
+
+    The shared part of ``Povm`` and ``OperatorValuedMeasure``: table
+    coercion, ``dim``, lookup and the additive extension to subsets.
+    """
+
+    def __init__(self, outcomes: Sequence[Label], operators):
+        outcomes = tuple(outcomes)
+        if len(outcomes) == 0:
+            raise ValidationError("an observable needs at least one outcome")
+        if len(set(outcomes)) != len(outcomes):
+            raise ValidationError("outcome labels must be unique")
+        if isinstance(operators, Mapping):
+            table = {x: op.as_operator(operators[x]) for x in outcomes}
+        else:
+            operators = list(operators)
+            if len(operators) != len(outcomes):
+                raise ValidationError("effect count does not match outcome count")
+            table = {x: op.as_operator(e) for x, e in zip(outcomes, operators)}
+        dims = {e.shape[0] for e in table.values()}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"effects live on different dimensions: {sorted(dims)}")
+        self.outcomes = outcomes
+        self._table = {x: _readonly(e) for x, e in table.items()}
+
+    @property
+    def dim(self) -> int:
+        return next(iter(self._table.values())).shape[0]
+
+    def _at(self, outcome: Label) -> np.ndarray:
+        return self._table[outcome]
+
+    def _additive(self, outcomes: Iterable[Label]) -> np.ndarray:
+        """Additive extension to subsets; the empty subset gives zero."""
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        for x in outcomes:
+            acc = acc + self._table[x]
+        return acc
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, outcomes={list(self.outcomes)!r})"
 
 
-class Povm:
+class Povm(_OutcomeTable):
     """Positive operator-valued measure over a finite, ordered outcome set.
 
     Construction validates every effect (Hermitian and positive within
@@ -159,31 +187,28 @@ class Povm:
     """
 
     def __init__(self, outcomes: Sequence[Label], effects, tol: float = EFFECT_TOL):
-        outcomes, table = _coerce_effects(outcomes, effects)
-        for x, e in table.items():
-            if not op.is_positive(e, tol):
-                raise NotPositive(f"effect for outcome {x!r} is not positive")
-        total = sum(table.values())
-        excess = np.linalg.eigvalsh(0.5 * (total + total.conj().T)).max() - 1.0
+        super().__init__(outcomes, effects)
+        effects = list(self._table.values())
+        total = sum(effects)
+        # one eigvalsh over the symmetrized effects and the total
+        stack = np.stack(effects + [total])
+        adjoint = stack.conj().transpose(0, 2, 1)
+        hermitian = np.append(np.abs(stack[:-1] - adjoint[:-1]).max(axis=(1, 2)) <= tol, True)
+        # a non-Hermitian effect fails whatever its spectrum; zeroing it keeps
+        # non-finite entries, which are never Hermitian, away from eigvalsh
+        sym = np.where(hermitian[:, None, None], 0.5 * (stack + adjoint), 0.0)
+        spectra = np.linalg.eigvalsh(sym)
+        positive = hermitian[:-1] & (spectra[:-1].min(axis=1) >= -tol)
+        if not positive.all():
+            x = self.outcomes[np.argmin(positive)]
+            raise NotPositive(f"effect for outcome {x!r} is not positive")
+        excess = spectra[-1].max() - 1.0
         if excess > tol:
             raise Overcomplete(f"effects exceed the identity by {excess:.3e}")
-        self.outcomes = outcomes
-        self._effects = {x: _readonly(e) for x, e in table.items()}
         self._total = _readonly(total)
 
-    @property
-    def dim(self) -> int:
-        return self._total.shape[0]
-
-    def effect(self, outcome: Label) -> np.ndarray:
-        return self._effects[outcome]
-
-    def effect_of(self, outcomes: Iterable[Label]) -> np.ndarray:
-        """Additive extension to subsets; the empty subset gives zero."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in outcomes:
-            acc = acc + self._effects[x]
-        return acc
+    effect = _OutcomeTable._at
+    effect_of = _OutcomeTable._additive
 
     def total(self) -> np.ndarray:
         return self._total
@@ -196,56 +221,35 @@ class Povm:
         """Rank-one observable |v_x><v_x| from one vector per outcome."""
         return cls(outcomes, [op.projector(op.as_vector(v)) for v in vectors], tol)
 
-    def __repr__(self):
-        return f"Povm(dim={self.dim}, outcomes={list(self.outcomes)!r})"
-
 
 def existence_observable(dim: int) -> Povm:
     """The trivial one-outcome observable whose single effect is the identity."""
     return Povm((1,), [op.identity(dim)])
 
 
-class OperatorValuedMeasure:
+class OperatorValuedMeasure(_OutcomeTable):
     """Finite family of arbitrary operators indexed by outcomes.
 
     No positivity or normalization is imposed; this is the home of formal
     products of observables that fail the commutativity gate.
     """
 
-    def __init__(self, outcomes: Sequence[Label], values):
-        outcomes, table = _coerce_effects(outcomes, values)
-        self.outcomes = outcomes
-        self._values = {x: _readonly(v) for x, v in table.items()}
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self._values.values())).shape[0]
-
-    def value(self, outcome: Label) -> np.ndarray:
-        return self._values[outcome]
-
-    def value_of(self, outcomes: Iterable[Label]) -> np.ndarray:
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in outcomes:
-            acc = acc + self._values[x]
-        return acc
+    value = _OutcomeTable._at
+    value_of = _OutcomeTable._additive
 
     def total(self) -> np.ndarray:
         return self.value_of(self.outcomes)
 
     def hermiticity_residual(self) -> float:
-        return max(op.hermiticity_residual(v) for v in self._values.values())
+        return max(op.hermiticity_residual(v) for v in self._table.values())
 
     def is_observable(self, tol: float = EFFECT_TOL) -> bool:
         """Whether the family happens to be a valid sub-normalized Povm."""
         try:
-            Povm(self.outcomes, dict(self._values), tol)
+            Povm(self.outcomes, dict(self._table), tol)
         except (NotPositive, Overcomplete):
             return False
         return True
-
-    def __repr__(self):
-        return f"OperatorValuedMeasure(dim={self.dim}, outcomes={list(self.outcomes)!r})"
 
 
 @dataclass(frozen=True)
@@ -325,35 +329,64 @@ def sample_outcomes(observable: Povm, state: State, shots: int, seed: int) -> li
 
 def commute(a: Povm, b: Povm, tol: float = COMMUTE_TOL) -> bool:
     """Whether every effect of ``a`` commutes with every effect of ``b``."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"observable dims {a.dim} and {b.dim} differ")
-    return _max_commutator(a, b)[0] <= tol
+    return first_clash((a, b), tol) is None
 
 
-def _max_commutator(a: Povm, b: Povm):
-    worst = (0.0, None, None)
-    for x in a.outcomes:
-        for y in b.outcomes:
-            n = op.commutator_norm(a.effect(x), b.effect(y))
-            if n > worst[0]:
-                worst = (n, x, y)
-    return worst
+def first_clash(factors: Sequence[Povm], tol: float) -> tuple | None:
+    """The commutativity gate of an ordered product of observables.
+
+    Returns ``(i, j, x, y, norm)`` for the first factor pair ``i < j`` whose
+    effects fail to commute within ``tol``, with the pair's worst outcome
+    pair ``(x, y)`` and its commutator norm, or None when all commute.
+    Factors on different dimensions raise DimensionMismatch.  Shared with
+    ``causality``; not in ``__all__``.
+    """
+    for i, a in enumerate(factors):
+        for j in range(i + 1, len(factors)):
+            b = factors[j]
+            if a.dim != b.dim:
+                raise DimensionMismatch(f"observable dims {a.dim} and {b.dim} differ")
+            worst = (0.0, None, None)
+            for x in a.outcomes:
+                for y in b.outcomes:
+                    n = op.commutator_norm(a.effect(x), b.effect(y))
+                    if n > worst[0]:
+                        worst = (n, x, y)
+            if worst[0] > tol:
+                return i, j, worst[1], worst[2], worst[0]
+    return None
+
+
+def ordered_product(factors: Sequence[Povm]) -> tuple[list, dict]:
+    """Outcome tuples, one slot per factor, and their ungated effect products.
+
+    The last slot varies fastest; each product multiplies the effects left
+    to right, starting from the first factor's.  Shared with
+    ``causality``; not in ``__all__``.
+    """
+    outcomes = [()]
+    for o in factors:
+        outcomes = [prev + (x,) for prev in outcomes for x in o.outcomes]
+    products = {}
+    for combo in outcomes:
+        acc = factors[0].effect(combo[0])
+        for o, x in zip(factors[1:], combo[1:]):
+            acc = acc @ o.effect(x)
+        products[combo] = acc
+    return outcomes, products
 
 
 def product_observable(a: Povm, b: Povm, tol: float = COMMUTE_TOL) -> Povm:
     """Simultaneous observable with effects E_a(x) E_b(y) and paired outcomes.
 
     Exists only when the factors commute pairwise; otherwise NonCommuting is
-    raised carrying the first offending outcome pair.
+    raised carrying the worst offending outcome pair.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"observable dims {a.dim} and {b.dim} differ")
-    worst, x, y = _max_commutator(a, b)
-    if worst > tol:
-        raise NonCommuting(x, y, worst)
-    outcomes = [(x, y) for x in a.outcomes for y in b.outcomes]
-    effects = {(x, y): a.effect(x) @ b.effect(y) for x, y in outcomes}
-    return Povm(outcomes, effects)
+    clash = first_clash((a, b), tol)
+    if clash is not None:
+        _, _, x, y, norm = clash
+        raise NonCommuting(x, y, norm)
+    return Povm(*ordered_product((a, b)))
 
 
 def tensor_observable(a: Povm, b: Povm) -> Povm:
@@ -389,9 +422,7 @@ def formal_product(a: Povm, b: Povm) -> OperatorValuedMeasure:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"observable dims {a.dim} and {b.dim} differ")
-    outcomes = [(x, y) for x in a.outcomes for y in b.outcomes]
-    values = {(x, y): a.effect(x) @ b.effect(y) for x, y in outcomes}
-    return OperatorValuedMeasure(outcomes, values)
+    return OperatorValuedMeasure(*ordered_product((a, b)))
 
 
 def conditional_formal_values(

@@ -139,6 +139,38 @@ def test_chain_realization_matches_hand_expansion():
     assert len(realized.outcomes) == 8
 
 
+def test_two_child_tree_realizes_to_the_hand_built_ordered_product():
+    # root r with children a and b; pulled back to r, every effect is
+    # diagonal in one random basis, so the gate passes
+    rng = np.random.default_rng(5)
+    basis = random_unitary(rng, 3)
+
+    def diagonal_effects(n):
+        weights = rng.uniform(size=(n, 3))
+        weights /= weights.sum(axis=0)
+        return [basis @ np.diag(w) @ basis.conj().T for w in weights]
+
+    ua, ub = random_unitary(rng, 3), random_unitary(rng, 3)
+    root = Povm((1, 2), diagonal_effects(2))
+    obs_a = Povm((1, 2, 3), [ua @ e @ ua.conj().T for e in diagonal_effects(3)])
+    obs_b = Povm((1, 2), [ub @ e @ ub.conj().T for e in diagonal_effects(2)])
+    maps = {"a": CausalMap("r", "a", ua), "b": CausalMap("r", "b", ub)}
+    tree = CausalTree("r", {"a": "r", "b": "r"}, maps, {"r": root, "a": obs_a, "b": obs_b})
+    realized = realize_sequential(tree)
+
+    pulled_a = {y: ua.conj().T @ obs_a.effect(y) @ ua for y in obs_a.outcomes}
+    pulled_b = {z: ub.conj().T @ obs_b.effect(z) @ ub for z in obs_b.outcomes}
+    expected = {
+        (x, y, z): root.effect(x) @ pulled_a[y] @ pulled_b[z]
+        for x in root.outcomes
+        for y in obs_a.outcomes
+        for z in obs_b.outcomes
+    }
+    assert realized.outcomes == tuple(expected)
+    for o, e in expected.items():
+        assert np.array_equal(realized.effect(o), e)
+
+
 def test_realized_pmf_equals_classical_composition():
     # diagonal chain: sequential outcome probabilities factor into a Markov chain
     d1 = Povm((1, 2), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

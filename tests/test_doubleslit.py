@@ -16,7 +16,6 @@ from povmlab.doubleslit import (
     WavePacket2D,
     _factor_tridiagonal,
     _line_operator,
-    _stretched_line_operator,
     bin_indicator_expectation,
     build_potential,
     detector_pmf,
@@ -222,11 +221,28 @@ def test_matched_layer_dissipates_monotonically_with_exact_closure():
     assert abs(1.0 - (out.norm() ** 2 + out.absorbed)) <= 1e-12
 
 
+def _plain_line_operator(n_lines, n_points, free_flat, coeff):
+    """The Hermitian 3-point line operator, written from its definition.
+
+    ``2 coeff`` on free cells, ``-coeff`` between free in-line neighbours,
+    nothing across line ends.  Returns (main, off) diagonals.
+    """
+    n = n_lines * n_points
+    main = np.zeros(n)
+    off = np.zeros(n - 1)
+    for k in range(n):
+        if free_flat[k]:
+            main[k] = 2.0 * coeff
+        if (k + 1) % n_points and free_flat[k] and free_flat[k + 1]:
+            off[k] = -coeff
+    return main, off
+
+
 def test_stretched_operator_reduces_to_plain_when_unstretched():
     rng = np.random.default_rng(3)
     free = rng.uniform(size=40) > 0.2
-    main, off = _line_operator(4, 10, free, 0.7)
-    s_main, s_low, s_up = _stretched_line_operator(4, 10, free, 0.7, np.zeros(40))
+    main, off = _plain_line_operator(4, 10, free, 0.7)
+    s_main, s_low, s_up = _line_operator(4, 10, free, 0.7, np.zeros(40))
     assert np.abs(s_main - main).max() <= 1e-15
     assert np.abs(s_low - off).max() <= 1e-15
     assert np.abs(s_up - off).max() <= 1e-15
@@ -257,15 +273,15 @@ def test_one_step_matches_dense_sweep_solves(branch):
 
     a = dt / 2.0
     free = ~pot.blocked
-    main_x, off_x = _line_operator(grid.ny, grid.nx, free.ravel(), 0.5 / grid.dx**2)
+    main_x, off_x = _plain_line_operator(grid.ny, grid.nx, free.ravel(), 0.5 / grid.dx**2)
     h_x = _dense(main_x, off_x, off_x)
     free_t = free.T.ravel()
     if branch == 2:
-        h_y = _dense(*_stretched_line_operator(
+        h_y = _dense(*_line_operator(
             grid.nx, grid.ny, free_t, 0.5 / grid.dy**2, pot.septum.T.ravel()
         ))
     else:
-        main_y, off_y = _line_operator(grid.nx, grid.ny, free_t, 0.5 / grid.dy**2)
+        main_y, off_y = _plain_line_operator(grid.nx, grid.ny, free_t, 0.5 / grid.dy**2)
         h_y = _dense(main_y, off_y, off_y)
     one = np.eye(grid.nx * grid.ny)
     w = (one - 1j * a * h_y) @ psi.T.ravel()
@@ -314,15 +330,15 @@ def _flat_reference_run(pot, dt, sponge, amplitudes, steps):
         psi *= np.sqrt((remaining + wall_mass) / remaining)
     a = dt / 2.0
     free = ~pot.blocked
-    main_x, off_x = _line_operator(ny, nx, free.ravel(), 0.5 / grid.dx**2)
+    main_x, off_x = _plain_line_operator(ny, nx, free.ravel(), 0.5 / grid.dx**2)
     lu_x = _factor_tridiagonal(1j * a * off_x, 1.0 + 1j * a * main_x, 1j * a * off_x)
     free_t = free.T.ravel()
     if pot.septum is not None:
-        main_y, low_y, up_y = _stretched_line_operator(
+        main_y, low_y, up_y = _line_operator(
             nx, ny, free_t, 0.5 / grid.dy**2, pot.septum.T.ravel()
         )
     else:
-        main_y, low_y = _line_operator(nx, ny, free_t, 0.5 / grid.dy**2)
+        main_y, low_y = _plain_line_operator(nx, ny, free_t, 0.5 / grid.dy**2)
         up_y = low_y
     lu_y = _factor_tridiagonal(1j * a * low_y, 1.0 + 1j * a * main_y, 1j * a * up_y)
     # quadratic edge ramp in the (nx, ny) layout the step ends on

@@ -72,11 +72,25 @@ def test_density_operator_checks():
 def test_povm_rejects_negative_effect():
     with pytest.raises(NotPositive):
         Povm((1, 2), [np.diag([1.0, -0.2]), np.diag([0.0, 1.0])])
+    # the first offending outcome is named: c is Hermitian with a negative
+    # eigenvalue, d is not Hermitian though its symmetric part is positive
+    small = 0.1 * np.eye(2)
+    skew = np.array([[0.1, 0.05], [0.0, 0.1]])
+    negative = np.diag([0.2, -0.01])
+    with pytest.raises(NotPositive, match="outcome 'c' is"):
+        Povm("abcd", [small, small, negative, skew])
+    with pytest.raises(NotPositive, match="outcome 'b' is"):
+        Povm("abc", [small, skew, small])
+    with pytest.raises(NotPositive, match="outcome 'b' is"):
+        Povm("abc", [small, np.full((2, 2), np.nan), negative])
 
 
 def test_povm_rejects_overcomplete_family():
     with pytest.raises(Overcomplete):
         Povm((1,), [2.0 * np.eye(2)])
+    # each effect is below the identity, their sum is not
+    with pytest.raises(Overcomplete):
+        Povm((1, 2, 3), [0.5 * np.eye(2), np.diag([0.4, 0.2]), np.diag([0.3, 0.1])])
 
 
 def test_povm_accepts_subnormalized_family():
@@ -256,6 +270,8 @@ def test_formal_product_coincides_with_product_iff_commuting():
     assert form.is_observable()
     for o in prod.outcomes:
         assert np.max(np.abs(prod.effect(o) - form.value(o))) <= 1e-10
+        # one kernel builds both, so commuting factors give the same bits
+        assert np.array_equal(prod.effect(o), form.value(o))
 
     of = two_point_observable(f1, f2)
     og = two_point_observable(g1, g2)

@@ -18,6 +18,7 @@ from povmlab.doubleslit import (
 from povmlab.errors import InvalidAmplitudes, ValidationError
 from povmlab.measurement import Povm
 from povmlab.scenarios import (
+    SCENARIO_NAMES,
     DoubleSlitConfig,
     EraserSpec,
     run_doubleslit,
@@ -135,7 +136,10 @@ def test_eraser_rejects_non_unit_amplitudes():
 def test_run_scenario_dispatches_and_rejects_unknown_names():
     assert run_scenario("wheeler").scenario == "wheeler"
     assert run_scenario("eraser", spec=EraserSpec()).scenario == "eraser"
-    with pytest.raises(ValidationError):
+    for name in SCENARIO_NAMES:
+        if name != "doubleslit":  # the grid run is covered on its own
+            assert run_scenario(name).scenario == name
+    with pytest.raises(ValidationError, match="three-boxes"):
         run_scenario("umbrella")
 
 
