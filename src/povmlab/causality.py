@@ -146,9 +146,13 @@ class CausalTree:
         missing = [t for t in nodes if t not in observables]
         if missing:
             raise ValidationError(f"nodes {missing!r} have no observable")
-        for t in parents:
+        for t, p in parents.items():
             if observables[t].dim != maps[t].dim:
                 raise DimensionMismatch(f"observable and edge map at {t!r} disagree in dim")
+            if observables[p].dim != maps[t].dim:
+                raise DimensionMismatch(
+                    f"edge map for {t!r} and the observable at its source {p!r} disagree in dim"
+                )
 
         self.root = root
         self.parents = parents

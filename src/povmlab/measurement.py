@@ -10,6 +10,15 @@ Hermitian.  One kernel, ``ordered_product``, builds every such product and
 one gate, ``first_clash``, tests it: ``product_observable`` and
 ``causality.realize_sequential`` apply both, ``formal_product`` the kernel
 alone.  ``Povm`` and ``OperatorValuedMeasure`` share one outcome table.
+
+The table holds an observable's effects as one read-only ``(n, d, d)``
+stack, and the kernel works on whole stacks: the gate takes the
+commutators of all outcome pairs of two factors and their norms in one
+batched call, the product folds the factor stacks with one batched matmul
+per factor, and conjugation multiplies the whole stack at once.  Every
+entry is the same single product the one-matrix form computes, so the
+results are bit for bit those of the per-effect loops.  ``outcome_pmf``
+stays per effect: a batched sum would add in another order.
 """
 
 from __future__ import annotations
@@ -133,11 +142,36 @@ def _expectation(state: State, a: np.ndarray) -> complex:
     return complex(np.trace(state.matrix @ a))
 
 
+def _as_stack(outcomes: tuple, operators) -> np.ndarray:
+    """The operators as one new complex ``(n, d, d)`` array in outcome order."""
+    if isinstance(operators, np.ndarray) and operators.ndim == 3:
+        # a batched kernel's output: its entries share one shape, so one
+        # check covers them all
+        if len(operators) != len(outcomes):
+            raise ValidationError("effect count does not match outcome count")
+        op.as_operator(operators[0])
+        return operators.astype(complex, order="C")
+    if isinstance(operators, Mapping):
+        operators = [op.as_operator(operators[x]) for x in outcomes]
+    else:
+        operators = list(operators)
+        if len(operators) != len(outcomes):
+            raise ValidationError("effect count does not match outcome count")
+        operators = [op.as_operator(e) for e in operators]
+    dims = {e.shape[0] for e in operators}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"effects live on different dimensions: {sorted(dims)}")
+    return np.stack(operators)
+
+
 class _OutcomeTable:
     """Operators indexed by a finite, ordered outcome set.
 
     The shared part of ``Povm`` and ``OperatorValuedMeasure``: table
-    coercion, ``dim``, lookup and the additive extension to subsets.
+    coercion, ``dim``, lookup and the additive extension to subsets.  The
+    operators live in one read-only ``(n, d, d)`` stack in outcome order,
+    which the batched kernels below read whole; the table's values are
+    views of it.
     """
 
     def __init__(self, outcomes: Sequence[Label], operators):
@@ -146,22 +180,14 @@ class _OutcomeTable:
             raise ValidationError("an observable needs at least one outcome")
         if len(set(outcomes)) != len(outcomes):
             raise ValidationError("outcome labels must be unique")
-        if isinstance(operators, Mapping):
-            table = {x: op.as_operator(operators[x]) for x in outcomes}
-        else:
-            operators = list(operators)
-            if len(operators) != len(outcomes):
-                raise ValidationError("effect count does not match outcome count")
-            table = {x: op.as_operator(e) for x, e in zip(outcomes, operators)}
-        dims = {e.shape[0] for e in table.values()}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"effects live on different dimensions: {sorted(dims)}")
         self.outcomes = outcomes
-        self._table = {x: _readonly(e) for x, e in table.items()}
+        self._stack = _as_stack(outcomes, operators)
+        self._stack.setflags(write=False)
+        self._table = dict(zip(outcomes, self._stack))
 
     @property
     def dim(self) -> int:
-        return next(iter(self._table.values())).shape[0]
+        return self._stack.shape[1]
 
     def _at(self, outcome: Label) -> np.ndarray:
         return self._table[outcome]
@@ -188,17 +214,18 @@ class Povm(_OutcomeTable):
 
     def __init__(self, outcomes: Sequence[Label], effects, tol: float = EFFECT_TOL):
         super().__init__(outcomes, effects)
-        effects = list(self._table.values())
-        total = sum(effects)
-        # one eigvalsh over the symmetrized effects and the total
-        stack = np.stack(effects + [total])
+        stack = self._stack
         adjoint = stack.conj().transpose(0, 2, 1)
-        hermitian = np.append(np.abs(stack[:-1] - adjoint[:-1]).max(axis=(1, 2)) <= tol, True)
+        hermitian = np.abs(stack - adjoint).max(axis=(1, 2)) <= tol
         # a non-Hermitian effect fails whatever its spectrum; zeroing it keeps
         # non-finite entries, which are never Hermitian, away from eigvalsh
         sym = np.where(hermitian[:, None, None], 0.5 * (stack + adjoint), 0.0)
-        spectra = np.linalg.eigvalsh(sym)
-        positive = hermitian[:-1] & (spectra[:-1].min(axis=1) >= -tol)
+        # the total adds in table order, one effect at a time: its bits are
+        # part of every pmf's no-detection mass
+        total = sum(self._table.values())
+        # one eigvalsh over the symmetrized effects and the total
+        spectra = np.linalg.eigvalsh(np.concatenate([sym, [0.5 * (total + total.conj().T)]]))
+        positive = hermitian & (spectra[:-1].min(axis=1) >= -tol)
         if not positive.all():
             x = self.outcomes[np.argmin(positive)]
             raise NotPositive(f"effect for outcome {x!r} is not positive")
@@ -246,7 +273,7 @@ class OperatorValuedMeasure(_OutcomeTable):
     def is_observable(self, tol: float = EFFECT_TOL) -> bool:
         """Whether the family happens to be a valid sub-normalized Povm."""
         try:
-            Povm(self.outcomes, dict(self._table), tol)
+            Povm(self.outcomes, self._stack, tol)
         except (NotPositive, Overcomplete):
             return False
         return True
@@ -340,40 +367,43 @@ def first_clash(factors: Sequence[Povm], tol: float) -> tuple | None:
     pair ``(x, y)`` and its commutator norm, or None when all commute.
     Factors on different dimensions raise DimensionMismatch.  Shared with
     ``causality``; not in ``__all__``.
+
+    Each factor pair takes all its commutators and their norms in one
+    batched call, ``op.commutator_norm`` on every outcome pair at once; the
+    worst pair is the first maximum in row-major ``(x, y)`` order.  The
+    batch holds ``na * nb`` matrices, never more than the ordered product
+    it gates.
     """
     for i, a in enumerate(factors):
         for j in range(i + 1, len(factors)):
             b = factors[j]
             if a.dim != b.dim:
                 raise DimensionMismatch(f"observable dims {a.dim} and {b.dim} differ")
-            worst = (0.0, None, None)
-            for x in a.outcomes:
-                for y in b.outcomes:
-                    n = op.commutator_norm(a.effect(x), b.effect(y))
-                    if n > worst[0]:
-                        worst = (n, x, y)
-            if worst[0] > tol:
-                return i, j, worst[1], worst[2], worst[0]
+            ea, eb = a._stack[:, None], b._stack[None, :]
+            norms = np.linalg.norm(ea @ eb - eb @ ea, 2, axis=(-2, -1)).ravel()
+            k = int(np.argmax(norms))
+            if norms[k] > tol:
+                x, y = divmod(k, len(b.outcomes))
+                return i, j, a.outcomes[x], b.outcomes[y], float(norms[k])
     return None
 
 
-def ordered_product(factors: Sequence[Povm]) -> tuple[list, dict]:
+def ordered_product(factors: Sequence[Povm]) -> tuple[list, np.ndarray]:
     """Outcome tuples, one slot per factor, and their ungated effect products.
 
     The last slot varies fastest; each product multiplies the effects left
-    to right, starting from the first factor's.  Shared with
-    ``causality``; not in ``__all__``.
+    to right, starting from the first factor's.  The products come as one
+    ``(n, d, d)`` stack in outcome order, folded factor by factor with one
+    batched matmul each.  Shared with ``causality``; not in ``__all__``.
     """
     outcomes = [()]
     for o in factors:
         outcomes = [prev + (x,) for prev in outcomes for x in o.outcomes]
-    products = {}
-    for combo in outcomes:
-        acc = factors[0].effect(combo[0])
-        for o, x in zip(factors[1:], combo[1:]):
-            acc = acc @ o.effect(x)
-        products[combo] = acc
-    return outcomes, products
+    d = factors[0].dim
+    acc = factors[0]._stack
+    for o in factors[1:]:
+        acc = (acc[:, None] @ o._stack[None, :]).reshape(-1, d, d)
+    return outcomes, acc
 
 
 def product_observable(a: Povm, b: Povm, tol: float = COMMUTE_TOL) -> Povm:
@@ -409,8 +439,7 @@ def conjugate_observable(observable: Povm, by) -> Povm:
             f"conjugator dim {a.shape[0]} does not match observable dim {observable.dim}"
         )
     ad = a.conj().T
-    effects = {x: ad @ observable.effect(x) @ a for x in observable.outcomes}
-    return Povm(observable.outcomes, effects)
+    return Povm(observable.outcomes, ad @ observable._stack @ a)
 
 
 def formal_product(a: Povm, b: Povm) -> OperatorValuedMeasure:

@@ -3,7 +3,11 @@
 Vectors are one-dimensional complex ndarrays, operators are square complex
 ndarrays.  Everything here is a thin, validating layer over numpy so the
 measurement layer can state its contracts in terms of a handful of named
-operations.
+operations.  Each operation takes single operators; ``measurement`` keeps
+an observable's effects as one ``(n, d, d)`` stack and applies the same
+arithmetic to whole stacks itself, one product per entry as here, so its
+batched forms give these functions' bits.  The tensor products are the
+broadcast products ``np.kron`` computes, without its generic set-up.
 """
 
 from __future__ import annotations
@@ -92,12 +96,17 @@ def adjoint(a) -> np.ndarray:
 
 def tensor_vec(a, b) -> np.ndarray:
     """Kronecker product of vectors; index (i, j) maps to i*dim_b + j."""
-    return np.kron(as_vector(a), as_vector(b))
+    a = as_vector(a)
+    b = as_vector(b)
+    return (a[:, None] * b[None, :]).reshape(-1)
 
 
 def tensor_op(a, b) -> np.ndarray:
     """Kronecker product of operators, same index convention as tensor_vec."""
-    return np.kron(as_operator(a), as_operator(b))
+    a = as_operator(a)
+    b = as_operator(b)
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def hermiticity_residual(a) -> float:

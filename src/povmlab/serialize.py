@@ -27,31 +27,42 @@ def _fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# what json.dumps(str) calls: ASCII output, non-ASCII as \uXXXX escapes
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _write_json(value, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
+    kind = type(value)
+    # the two commonest leaves first; exact types only, subclasses below
+    if kind is float:
+        out.append(f"{value:.17g}")
+    elif kind is str:
+        out.append(_quote(value))
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         keys = sorted(value.keys())
         if any(not isinstance(k, str) for k in keys):
             raise ValidationError("JSON object keys must be strings")
-        out.append("{\n")
-        for i, k in enumerate(keys):
-            out.append(pad + "  " + json.dumps(k) + ": ")
+        pad = "  " * indent
+        lead, sep = "{\n" + pad + "  ", ",\n" + pad + "  "
+        for k in keys:
+            out.append(lead + _quote(k) + ": ")
+            lead = sep
             _write_json(value[k], indent + 1, out)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+        out.append("\n" + pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
+        pad = "  " * indent
+        lead, sep = "[\n" + pad + "  ", ",\n" + pad + "  "
+        for item in value:
+            out.append(lead)
+            lead = sep
             _write_json(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
+        out.append("\n" + pad + "]")
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif value is None:
@@ -61,7 +72,7 @@ def _write_json(value, indent: int, out: list) -> None:
     elif isinstance(value, float):
         out.append(_fmt_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(_quote(value))
     else:
         raise ValidationError(f"cannot serialize {type(value).__name__} deterministically")
 

@@ -97,6 +97,20 @@ def test_tree_rejects_cycles_and_dangling_edges():
         CausalTree(0, {1: 0}, {1: m_bad}, {0: o, 1: o})
 
 
+def test_tree_rejects_an_edge_map_that_disagrees_with_its_source():
+    # a 2-dim root under a 3-dim edge map and child fails when built, not
+    # later in realize_sequential
+    child = Povm.from_vectors((1, 2, 3), [op.basis_vector(3, i) for i in range(3)])
+    root = Povm.from_vectors((1, 2), [f1, f2])
+    maps = {1: CausalMap(0, 1, np.eye(3))}
+    with pytest.raises(DimensionMismatch):
+        CausalTree(0, {1: 0}, maps, {0: root, 1: child})
+    # the same check one level down
+    maps = {1: CausalMap(0, 1, np.eye(2)), 2: CausalMap(1, 2, np.eye(3))}
+    with pytest.raises(DimensionMismatch):
+        CausalTree(0, {1: 0, 2: 1}, maps, {0: root, 1: root, 2: child})
+
+
 def test_map_between_satisfies_composition_law():
     rng = np.random.default_rng(13)
     gens = [random_unitary(rng, 2) for _ in range(3)]

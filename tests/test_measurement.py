@@ -22,7 +22,9 @@ from povmlab.measurement import (
     conditional_formal_values,
     conjugate_observable,
     existence_observable,
+    first_clash,
     formal_product,
+    ordered_product,
     outcome_pmf,
     product_observable,
     sample_outcomes,
@@ -287,6 +289,80 @@ def test_formal_product_values_multiply():
     for x, y in form.outcomes:
         expected = of.effect(x) @ og.effect(y)
         assert np.max(np.abs(form.value((x, y)) - expected)) <= TOL
+
+
+# ------------------------------------- batched kernel against plain loops
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def first_clash_loop(factors, tol):
+    """The gate one outcome pair at a time; a strict > keeps the first max."""
+    for i, a in enumerate(factors):
+        for j in range(i + 1, len(factors)):
+            b = factors[j]
+            worst = (0.0, None, None)
+            for x in a.outcomes:
+                for y in b.outcomes:
+                    n = op.commutator_norm(a.effect(x), b.effect(y))
+                    if n > worst[0]:
+                        worst = (n, x, y)
+            if worst[0] > tol:
+                return i, j, worst[1], worst[2], worst[0]
+    return None
+
+
+def test_first_clash_matches_the_pairwise_loop():
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        dim = int(rng.integers(2, 5))
+        factors = [random_povm(rng, dim, int(rng.integers(2, 5))) for _ in range(3)]
+        clash = first_clash(factors, 1e-10)
+        assert clash is not None and clash == first_clash_loop(factors, 1e-10)
+
+    # ties: every outcome pair of a and b has the same commutator bits, so
+    # the first pair in row-major (x, y) order must be reported
+    pf, pg = op.projector(f1), op.projector(g1)
+    a = Povm(("a1", "a2"), [0.5 * pf, 0.5 * pf])
+    b = Povm(("b1", "b2", "b3"), [pg / 3, pg / 3, pg / 3])
+    clash = first_clash((existence_observable(2), a, b), 1e-10)
+    assert clash[:4] == (1, 2, "a1", "b1")
+    assert clash == first_clash_loop((existence_observable(2), a, b), 1e-10)
+
+    # all-commuting families, including zero commutators, pass the gate
+    c, d = random_commuting_povm_pair(rng, 3, 3, 2)
+    assert first_clash((c, d, c), 1e-10) is None
+    assert first_clash_loop((c, d, c), 1e-10) is None
+    o = two_point_observable(f1, f2)
+    assert first_clash((o, o), 0.0) is None
+
+
+def test_ordered_product_matches_the_left_to_right_loop():
+    rng = np.random.default_rng(73)
+    factors = [random_povm(rng, 3, n) for n in (2, 3, 4)]
+    outcomes, products = ordered_product(factors)
+    expected = [(x, y, z) for x in (1, 2) for y in (1, 2, 3) for z in (1, 2, 3, 4)]
+    assert outcomes == expected
+    assert products.shape == (24, 3, 3)
+    for k, combo in enumerate(expected):
+        acc = factors[0].effect(combo[0])
+        for o, x in zip(factors[1:], combo[1:]):
+            acc = acc @ o.effect(x)
+        assert same_bits(products[k], acc)
+
+
+def test_conjugate_observable_matches_per_effect_products():
+    rng = np.random.default_rng(79)
+    o = random_povm(rng, 4, 3)
+    for a in (random_unitary(rng, 4), op.projector(op.basis_vector(4, 1))):
+        conj = conjugate_observable(o, a)
+        ad = a.conj().T
+        assert conj.outcomes == o.outcomes
+        for x in o.outcomes:
+            assert same_bits(conj.effect(x), ad @ o.effect(x) @ a)
 
 
 def test_conditional_values_reduce_to_bayes_for_commuting_pairs():

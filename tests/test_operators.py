@@ -56,6 +56,19 @@ def test_tensor_op_against_nested_loop():
                     )
 
 
+def test_tensor_products_give_the_bits_of_kron():
+    rng = np.random.default_rng(6)
+    for da, db in ((2, 3), (3, 2), (1, 4), (4, 5)):
+        a = random_op(rng, da)
+        b = random_op(rng, db)
+        assert op.tensor_op(a, b).tobytes() == np.kron(a, b).tobytes()
+        assert op.tensor_op(a, b).shape == (da * db, da * db)
+        u = random_vec(rng, da)
+        v = random_vec(rng, db)
+        assert op.tensor_vec(u, v).tobytes() == np.kron(u, v).tobytes()
+        assert op.tensor_vec(u, v).shape == (da * db,)
+
+
 def test_tensor_basis_convention():
     f1 = op.basis_vector(2, 0)
     f2 = op.basis_vector(2, 1)

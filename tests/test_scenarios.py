@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmlab.cli import main
 from povmlab.doubleslit import (
@@ -254,6 +255,89 @@ def test_json_rejects_unserializable_values():
         to_json_bytes({"bad": {1: "non-string key"}})
     with pytest.raises(ValidationError):
         to_json_bytes({"bad": object()})
+
+
+def _reference_write_json(value, indent, out):
+    """The JSON writer as first written, kept as the reference for its bytes."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        keys = sorted(value.keys())
+        if any(not isinstance(k, str) for k in keys):
+            raise ValidationError("JSON object keys must be strings")
+        out.append("{\n")
+        for i, k in enumerate(keys):
+            out.append(pad + "  " + json.dumps(k) + ": ")
+            _reference_write_json(value[k], indent + 1, out)
+            out.append(",\n" if i < len(keys) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(value):
+            out.append(pad + "  ")
+            _reference_write_json(item, indent + 1, out)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(pad + "]")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(f"{float(value):.17g}")
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    else:
+        raise ValidationError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+def _json_outcome(writer, payload):
+    """The bytes a writer emits for ``payload``, or the type it raises."""
+    try:
+        return writer(payload)
+    except (ValidationError, TypeError) as err:
+        return type(err)
+
+
+def _reference_json_bytes(payload):
+    out = []
+    _reference_write_json(payload, 0, out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e-310, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False).map(np.float64),
+    st.text(),
+    st.sampled_from(["", "é", "snow \u2603", "\U0001f600", 'quote " and \\', "tab\tnewline\n\x00"]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 3)), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), json_values, max_size=4))
+def test_json_writer_emits_the_reference_bytes(payload):
+    assert _json_outcome(to_json_bytes, payload) == _json_outcome(_reference_json_bytes, payload)
 
 
 def test_pmf_csv_rows_sum_to_one_and_include_the_loss_row():
