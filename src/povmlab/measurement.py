@@ -18,8 +18,7 @@ batched call, the product folds the factor stacks with one batched matmul
 per factor, and conjugation multiplies the whole stack at once.  Every
 entry is the same single product the one-matrix form computes, so the
 results are bit for bit those of the per-effect loops.  ``outcome_pmf``
-multiplies the state by the whole stack at once but keeps one ``vdot``
-(or ``trace``) per effect: a batched sum would add in another order.
+stays per effect: a batched sum would add in another order.
 """
 
 from __future__ import annotations
@@ -141,18 +140,6 @@ def _expectation(state: State, a: np.ndarray) -> complex:
     if isinstance(state, PureState):
         return complex(np.vdot(state.vector, a @ state.vector))
     return complex(np.trace(state.matrix @ a))
-
-
-def _expectations(state: State, stack: np.ndarray) -> list:
-    """``_expectation`` of each operator of an ``(n, d, d)`` stack.
-
-    The products are one batched matmul; each sum stays its own ``vdot``
-    or ``trace`` call, because a batched sum would add in another order.
-    """
-    if isinstance(state, PureState):
-        v = state.vector
-        return [complex(np.vdot(v, w)) for w in stack @ v]
-    return [complex(np.trace(m)) for m in state.matrix @ stack]
 
 
 def _as_stack(outcomes: tuple, operators) -> np.ndarray:
@@ -340,8 +327,9 @@ def outcome_pmf(observable: Povm, state: State) -> Pmf:
             f"observable dim {observable.dim} does not match state dim {state.dim}"
         )
     probs = {}
-    for x, e in zip(observable.outcomes, _expectations(state, observable._stack)):
-        probs[x] = min(max(e.real, 0.0), 1.0)
+    for x in observable.outcomes:
+        p = _expectation(state, observable.effect(x)).real
+        probs[x] = min(max(p, 0.0), 1.0)
     accounted = _expectation(state, observable.total()).real
     nd = min(max(1.0 - accounted, 0.0), 1.0)
     return Pmf(probs, nd)

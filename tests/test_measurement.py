@@ -365,23 +365,6 @@ def test_conjugate_observable_matches_per_effect_products():
             assert same_bits(conj.effect(x), ad @ o.effect(x) @ a)
 
 
-def test_outcome_pmf_matches_per_effect_expectations():
-    rng = np.random.default_rng(83)
-    for dim in (2, 5, 8):
-        o = random_povm(rng, dim, 12)
-        u = random_state(rng, dim)
-        rho = DensityOperator(0.5 * u.density().matrix + 0.5 * np.eye(dim) / dim)
-        for state in (u, rho):
-            pmf = outcome_pmf(o, state)
-            for x in o.outcomes:
-                e = o.effect(x)
-                if state is u:
-                    p = complex(np.vdot(u.vector, e @ u.vector)).real
-                else:
-                    p = complex(np.trace(rho.matrix @ e)).real
-                assert pmf[x] == min(max(p, 0.0), 1.0)
-
-
 def test_conditional_values_reduce_to_bayes_for_commuting_pairs():
     rng = np.random.default_rng(41)
     a, b = random_commuting_povm_pair(rng, 4, 2, 3)
