@@ -32,11 +32,11 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _write_json(value, indent: int, out: list) -> None:
-    kind = type(value)
-    # the two commonest leaves first; exact types only, subclasses below
-    if kind is float:
-        out.append(f"{value:.17g}")
-    elif kind is str:
+    # the two commonest leaves first; bool is not a float, and no container
+    # is a float or a str, so the order changes no output
+    if isinstance(value, float):
+        out.append(_fmt_float(value))
+    elif isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, dict):
         if not value:
@@ -69,10 +69,6 @@ def _write_json(value, indent: int, out: list) -> None:
         out.append("null")
     elif isinstance(value, int):
         out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_fmt_float(value))
-    elif isinstance(value, str):
-        out.append(_quote(value))
     else:
         raise ValidationError(f"cannot serialize {type(value).__name__} deterministically")
 
