@@ -1,12 +1,15 @@
 """Print the sha256 of povmlab's deterministic outputs, one line each.
 
 The JSON and CSV of the four finite scenarios and, with ``--slit``, the
-JSON of the documented one-field double-slit command are the equivalence
-oracle of a refactor: a change that keeps the numbers keeps every line.
-Run it from anywhere; it imports ``povmlab`` from this checkout's ``src``::
+JSON of the documented one-field double-slit command and of a coarse
+``branch="both"`` run are the equivalence oracle of a refactor: a change
+that keeps the numbers keeps every line.  The both-branch run covers what
+the one-field command does not: branch 2, the single-opening fields, the
+ordering check and the geometry metadata.  Run it from anywhere; it imports
+``povmlab`` from this checkout's ``src``::
 
     python3 scripts/byte_oracle.py            # about a second
-    python3 scripts/byte_oracle.py --slit     # adds the slit run, 10-20 s
+    python3 scripts/byte_oracle.py --slit     # adds the slit runs, 15-25 s
 """
 
 from __future__ import annotations
@@ -20,9 +23,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from povmlab.cli import main  # noqa: E402
+from povmlab.scenarios import DoubleSlitConfig, run_doubleslit  # noqa: E402
+from povmlab.serialize import emit  # noqa: E402
 
 FINITE = ("eraser", "wheeler", "hardy", "three-boxes")
 SLIT = ["doubleslit", "--branch", "1", "--k0", "4", "--dt", "0.016", "--sigma", "3", "--b", "14", "--seed", "1"]
+# a coarse run of all four fields and the ordering check, a few seconds
+SLIT_BOTH = dict(
+    branch="both", nx=128, ny=96, dt=0.05, max_steps=500,
+    k0=2.0, sigma=3.0, b=8.0, shots=2000, seed=5,
+    source_x=-12.0, hole_center=3.0, hole_width=5.0, septum_half_width=0.4,
+)
 
 
 def _digest(argv: list[str], out: Path) -> str:
@@ -33,21 +44,26 @@ def _digest(argv: list[str], out: Path) -> str:
 
 
 def oracle(slit: bool) -> list[tuple[str, str]]:
-    """(command, sha256) pairs, in a fixed order."""
+    """(what was run, sha256) pairs, in a fixed order."""
     commands = [["scenario", name] + fmt for name in FINITE for fmt in ([], ["--csv"])]
     if slit:
         commands.append(SLIT)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        return [(" ".join(argv), _digest(argv, out)) for argv in commands]
+        lines = [("povmlab " + " ".join(argv), _digest(argv, out)) for argv in commands]
+    if slit:
+        config = ", ".join(f"{k}={v!r}" for k, v in SLIT_BOTH.items())
+        payload = emit(run_doubleslit(DoubleSlitConfig(**SLIT_BOTH)))
+        lines.append((f"run_doubleslit({config})", hashlib.sha256(payload).hexdigest()))
+    return lines
 
 
 def cli(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--slit", action="store_true", help="also hash the one-field double-slit JSON")
+    parser.add_argument("--slit", action="store_true", help="also hash the two double-slit JSONs")
     args = parser.parse_args(argv)
     for command, digest in oracle(args.slit):
-        print(f"{digest}  povmlab {command}")
+        print(f"{digest}  {command}")
     return 0
 
 

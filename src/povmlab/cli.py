@@ -7,7 +7,10 @@ Two subcommands:
 
 ``povmlab doubleslit``
     Run the grid simulation with explicit numeric knobs; a shorthand for
-    ``scenario doubleslit`` with configuration flags.
+    ``scenario doubleslit`` with configuration flags.  The flags are the
+    fields listed in ``DoubleSlitConfig.EXPOSED``, each with the config's
+    default (``--max-steps`` for ``max_steps``); every other field keeps
+    its default, and the stop rule's constants are fixed.
 
 Exit codes: 0 on success, 2 for invalid input or I/O failure, 3 for a
 numeric failure (unstable stepping, vanishing conditioning mass).
@@ -66,17 +69,10 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_doubleslit_flags(parser: argparse.ArgumentParser) -> None:
     d = DoubleSlitConfig()
-    parser.add_argument("--branch", choices=("1", "2", "both"), default=d.branch)
-    parser.add_argument("--nx", type=int, default=d.nx)
-    parser.add_argument("--ny", type=int, default=d.ny)
-    parser.add_argument("--dt", type=float, default=d.dt)
-    parser.add_argument("--max-steps", type=int, default=d.max_steps)
-    parser.add_argument("--k0", type=float, default=d.k0)
-    parser.add_argument("--sigma", type=float, default=d.sigma)
-    parser.add_argument("--delta", type=float, default=d.delta)
-    parser.add_argument("--b", type=float, default=d.b)
-    parser.add_argument("--shots", type=int, default=d.shots)
-    parser.add_argument("--seed", type=int, default=d.seed)
+    for name in d.EXPOSED:
+        default = getattr(d, name)
+        kind = {"choices": d.BRANCHES} if name == "branch" else {"type": type(default)}
+        parser.add_argument("--" + name.replace("_", "-"), default=default, **kind)
     parser.add_argument(
         "--histogram", action="store_true",
         help="with --csv, emit sampled counts instead of the pmf",
@@ -123,19 +119,7 @@ def _run(args: argparse.Namespace):
         result = run_scenario(args.name, **kwargs)
         return emit(result, fmt=args.fmt, path=args.out)
 
-    config = DoubleSlitConfig(
-        branch=args.branch,
-        nx=args.nx,
-        ny=args.ny,
-        dt=args.dt,
-        max_steps=args.max_steps,
-        k0=args.k0,
-        sigma=args.sigma,
-        delta=args.delta,
-        b=args.b,
-        shots=args.shots,
-        seed=args.seed,
-    )
+    config = DoubleSlitConfig(**{name: getattr(args, name) for name in DoubleSlitConfig.EXPOSED})
     result = run_scenario("doubleslit", config=config)
     return emit(result, fmt=args.fmt, path=args.out, histogram=args.histogram)
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .doubleslit import (
     init_packet,
     momentum_expectation,
 )
-from .errors import InvalidAmplitudes, NonCommuting, ValidationError
+from .errors import EmptyWindow, InvalidAmplitudes, NonCommuting, ValidationError
 from .measurement import (
     NO_DETECTION,
     Pmf,
@@ -436,19 +437,37 @@ def run_eraser(spec: EraserSpec | None = None) -> ScenarioResult:
 # -------------------------------------------------------------- double slit
 
 
+# The stop rule's fixed constants: the screen-side mass is checked every
+# CHECK_INTERVAL steps, and a fall from at least PEAK_FLOOR is the peak.
+CHECK_INTERVAL = 25
+PEAK_FLOOR = 0.02
+
+
 @dataclass(frozen=True)
 class DoubleSlitConfig:
     """Full parameterization of a double-slit run.
 
-    The command line exposes the first block; the rest are declared
-    defaults recorded in the output metadata.  The packet starts off-axis
-    (``source_y``) so the two openings are unevenly illuminated: in the
-    window on the weakly lit side the strong beam's envelope tail and the
-    weak beam arrive with comparable amplitude, giving branch-1 fringes
-    near-unit contrast.  In branch 2 the absorbing separator removes
-    everything that approaches the axis, so the same window sees one beam
-    and stays smooth.
+    The fields named in ``EXPOSED`` are the command-line flags of
+    ``povmlab doubleslit`` and the ``parameters`` block of the result; the
+    others are declared defaults, and the output metadata records the
+    ``GEOMETRY`` ones and most of the rest.  The stop rule's chunk length and peak floor are
+    the fixed constants ``CHECK_INTERVAL`` and ``PEAK_FLOOR``.  The packet
+    starts off-axis (``source_y``) so the two openings are unevenly
+    illuminated: in the window on the weakly lit side the strong beam's
+    envelope tail and the weak beam arrive with comparable amplitude,
+    giving branch-1 fringes near-unit contrast.  In branch 2 the absorbing
+    separator removes everything that approaches the axis, so the same
+    window sees one beam and stays smooth.
     """
+
+    EXPOSED: ClassVar[tuple[str, ...]] = (
+        "branch", "nx", "ny", "dt", "max_steps", "k0", "sigma", "delta", "b", "shots", "seed",
+    )
+    GEOMETRY: ClassVar[tuple[str, ...]] = (
+        "slit_x", "hole_center", "hole_width", "wall_thickness", "wedge_apex_x",
+        "septum_half_width", "septum_strength",
+    )
+    BRANCHES: ClassVar[tuple[str, ...]] = ("1", "2", "both")
 
     branch: str = "both"
     nx: int = 512
@@ -476,41 +495,20 @@ class DoubleSlitConfig:
     sponge_width: int = 28
     sponge_strength: float = 6.0
     mass_target: float = 0.9
-    peak_floor: float = 0.02
-    check_interval: int = 25
     window_lo: int = -10
     window_hi: int = -4
     smooth: int = 3
     ordering_check: bool = True
 
     def __post_init__(self):
-        if self.branch not in ("1", "2", "both"):
+        if self.branch not in self.BRANCHES:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
         if self.shots < 0 or self.max_steps < 1:
             raise ValidationError("shots must be >= 0 and max_steps >= 1")
-
-
-def _grid(config: DoubleSlitConfig) -> Grid2D:
-    return Grid2D(config.nx, config.ny, config.lx, config.ly)
-
-
-def _params(config: DoubleSlitConfig) -> PhysicalParams:
-    return PhysicalParams(
-        k0=config.k0, sigma=config.sigma, delta=config.delta, b=config.b
-    )
-
-
-def _geometry(config: DoubleSlitConfig, **overrides) -> SlitGeometry:
-    base = SlitGeometry(
-        slit_x=config.slit_x,
-        hole_center=config.hole_center,
-        hole_width=config.hole_width,
-        wall_thickness=config.wall_thickness,
-        wedge_apex_x=config.wedge_apex_x,
-        septum_half_width=config.septum_half_width,
-        septum_strength=config.septum_strength,
-    )
-    return replace(base, **overrides) if overrides else base
+        if not any(n != 0 for n in range(self.window_lo, self.window_hi + 1)):
+            raise EmptyWindow(
+                f"window {self.window_lo}..{self.window_hi} holds no screen strip"
+            )
 
 
 def _propagator(config, potential) -> Propagator:
@@ -518,19 +516,34 @@ def _propagator(config, potential) -> Propagator:
     return Propagator(potential, config.dt, sponge=sponge)
 
 
+def _step_fields(pool, props, packets, steps):
+    """Advance each packet ``steps`` steps under its propagator, in order.
+
+    A lone field runs from this thread and steps its two line blocks on
+    ``pool``, so no pool worker waits on its own pool.  Several fields run
+    one per thread of ``pool``, each stepping its blocks inline: on the
+    production grid a branch-1 and a branch-2 field stepped one per thread
+    took 11.7 ms per field-step, against 14.2 ms when each field's line
+    blocks ran on the pool (medians of 6 interleaved rounds of 4x25 steps,
+    2-vCPU Xeon VM).  Either way a field's arithmetic is the same as
+    stepping it alone.
+    """
+    if len(props) == 1:
+        return [props[0].run(packets[0], steps, pool=pool)]
+    return list(pool.map(lambda prop, p: prop.run(p, steps), props, packets))
+
+
 def _propagate_lockstep(config, pool, potentials, packet):
     """Step fields in lockstep chunks; stop at the first field's screen-mass peak.
 
-    Every field starts from ``packet``.  Paired fields run one per thread of
-    ``pool``; a lone field runs from this thread and steps its two line
-    blocks on ``pool``, so no pool worker waits on its own pool.  Mass
-    beyond the screen of the first field rises while the transmitted packet
-    arrives and falls once its front reaches the edge absorber, so its peak
-    is the moment the pattern is fully formed.  The peak is seen one chunk
-    late; every field keeps its previous chunk and rolls back with the
-    first.  Reaching ``mass_target`` outright also stops; ``max_steps``
-    always caps the run.  A field's arithmetic is the same as stepping it
-    alone.  Returns (packets, steps, stop reason).
+    Every field starts from ``packet`` and is stepped by ``_step_fields``.
+    Mass beyond the screen of the first field rises while the transmitted
+    packet arrives and falls once its front reaches the edge absorber, so
+    its peak is the moment the pattern is fully formed.  The peak is seen
+    one chunk late; every field keeps its previous chunk and rolls back
+    with the first.  Reaching ``mass_target`` outright also stops;
+    ``max_steps`` always caps the run.  Returns (packets, steps, stop
+    reason).
     """
     props = [_propagator(config, potential) for potential in potentials]
     packets = [packet] * len(props)
@@ -538,17 +551,14 @@ def _propagate_lockstep(config, pool, potentials, packet):
     reason = "step-cap"
     mass = packet.mass_beyond(config.b)
     while done < config.max_steps:
-        chunk = min(config.check_interval, config.max_steps - done)
-        if len(props) == 1:
-            stepped = [props[0].run(packets[0], chunk, pool=pool)]
-        else:
-            stepped = list(pool.map(lambda prop, p: prop.run(p, chunk), props, packets))
+        chunk = min(CHECK_INTERVAL, config.max_steps - done)
+        stepped = _step_fields(pool, props, packets, chunk)
         stepped_mass = stepped[0].mass_beyond(config.b)
         if stepped_mass >= config.mass_target:
             packets, done = stepped, done + chunk
             reason = "mass-target"
             break
-        if mass >= config.peak_floor and stepped_mass < mass:
+        if mass >= PEAK_FLOOR and stepped_mass < mass:
             reason = "screen-mass-peak"
             break
         mass = stepped_mass
@@ -568,8 +578,7 @@ def _ordering_spot_check(pool) -> dict:
     grid = Grid2D(128, 96, 38.4, 28.8)
     params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=8.0)
     geometry = SlitGeometry(
-        slit_x=0.0, hole_center=2.0, hole_width=1.6, wall_thickness=0.3,
-        wedge_apex_x=None, septum_half_width=1.0, septum_strength=3.0,
+        hole_center=2.0, hole_width=1.6, septum_half_width=1.0, septum_strength=3.0
     )
     packet = init_packet(grid, params, center=(-4.0, 0.6))
     steps = 480
@@ -599,10 +608,6 @@ def _ordering_spot_check(pool) -> dict:
         "grid": [grid.nx, grid.ny],
         "note": "norm of the order difference of screen-side clipping under the two branch dynamics",
     }
-
-
-def _histogram(pmf: Pmf, shots: int, seed: int) -> Counter:
-    return Counter(sample_pmf(pmf, shots, seed))
 
 
 def _three_sigma_deviation(
@@ -637,16 +642,16 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     visibly striped only in branch 1, and that seeded shot histograms track
     the pmfs.
 
-    The run uses a pool of two threads.  Paired fields are stepped one per
-    thread: the branch fields first, then the two single-opening fields.  A
-    lone field (``branch='1'`` or ``'2'``) is stepped as two line blocks,
-    one per thread.  The two orders of the ordering check also run one per
-    thread.  Each field's arithmetic is the same as stepping it alone and
-    inline, so the result does not depend on scheduling.
+    The run uses a pool of two threads.  ``_step_fields`` steps the branch
+    fields, then the two single-opening fields; the two orders of the
+    ordering check run one per thread.  Each field's arithmetic is the same
+    as stepping it alone and inline, so the result does not depend on
+    scheduling.
     """
     config = config if config is not None else DoubleSlitConfig()
-    grid = _grid(config)
-    params = _params(config)
+    grid = Grid2D(config.nx, config.ny, config.lx, config.ly)
+    params = PhysicalParams(k0=config.k0, sigma=config.sigma, delta=config.delta, b=config.b)
+    walls = {name: getattr(config, name) for name in config.GEOMETRY}
     binning = DetectorBinning(params.b, params.delta)
     packet0 = init_packet(grid, params, center=(config.source_x, config.source_y))
 
@@ -658,38 +663,27 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
 
     wanted = ("1", "2") if config.branch == "both" else (config.branch,)
     potentials = [
-        build_potential(grid, params, int(name), _geometry(config)) for name in wanted
+        build_potential(grid, params, int(name), SlitGeometry(**walls)) for name in wanted
     ]
-    seals = (("upper-only", {"seal_lower": True}), ("lower-only", {"seal_upper": True}))
     single_packets = []
     ordering = None
     with ThreadPoolExecutor(max_workers=2) as pool:
         # the branch fields in lockstep, the first deciding the stop
-        packets, steps_shared, reason = _propagate_lockstep(config, pool, potentials, packet0)
+        packets, steps, reason = _propagate_lockstep(config, pool, potentials, packet0)
         if config.branch == "both":
-            # the single-opening reference fields; the branch propagators
-            # are released by now, so no more than two are alive at once.
-            # They are built on this thread, like the branch ones, so their
-            # arrays reuse what those freed.  Built on the pool threads they
-            # went to per-thread heaps, and a round's peak RSS varied by 27 MB.
+            # the upper-only and lower-only reference fields; the branch
+            # propagators are released by now, so no more than two are alive
+            # at once.  They are built on this thread, like the branch ones,
+            # so their arrays reuse what those freed.  Built on the pool
+            # threads they went to per-thread heaps, and a round's peak RSS
+            # varied by 27 MB.
             sealed = [
-                _propagator(config, build_potential(grid, params, 2, _geometry(config, **seal)))
-                for _, seal in seals
+                _propagator(config, build_potential(grid, params, 2, SlitGeometry(**walls, **seal)))
+                for seal in ({"seal_lower": True}, {"seal_upper": True})
             ]
-            single_packets = list(pool.map(lambda p: p.run(packet0, steps_shared), sealed))
+            single_packets = _step_fields(pool, sealed, [packet0] * len(sealed), steps)
             if config.ordering_check:
                 ordering = _ordering_spot_check(pool)
-
-    runs: dict[str, dict] = {}
-    for name, packet in zip(wanted, packets):
-        runs[name] = {
-            "packet": packet,
-            "pmf": detector_pmf(packet, binning),
-            "steps": steps_shared,
-            # the other fields follow the first for exactly its step count
-            "stop": reason if name == wanted[0] else "step-cap",
-            "closure": abs(1.0 - (packet.norm() ** 2 + packet.absorbed)),
-        }
 
     window = [n for n in range(config.window_lo, config.window_hi + 1) if n != 0]
     pmfs = []
@@ -701,16 +695,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         "grid": {"nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly,
                  "spacing": grid.dx},
         "source": [config.source_x, config.source_y],
-        "geometry": {
-            "slit_x": config.slit_x,
-            "hole_center": config.hole_center,
-            "hole_width": config.hole_width,
-            "wall_thickness": config.wall_thickness,
-            "wedge_apex_x": config.wedge_apex_x,
-            "septum_half_width": config.septum_half_width,
-            "septum_strength": config.septum_strength,
-            "separator_end": "right-edge",
-        },
+        "geometry": {**walls, "separator_end": "right-edge"},
         "dt": config.dt,
         "sponge": {"width": config.sponge_width, "strength": config.sponge_strength},
         "window": window,
@@ -719,30 +704,31 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         "natural_units": {"hbar": 1.0, "mass": 1.0},
     }
 
-    for name in wanted:
-        run = runs[name]
+    for name, packet in zip(wanted, packets):
         label = f"branch-{name}"
-        pmfs.append((label, run["pmf"]))
-        identities.append(
-            IdentityCheck.within(f"norm-closure-{label}", run["closure"], 1e-4)
-        )
+        pmf = detector_pmf(packet, binning)
+        pmfs.append((label, pmf))
+        closure = abs(1.0 - (packet.norm() ** 2 + packet.absorbed))
+        identities.append(IdentityCheck.within(f"norm-closure-{label}", closure, 1e-4))
         if config.shots > 0:
-            counts = _histogram(run["pmf"], config.shots, config.seed + int(name))
+            counts = Counter(sample_pmf(pmf, config.shots, config.seed + int(name)))
             histograms[label] = counts
             identities.append(
                 IdentityCheck.within(
                     f"histogram-three-sigma-{label}",
-                    _three_sigma_deviation(run["pmf"], counts, config.shots),
+                    _three_sigma_deviation(pmf, counts, config.shots),
                     3.0,
                 )
             )
-        metadata[f"steps-{label}"] = run["steps"]
-        metadata[f"stop-{label}"] = run["stop"]
-        metadata[f"absorbed-{label}"] = run["packet"].absorbed
+        metadata[f"steps-{label}"] = steps
+        # the other fields follow the first for exactly its step count
+        metadata[f"stop-{label}"] = reason if name == wanted[0] else "step-cap"
+        metadata[f"absorbed-{label}"] = packet.absorbed
 
     if config.branch == "both":
-        vis1 = fringe_visibility(runs["1"]["pmf"], window, config.smooth)
-        vis2 = fringe_visibility(runs["2"]["pmf"], window, config.smooth)
+        (_, pmf1), (_, pmf2) = pmfs
+        vis1 = fringe_visibility(pmf1, window, config.smooth)
+        vis2 = fringe_visibility(pmf2, window, config.smooth)
         identities.append(
             IdentityCheck.exceeds(
                 "visibility-gap-exceeds-margin", vis1 - vis2, VISIBILITY_MARGIN
@@ -750,46 +736,30 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         )
         metadata["visibility"] = {"branch-1": vis1, "branch-2": vis2}
 
-        singles = {}
-        for (tag, _), packet in zip(seals, single_packets):
-            singles[tag] = detector_pmf(packet, binning)
-            pmfs.append((tag, singles[tag]))
+        upper, lower = (detector_pmf(packet, binning) for packet in single_packets)
+        pmfs += [("upper-only", upper), ("lower-only", lower)]
 
-        p2 = runs["2"]["pmf"].probabilities
+        p2 = pmf2.probabilities
         strips = sorted(
-            n for n in set(p2)
-            | set(singles["upper-only"].probabilities)
-            | set(singles["lower-only"].probabilities)
+            n for n in set(p2) | set(upper.probabilities) | set(lower.probabilities)
             if n != 0
         )
         tv = 0.0
         for n in strips:
-            ref = (
-                singles["upper-only"].probabilities.get(n, 0.0)
-                if n >= 1
-                else singles["lower-only"].probabilities.get(n, 0.0)
-            )
+            ref = (upper if n >= 1 else lower).probabilities.get(n, 0.0)
             tv += abs(p2.get(n, 0.0) - ref)
         identities.append(IdentityCheck.within("superposition-of-paths", tv, 1e-3))
 
-        way = _which_way_from_pmf(runs["2"]["pmf"])
+        way = _which_way_from_pmf(pmf2)
         metadata["which-way-branch-2"] = {
             "upper": way.upper, "lower": way.lower, "remainder": way.remainder,
         }
         if ordering is not None:
             metadata["ordering-check"] = ordering
 
-    parameters = {
-        "branch": config.branch,
-        "nx": config.nx, "ny": config.ny,
-        "dt": config.dt, "max_steps": config.max_steps,
-        "k0": config.k0, "sigma": config.sigma,
-        "delta": config.delta, "b": config.b,
-        "shots": config.shots, "seed": config.seed,
-    }
     return ScenarioResult(
         scenario="doubleslit",
-        parameters=parameters,
+        parameters={name: getattr(config, name) for name in config.EXPOSED},
         pmfs=pmfs,
         identities=identities,
         metadata=metadata,

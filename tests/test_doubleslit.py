@@ -177,6 +177,28 @@ def test_free_packet_moves_at_the_group_velocity():
     assert cx - (-20.0) == pytest.approx(params.k0 * steps * dt, rel=0.02)
 
 
+def test_free_packet_speed_at_the_production_spacing_is_the_lattice_one():
+    # at the production dx = 0.15 and k0 = 5, k0 dx = 0.75: the 3-point
+    # stencil moves the packet at sin(k0 dx)/dx = 4.544, about 9% below
+    # the continuum speed k0 = 5
+    from povmlab.doubleslit import Potential2D
+
+    grid = Grid2D(256, 128, 38.4, 19.2)
+    params = PhysicalParams(k0=5.0, sigma=3.0, delta=0.5, b=10.0)
+    packet = init_packet(grid, params, center=(-8.0, 0.0))
+    pot = Potential2D(grid, np.zeros((128, 256), dtype=bool), 1)
+    steps, dt = 250, 0.004
+    out = evolve(packet, pot, dt, steps)
+
+    def centroid(p):
+        dens = p.density()
+        return float((dens * grid.x[None, :]).sum() / dens.sum())
+
+    speed = (centroid(out) - centroid(packet)) / (steps * dt)
+    assert grid.dx == pytest.approx(0.15)
+    assert speed == pytest.approx(np.sin(params.k0 * grid.dx) / grid.dx, rel=0.01)
+
+
 def test_wall_overlap_is_projected_out_and_rescaled():
     pot = build_potential(GRID, PARAMS, 1, GEOMETRY)
     prop = Propagator(pot, 0.01)

@@ -16,7 +16,7 @@ from povmlab.doubleslit import (
     detector_pmf,
     init_packet,
 )
-from povmlab.errors import InvalidAmplitudes, ValidationError
+from povmlab.errors import EmptyWindow, InvalidAmplitudes, ValidationError
 from povmlab.measurement import Povm
 from povmlab.scenarios import (
     SCENARIO_NAMES,
@@ -237,6 +237,15 @@ def test_double_slit_config_validation():
         DoubleSlitConfig(max_steps=0)
 
 
+def test_double_slit_config_rejects_an_empty_fringe_window():
+    # raised before any field is stepped, not after the whole run
+    with pytest.raises(EmptyWindow):
+        DoubleSlitConfig(window_lo=0, window_hi=0, branch="both")
+    with pytest.raises(EmptyWindow):
+        DoubleSlitConfig(window_lo=-3, window_hi=-4)
+    assert DoubleSlitConfig(window_lo=0, window_hi=1).window_hi == 1
+
+
 # ------------------------------------------------------------- serialization
 
 
@@ -415,6 +424,28 @@ def test_cli_maps_numeric_failures_to_exit_three():
         "--k0", "2.0", "--sigma", "3.0", "--dt", "-1.0",
     ])
     assert code == 3
+
+
+def test_cli_double_slit_flags_reach_the_config_and_the_parameters(tmp_path):
+    flags = {
+        "branch": "2", "nx": 128, "ny": 96, "dt": 0.05, "max_steps": 30,
+        "k0": 2.5, "sigma": 3.5, "delta": 0.8, "b": 9.0, "shots": 700, "seed": 11,
+    }
+    defaults = DoubleSlitConfig()
+    assert set(flags) == set(defaults.EXPOSED)
+    assert all(value != getattr(defaults, name) for name, value in flags.items())
+    out = tmp_path / "slit.json"
+    argv = ["doubleslit", "--out", str(out)]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_bytes())
+    assert payload["parameters"] == flags
+    meta = payload["metadata"]
+    assert [meta["grid"]["nx"], meta["grid"]["ny"], meta["dt"]] == [128, 96, 0.05]
+    assert meta["steps-branch-2"] == 30
+    assert sum(meta["histograms"]["branch-2"].values()) == 700
+    assert [pmf["label"] for pmf in payload["pmfs"]] == ["branch-2"]
 
 
 def test_cli_double_slit_histogram_csv(tmp_path):
