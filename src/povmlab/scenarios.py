@@ -665,7 +665,6 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     potentials = [
         build_potential(grid, params, int(name), SlitGeometry(**walls)) for name in wanted
     ]
-    single_packets = []
     ordering = None
     with ThreadPoolExecutor(max_workers=2) as pool:
         # the branch fields in lockstep, the first deciding the stop
