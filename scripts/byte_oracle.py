@@ -1,15 +1,17 @@
 """Print the sha256 of povmlab's deterministic outputs, one line each.
 
 The JSON and CSV of the four finite scenarios and, with ``--slit``, the
-JSON of the documented one-field double-slit command and of a coarse
-``branch="both"`` run are the equivalence oracle of a refactor: a change
+JSON of the documented one-field double-slit command and of two coarse
+``branch="both"`` runs are the equivalence oracle of a refactor: a change
 that keeps the numbers keeps every line.  The both-branch run covers what
 the one-field command does not: branch 2, the single-opening fields, the
-ordering check and the geometry metadata.  Run it from anywhere; it imports
+ordering check and the geometry metadata.  The wedge run adds a V-shaped
+splitter in front of the barrier, so most grid lines of each sweep differ
+from their neighbours.  Run it from anywhere; it imports
 ``povmlab`` from this checkout's ``src``::
 
     python3 scripts/byte_oracle.py            # about a second
-    python3 scripts/byte_oracle.py --slit     # adds the slit runs, 15-25 s
+    python3 scripts/byte_oracle.py --slit     # adds the slit runs, 20-35 s
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ SLIT_BOTH = dict(
     k0=2.0, sigma=3.0, b=8.0, shots=2000, seed=5,
     source_x=-12.0, hole_center=3.0, hole_width=5.0, septum_half_width=0.4,
 )
+# the same run with a thick splitter climbing from the axis to the inner hole
+# edges: 7 distinct x lines and 9 distinct y lines, runs across the block cuts
+SLIT_WEDGE = dict(SLIT_BOTH, hole_center=4.5, hole_width=3.0, wall_thickness=0.6, wedge_apex_x=-6.0)
 
 
 def _digest(argv: list[str], out: Path) -> str:
@@ -51,16 +56,16 @@ def oracle(slit: bool) -> list[tuple[str, str]]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         lines = [("povmlab " + " ".join(argv), _digest(argv, out)) for argv in commands]
-    if slit:
-        config = ", ".join(f"{k}={v!r}" for k, v in SLIT_BOTH.items())
-        payload = emit(run_doubleslit(DoubleSlitConfig(**SLIT_BOTH)))
+    for fields in (SLIT_BOTH, SLIT_WEDGE) if slit else ():
+        config = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        payload = emit(run_doubleslit(DoubleSlitConfig(**fields)))
         lines.append((f"run_doubleslit({config})", hashlib.sha256(payload).hexdigest()))
     return lines
 
 
 def cli(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--slit", action="store_true", help="also hash the two double-slit JSONs")
+    parser.add_argument("--slit", action="store_true", help="also hash the three double-slit JSONs")
     args = parser.parse_args(argv)
     for command, digest in oracle(args.slit):
         print(f"{digest}  {command}")

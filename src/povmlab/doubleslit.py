@@ -421,8 +421,7 @@ def _line_operator(
 
     # half-cell factors toward the next and the previous cell, summed on the
     # main diagonal; a wall or boundary neighbour is an unstretched mirror
-    # cell.  The sum is built in place: with full-size temporaries here a
-    # run's work arrays no longer fit into what the constructor freed.
+    # cell
     toward = np.where(pair, 1.0 / s_mid, 1.0)
     main = np.r_[toward, 1.0]
     main[1:] += toward
@@ -446,33 +445,75 @@ def _factor_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) 
     return dl, d, du, du2, ipiv
 
 
-def _halves(n_lines: int, n_points: int) -> list[tuple[slice, slice, slice]]:
-    """The first ``n_lines // 2`` lines and the rest, as ``(lines, cells, couplings)``.
+# lines per tile of the explicit y half: a tile's three coefficient rows and
+# its slice of the state stay in cache while the three products run
+TILE_LINES = 16
 
-    ``cells`` is the flat range of the block and ``couplings`` the range of
-    the off-diagonal entries inside it.
+
+@dataclass(frozen=True)
+class _Run:
+    """Consecutive lines of one block that share one line operator.
+
+    ``cells`` is the run's flat range in its sweep's layout and ``lu`` the
+    ``zgttrf`` factors of ``1 + i a H`` on one line.  A y run also carries
+    the explicit y half ``1 - i a H`` as three diagonals repeated over
+    ``TILE_LINES`` lines, zero across line ends.
     """
+
+    cells: slice
+    lu: tuple
+    explicit: tuple = ()
+
+
+def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=False):
+    """``(lines, runs)`` of each half of a sweep whose lines are the rows of ``free``.
+
+    The halves are the first ``n_lines // 2`` lines and the rest.  Lines
+    with equal free cells and equal stretch have equal operators, so each
+    distinct line is built and factored once.  A run is a maximal stretch
+    of consecutive equal lines, cut at the edge of the halves.
+    """
+    n_lines, n_points = free.shape
+    patterns: dict[bytes, int] = {}
+    pattern = np.array([
+        patterns.setdefault(
+            free[i].tobytes() + (b"" if stretch is None else stretch[i].tobytes()),
+            len(patterns),
+        )
+        for i in range(n_lines)
+    ])
+    firsts = np.unique(pattern, return_index=True)[1]
+    factors = []
+    for i in firsts:
+        row_stretch = 0.0 if stretch is None else stretch[i]
+        main, lower, upper = _line_operator(1, n_points, free[i], coeff, row_stretch)
+        tiles = ()
+        if explicit:
+            # the flat operator's off-diagonals are zero across line ends
+            tiles = tuple(
+                np.tile(diagonal, TILE_LINES)[: TILE_LINES * n_points - pad]
+                for diagonal, pad in (
+                    (1.0 - 1j * a * main, 0),
+                    (-1j * a * np.r_[lower, 0.0], 1),
+                    (-1j * a * np.r_[upper, 0.0], 1),
+                )
+            )
+        for diagonal in (lower, main, upper):
+            diagonal *= 1j * a
+        main += 1.0
+        factors.append((_factor_tridiagonal(lower, main, upper), tiles))
+
+    edges = np.flatnonzero(pattern[1:] != pattern[:-1]) + 1
+    halves = []
     cut = n_lines // 2
-    n = n_lines * n_points
-    return [
-        (slice(0, cut), slice(0, cut * n_points), slice(0, cut * n_points - 1)),
-        (slice(cut, n_lines), slice(cut * n_points, n), slice(cut * n_points, n - 1)),
-    ]
-
-
-def _factor_halves(halves, a: float, lower, main, upper) -> list[tuple]:
-    """``_factor_tridiagonal`` of each block of ``1 + i a H``, split by ``_halves``.
-
-    The diagonals of ``H`` are overwritten with those of ``1 + i a H``:
-    fresh copies would raise the constructor's peak memory by a fifth.
-    """
-    for diagonal in (lower, main, upper):
-        diagonal *= 1j * a
-    main += 1.0
-    return [
-        _factor_tridiagonal(lower[inner], main[cells], upper[inner])
-        for _, cells, inner in halves
-    ]
+    for half in (slice(0, cut), slice(cut, n_lines)):
+        starts = [half.start, *edges[(edges > half.start) & (edges < half.stop)].tolist()]
+        stops = [*starts[1:], half.stop]
+        halves.append((half, tuple(
+            _Run(slice(lo * n_points, hi * n_points), *factors[pattern[lo]])
+            for lo, hi in zip(starts, stops)
+        )))
+    return halves
 
 
 @dataclass(frozen=True)
@@ -480,15 +521,14 @@ class _LineBlock:
     """One of the two independent halves of a sweep's line system.
 
     ``lines`` indexes the sweep's lines and ``cells`` the flat vector of its
-    layout.  A y block also carries its slices of the explicit y half and of
-    the edge damping: ``damp_at`` counts from the block's first cell and
-    ``losses`` is its share of the per-step loss array.
+    layout; ``runs`` tile ``cells`` in order.  A y block also carries its
+    slices of the edge damping: ``damp_at`` counts from the block's first
+    cell and ``losses`` is its share of the per-step loss array.
     """
 
     lines: slice
     cells: slice
-    lu: tuple
-    explicit: tuple = ()
+    runs: tuple
     damp_at: np.ndarray | None = None
     damp: np.ndarray | None = None
     keep: np.ndarray | None = None
@@ -511,7 +551,8 @@ def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
 class _Work:
     """Work arrays of one ``Propagator.run`` call; blocks write disjoint slices.
 
-    The state ``z`` starts as ``psi`` transposed to the y layout.
+    The state ``z`` starts as ``psi`` transposed to the y layout.  Each
+    block has its own ``TILE_LINES``-line scratch row for the explicit y half.
     """
 
     def __init__(self, psi: np.ndarray, n_damped: int, per_step_losses: bool):
@@ -519,7 +560,7 @@ class _Work:
         _transpose_into(self.z.reshape(psi.shape[::-1]), psi)
         self.w = np.empty_like(self.z)  # explicit y half of the next step, y layout
         self.u = np.empty_like(self.z)  # x solve of w, x layout
-        self.scratch = np.empty_like(self.z)
+        self.scratch = np.empty((2, TILE_LINES * psi.shape[0] - 1), dtype=complex)
         self.held = np.empty(n_damped, dtype=complex)
         self.loss = np.empty(n_damped) if per_step_losses else None
 
@@ -537,22 +578,46 @@ def _on_both(pool, sweep, *args) -> None:
         other.result()
 
 
+def _solve_runs(runs, flat: np.ndarray, n_points: int) -> None:
+    """Solve each run's lines of ``flat`` in place, one ``zgttrs`` per run.
+
+    A run's lines are a C-ordered ``(lines, n_points)`` block, so its
+    transpose is the F-ordered right-hand side LAPACK overwrites in place.
+    """
+    for run in runs:
+        lapack.zgttrs(*run.lu, flat[run.cells].reshape(-1, n_points).T, overwrite_b=1)
+
+
 class Propagator:
     """Alternating-direction Crank-Nicolson stepper for one wall mask.
 
     Each step is ``(1 + i a H_y) psi' = (1 - i a H_x)(1 + i a H_x)^-1
     (1 - i a H_y) psi`` with ``a = dt / (2 hbar)``, followed by the edge
-    damping.  Both implicit sweeps are banded tridiagonal solves whose LU
-    factors (LAPACK ``zgttrf``) are computed once at construction; reuse the
-    instance for chunked runs.  The explicit x half needs no operator:
+    damping.  The explicit x half needs no operator:
     ``(1 - i a H)(1 + i a H)^-1 = 2 (1 + i a H)^-1 - 1``, so it is
     ``2u - w`` for ``u`` the x solve of ``w``.
 
-    Couplings never cross line ends, so each sweep is factored as two
-    independent blocks of whole lines: rows ``[0, ny//2)`` and
-    ``[ny//2, ny)`` for x, columns ``[0, nx//2)`` and ``[nx//2, nx)`` for y.
-    Pivoting never crosses a block edge, so the block solves are bit for
-    bit the solve of the whole flattened system.  ``run`` can step the two
+    Each sweep acts on independent grid lines, rows for x and columns for
+    y; couplings never cross line ends.  A line's operator depends only on
+    its free cells and its stretch, so lines that agree in both form one
+    pattern with one operator: the production walls leave 2 or 3 patterns
+    per sweep.  Each pattern is factored once at construction (LAPACK
+    ``zgttrf``); reuse the instance for chunked runs.  A run is a stretch of
+    consecutive lines of one pattern.  One ``zgttrs`` call solves a whole
+    run, its lines the right-hand sides, and the explicit y half works
+    through a run ``TILE_LINES`` lines at a time with the pattern's
+    diagonals repeated over one tile.
+
+    This is the arithmetic of one solve of the whole flattened system.
+    Its factorization meets zero couplings at every line end, so it never
+    pivots across one and factors each line as if it stood alone; LAPACK's
+    ``zgtts2`` does the same operations on each right-hand-side column; and
+    a flat explicit product only adds zero couplings across a tile edge.
+    Only the sign of an exact zero can differ.
+
+    Runs are cut at the middle line, which splits each sweep into two
+    blocks: rows ``[0, ny//2)`` and ``[ny//2, ny)`` for x, columns
+    ``[0, nx//2)`` and ``[nx//2, nx)`` for y.  ``run`` can step the two
     blocks on two threads.  An instance holds no per-run state, so several
     threads may run it at once.
     """
@@ -575,26 +640,17 @@ class Propagator:
         free = ~potential.blocked
         a = dt / (2.0 * hbar)
 
-        # x lines are contiguous in the (ny, nx) layout; no stretch acts along x
+        # x lines are the rows of the (ny, nx) layout; no stretch acts along x
         cx = hbar**2 / (2.0 * mass * grid.dx**2)
-        main, lower, upper = _line_operator(grid.ny, grid.nx, free.ravel(), cx)
-        halves = _halves(grid.ny, grid.nx)
-        lus = _factor_halves(halves, a, lower, main, upper)
-        del main, lower, upper
         self._x_blocks = tuple(
-            _LineBlock(lines, cells, lu) for (lines, cells, _), lu in zip(halves, lus)
+            _LineBlock(lines, slice(lines.start * grid.nx, lines.stop * grid.nx), runs)
+            for lines, runs in _line_runs(free, cx, a)
         )
 
-        # y lines are contiguous in the transposed (nx, ny) layout
+        # y lines are the rows of the transposed (nx, ny) layout
         cy = hbar**2 / (2.0 * mass * grid.dy**2)
-        stretch = 0.0 if potential.septum is None else potential.septum.T.ravel()
-        main, lower, upper = _line_operator(grid.nx, grid.ny, free.T.ravel(), cy, stretch)
-        # explicit y half (1 - i a H_y) as three diagonals; the off-diagonals
-        # are zero across line ends, so a slice product never mixes lines
-        explicit = (1.0 - 1j * a * main, -1j * a * lower, -1j * a * upper)
-        halves = _halves(grid.nx, grid.ny)
-        lus = _factor_halves(halves, a, lower, main, upper)
-        del main, lower, upper
+        stretch = None if potential.septum is None else potential.septum.T
+        y_halves = _line_runs(free.T, cy, a, stretch, explicit=True)
 
         if sponge is None:
             damp = np.ones(grid.nx * grid.ny)
@@ -612,12 +668,12 @@ class Propagator:
         self._n_damped = damped.size
 
         y_blocks = []
-        for (lines, cells, inner), lu in zip(halves, lus):
+        for lines, runs in y_halves:
+            cells = slice(lines.start * grid.ny, lines.stop * grid.ny)
             lo, hi = np.searchsorted(damped, (cells.start, cells.stop))
             at = damped[lo:hi]
             y_blocks.append(_LineBlock(
-                lines, cells, lu,
-                explicit=(explicit[0][cells], explicit[1][inner], explicit[2][inner]),
+                lines, cells, runs,
                 damp_at=at - cells.start,
                 damp=damp[at],
                 keep=1.0 - damp[at] ** 2,
@@ -639,6 +695,8 @@ class Propagator:
         Each step has two phases over the two line blocks, with a join after
         each: the x solve in the x layout, then in the y layout ``2u - w``,
         the y solve, the edge damping and the next step's explicit y half.
+        Within a block every run is one multi-right-hand-side ``zgttrs``
+        call, and the explicit half goes tile by tile through each run.
         Given ``pool``, an executor with a worker to spare, block 1 of each
         phase runs on it while the calling thread runs block 0; without one
         both run here in turn.  Either way the result is the same to the bit.
@@ -683,24 +741,28 @@ class Propagator:
         return WavePacket2D(self.grid, psi, absorbed)
 
     def _explicit_y(self, k: int, work: _Work) -> None:
-        """w = (1 - i a H_y) z on y block k."""
-        block = self._y_blocks[k]
-        z, w = work.z[block.cells], work.w[block.cells]
-        product = work.scratch[block.cells][:-1]
-        main, low, up = block.explicit
-        np.multiply(main, z, out=w)
-        np.multiply(up, z[1:], out=product)
-        w[:-1] += product
-        np.multiply(low, z[:-1], out=product)
-        w[1:] += product
+        """w = (1 - i a H_y) z on y block k, one tile of lines at a time."""
+        tile = TILE_LINES * self.grid.ny
+        for run in self._y_blocks[k].runs:
+            main, low, up = run.explicit
+            for start in range(run.cells.start, run.cells.stop, tile):
+                z = work.z[start : min(start + tile, run.cells.stop)]
+                w = work.w[start : start + z.size]
+                product = work.scratch[k, : z.size - 1]
+                np.multiply(main[: z.size], z, out=w)
+                np.multiply(up[: z.size - 1], z[1:], out=product)
+                w[:-1] += product
+                np.multiply(low[: z.size - 1], z[:-1], out=product)
+                w[1:] += product
 
     def _x_sweep(self, k: int, work: _Work) -> None:
         """u = (1 + i a H_x)^-1 w on x block k, w transposed in."""
         block = self._x_blocks[k]
         ny, nx = self.grid.ny, self.grid.nx
-        u = work.u[block.cells]
-        _transpose_into(u.reshape(-1, nx), work.w.reshape(nx, ny)[:, block.lines])
-        lapack.zgttrs(*block.lu, u, overwrite_b=1)
+        _transpose_into(
+            work.u[block.cells].reshape(-1, nx), work.w.reshape(nx, ny)[:, block.lines]
+        )
+        _solve_runs(block.runs, work.u, nx)
 
     def _y_sweep(self, k: int, work: _Work, more: bool) -> None:
         """z = (1 + i a H_y)^-1 (2u - w) on y block k, u transposed in, then damped.
@@ -714,7 +776,7 @@ class Propagator:
         # the explicit x half 2u - w, elementwise, so in either layout
         z *= 2.0
         z -= work.w[block.cells]
-        lapack.zgttrs(*block.lu, z, overwrite_b=1)
+        _solve_runs(block.runs, work.z, ny)
         if block.damp_at.size:
             held = work.held[block.losses]
             np.take(z, block.damp_at, out=held, mode="clip")

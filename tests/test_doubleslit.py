@@ -1,6 +1,8 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from povmlab.errors import (
     ValidationError,
 )
 from povmlab.measurement import Pmf
+from povmlab.scenarios import DoubleSlitConfig
 
 GRID = Grid2D(128, 96, 38.4, 28.8)
 PARAMS = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=8.0)
@@ -337,10 +340,10 @@ ODD_GRID = Grid2D(67, 49, 20.1, 14.7)
 
 
 def _flat_reference_run(pot, dt, sponge, amplitudes, steps):
-    """The stepper on one flattened system per sweep, without line blocks.
+    """The stepper on one flattened system per sweep, without runs or blocks.
 
     Same operators, same arithmetic, one ``zgttrs`` call per sweep over all
-    lines; the block solves must reproduce it bit for bit.
+    lines; the per-run solves must reproduce it bit for bit.
     """
     grid = pot.grid
     nx, ny, area = grid.nx, grid.ny, grid.cell_area
@@ -416,6 +419,57 @@ def test_line_blocks_step_exactly_like_one_flat_system(branch, steps):
     assert inline.absorbed == absorbed
     if steps == 40:
         assert inline.absorbed > 0.0
+
+
+# a splitter in front of a shifted barrier: most lines of both sweeps are
+# distinct, and a run of open y lines crosses the middle column
+WEDGE = replace(GEOMETRY, slit_x=3.0, wall_thickness=0.6, wedge_apex_x=0.6)
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+def test_many_line_patterns_step_exactly_like_one_flat_system(branch):
+    pot = build_potential(ODD_GRID, PARAMS, branch, WEDGE)
+    sponge = SpongeConfig(6, 6.0)
+    prop = Propagator(pot, 0.01, sponge=sponge)
+    for blocks in (prop._x_blocks, prop._y_blocks):
+        runs = blocks[0].runs + blocks[1].runs
+        assert len({id(run.lu) for run in runs}) >= 8
+    # the run that crosses the block edge is cut there and keeps its factors
+    assert prop._y_blocks[0].runs[-1].lu is prop._y_blocks[1].runs[0].lu
+    packet = init_packet(ODD_GRID, PARAMS, center=(1.0, 0.5))  # over the wedge
+    assert np.abs(packet.amplitudes[pot.blocked]).max() > 0.0
+
+    inline = prop.run(packet, 40)
+    with ThreadPoolExecutor(1) as pool:
+        pooled = prop.run(packet, 40, pool=pool)
+    expected, absorbed = _flat_reference_run(pot, 0.01, sponge, packet.amplitudes, 40)
+
+    assert np.array_equal(pooled.amplitudes, inline.amplitudes)
+    assert pooled.absorbed == inline.absorbed
+    assert np.array_equal(inline.amplitudes, expected)
+    assert inline.absorbed == absorbed
+    assert inline.absorbed > 0.0
+
+
+def test_production_propagator_keeps_one_operator_per_distinct_line():
+    # the default run's branch-2 walls leave 3 distinct lines per sweep;
+    # full-size factors and explicit diagonals held 35.6 MiB and peaked at
+    # 45 MiB during construction
+    c = DoubleSlitConfig()
+    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
+    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
+    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
+    pot = build_potential(grid, params, 2, geometry)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prop = Propagator(pot, c.dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prop.grid == grid
+    assert held - before < 4 * 2**20
+    assert peak - before < 16 * 2**20
 
 
 def test_one_propagator_runs_on_many_threads_at_once():
