@@ -187,15 +187,16 @@ class CausalTree:
         return m
 
 
-def realize_sequential(tree: CausalTree, tol: float = COMMUTE_TOL) -> Povm:
+def realize_sequential(tree: CausalTree) -> Povm:
     """Collapse a causal tree into one observable at the root.
 
     Working leaves-up, each node multiplies its own observable with the
     pull-backs of its realized children (children in declaration order).
-    The multiplication is gated on pairwise commutativity; a violation
-    raises NonCommuting naming the two offending nodes.  Outcomes of the
-    result nest the same way the recursion does: a node with children
-    yields (own outcome, child outcome, ...).
+    The multiplication is gated on pairwise commutativity within
+    ``COMMUTE_TOL``; a violation raises NonCommuting naming the two
+    offending nodes.  Outcomes of the result nest the same way the
+    recursion does: a node with children yields (own outcome, child
+    outcome, ...).
     """
 
     def realize(node: Node) -> Povm:
@@ -205,7 +206,7 @@ def realize_sequential(tree: CausalTree, tol: float = COMMUTE_TOL) -> Povm:
             return own
         nodes = [node] + kids
         factors = [own] + [pull_back(tree.maps[t], realize(t)) for t in kids]
-        clash = first_clash(factors, tol)
+        clash = first_clash(factors, COMMUTE_TOL)
         if clash is not None:
             i, j, _, _, norm = clash
             raise NonCommuting(nodes[i], nodes[j], norm)

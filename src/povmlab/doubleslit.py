@@ -59,17 +59,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Physical scales of a run, in natural units (hbar = mass = 1 default)."""
+    """Physical scales of a run, in the fixed natural units hbar = mass = 1."""
 
     k0: float
     sigma: float
     delta: float
     b: float
-    hbar: float = 1.0
-    mass: float = 1.0
 
     def __post_init__(self):
-        for name in ("k0", "sigma", "delta", "hbar", "mass"):
+        for name in ("k0", "sigma", "delta"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
         if not np.isfinite(self.b):
@@ -146,7 +144,8 @@ class WavePacket2D:
         return np.abs(self.amplitudes) ** 2 * self.grid.cell_area
 
     def mass_beyond(self, x0: float) -> float:
-        cols = self.grid.x > x0
+        """Mass on the columns at or beyond ``x0``, the detector's screen side."""
+        cols = self.grid.x >= x0
         return float(np.sum(np.abs(self.amplitudes[:, cols]) ** 2) * self.grid.cell_area)
 
 
@@ -158,11 +157,11 @@ class SlitGeometry:
     ``+hole_center`` and ``-hole_center``, each ``hole_width`` wide.  An
     optional V-shaped splitter runs from ``(wedge_apex_x, 0)`` to the inner
     hole edges.  Branch 2 adds a separator along y = 0 from the barrier to
-    ``separator_end`` (the right edge of the domain when None): a wall of
-    the same thickness as the barrier, lined on both faces with matched
-    absorbing layers that reach to ``septum_half_width``, with a quadratic
-    coordinate-stretching profile of magnitude ``septum_strength`` at the
-    wall.
+    the right edge of the domain: a wall of the same thickness as the
+    barrier, lined on both faces with matched absorbing layers that reach
+    to ``septum_half_width``, with a quadratic coordinate-stretching profile
+    of magnitude ``septum_strength`` at the wall.  The double-slit run fixes
+    that strength at ``DoubleSlitConfig.septum_strength``.
 
     The lining matters.  A bare wall mirrors each path onto itself, and
     with the y-symmetric mask the image of one opening's field is exactly
@@ -181,7 +180,6 @@ class SlitGeometry:
     hole_width: float = 3.8
     wall_thickness: float = 0.3
     wedge_apex_x: float | None = None
-    separator_end: float | None = None
     septum_half_width: float = 2.2
     septum_strength: float = 4.0
     seal_upper: bool = False
@@ -340,16 +338,16 @@ def build_potential(
     grid: Grid2D,
     params: PhysicalParams,
     branch: int,
-    geometry: SlitGeometry | None = None,
+    geometry: SlitGeometry,
 ) -> Potential2D:
     """Walls for branch 1 (two open paths) or branch 2 (walls + septum).
 
     The branch-2 obstruction is the branch-1 mask plus the separator cells
     and nothing else; the separator is carried in the septum damping field,
-    so the hard-wall masks of the two branches are identical.  With the
-    default geometry every field is mirror symmetric in y.
+    so the hard-wall masks of the two branches are identical.  Unless an
+    opening is sealed, every field is mirror symmetric in y.
     """
-    g = geometry if geometry is not None else SlitGeometry()
+    g = geometry
     if branch not in (1, 2):
         raise ValidationError(f"branch must be 1 or 2, got {branch!r}")
     half_lx, half_ly = grid.lx / 2, grid.ly / 2
@@ -361,9 +359,6 @@ def build_potential(
         raise GeometryOutOfDomain("holes extend beyond the domain")
     if g.wedge_apex_x is not None and not (-half_lx < g.wedge_apex_x < g.slit_x):
         raise GeometryOutOfDomain("wedge apex must sit between the left edge and the slit")
-    sep_end = half_lx if g.separator_end is None else g.separator_end
-    if not (g.slit_x < sep_end <= half_lx):
-        raise GeometryOutOfDomain("separator must end between the slit and the right edge")
 
     xs = grid.x[None, :]
     yabs = np.abs(grid.y)[:, None]
@@ -382,7 +377,7 @@ def build_potential(
 
     septum = None
     if branch == 2:
-        along = (xs >= g.slit_x) & (xs <= sep_end)
+        along = xs >= g.slit_x  # the separator runs to the right edge
         blocked = blocked | ((yabs <= g.wall_thickness / 2) & along)
         depth = g.septum_half_width - yabs
         reach = g.septum_half_width - g.wall_thickness / 2
@@ -592,8 +587,8 @@ class Propagator:
     """Alternating-direction Crank-Nicolson stepper for one wall mask.
 
     Each step is ``(1 + i a H_y) psi' = (1 - i a H_x)(1 + i a H_x)^-1
-    (1 - i a H_y) psi`` with ``a = dt / (2 hbar)``, followed by the edge
-    damping.  The explicit x half needs no operator:
+    (1 - i a H_y) psi`` with ``a = dt / 2`` (hbar = mass = 1), followed by
+    the edge damping.  The explicit x half needs no operator:
     ``(1 - i a H)(1 + i a H)^-1 = 2 (1 + i a H)^-1 - 1``, so it is
     ``2u - w`` for ``u`` the x solve of ``w``.
 
@@ -627,8 +622,6 @@ class Propagator:
         potential: Potential2D,
         dt: float,
         *,
-        hbar: float = 1.0,
-        mass: float = 1.0,
         sponge: SpongeConfig | None = None,
     ):
         if not (np.isfinite(dt) and dt > 0):
@@ -638,17 +631,17 @@ class Propagator:
         self.potential = potential
         self.dt = float(dt)
         free = ~potential.blocked
-        a = dt / (2.0 * hbar)
+        a = dt / 2.0
 
         # x lines are the rows of the (ny, nx) layout; no stretch acts along x
-        cx = hbar**2 / (2.0 * mass * grid.dx**2)
+        cx = 1.0 / (2.0 * grid.dx**2)
         self._x_blocks = tuple(
             _LineBlock(lines, slice(lines.start * grid.nx, lines.stop * grid.nx), runs)
             for lines, runs in _line_runs(free, cx, a)
         )
 
         # y lines are the rows of the transposed (nx, ny) layout
-        cy = hbar**2 / (2.0 * mass * grid.dy**2)
+        cy = 1.0 / (2.0 * grid.dy**2)
         stretch = None if potential.septum is None else potential.septum.T
         y_halves = _line_runs(free.T, cy, a, stretch, explicit=True)
 
@@ -797,12 +790,10 @@ def evolve(
     dt: float,
     steps: int,
     *,
-    hbar: float = 1.0,
-    mass: float = 1.0,
     sponge: SpongeConfig | None = None,
 ) -> WavePacket2D:
     """One-shot propagation; see Propagator for chunked runs."""
-    return Propagator(potential, dt, hbar=hbar, mass=mass, sponge=sponge).run(packet, steps)
+    return Propagator(potential, dt, sponge=sponge).run(packet, steps)
 
 
 # -------------------------------------------------------------- detection
@@ -880,16 +871,16 @@ def _which_way_from_pmf(pmf: Pmf) -> WhichWayMass:
 # ------------------------------------------------------------ expectations
 
 
-def momentum_expectation(packet: WavePacket2D, hbar: float = 1.0) -> tuple[float, float]:
-    """Spectral momentum expectation (exact for band-limited amplitudes)."""
+def momentum_expectation(packet: WavePacket2D) -> tuple[float, float]:
+    """Spectral momentum expectation, hbar = 1 (exact for band-limited amplitudes)."""
     psi = packet.amplitudes
     ft = np.fft.fft2(psi)
     weight = np.abs(ft) ** 2
     total = weight.sum()
     kx = 2 * np.pi * np.fft.fftfreq(packet.grid.nx, packet.grid.dx)
     ky = 2 * np.pi * np.fft.fftfreq(packet.grid.ny, packet.grid.dy)
-    px = hbar * float((weight * kx[None, :]).sum() / total)
-    py = hbar * float((weight * ky[:, None]).sum() / total)
+    px = float((weight * kx[None, :]).sum() / total)
+    py = float((weight * ky[:, None]).sum() / total)
     return px, py
 
 

@@ -64,6 +64,7 @@ UNIT_TOL = 1e-12
 EFFECT_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 PMF_TOL = 1e-10
+ZERO_TOL = 1e-13  # a conditioning mass at or below this is numerically zero
 
 
 class _NoDetection:
@@ -151,13 +152,10 @@ def _as_stack(outcomes: tuple, operators) -> np.ndarray:
             raise ValidationError("effect count does not match outcome count")
         op.as_operator(operators[0])
         return operators.astype(complex, order="C")
-    if isinstance(operators, Mapping):
-        operators = [op.as_operator(operators[x]) for x in outcomes]
-    else:
-        operators = list(operators)
-        if len(operators) != len(outcomes):
-            raise ValidationError("effect count does not match outcome count")
-        operators = [op.as_operator(e) for e in operators]
+    operators = list(operators)
+    if len(operators) != len(outcomes):
+        raise ValidationError("effect count does not match outcome count")
+    operators = [op.as_operator(e) for e in operators]
     dims = {e.shape[0] for e in operators}
     if len(dims) != 1:
         raise DimensionMismatch(f"effects live on different dimensions: {sorted(dims)}")
@@ -206,17 +204,18 @@ class _OutcomeTable:
 class Povm(_OutcomeTable):
     """Positive operator-valued measure over a finite, ordered outcome set.
 
-    Construction validates every effect (Hermitian and positive within
-    ``tol``) and the total (at most the identity within ``tol``).  Totals
-    strictly below the identity are legal; the deficit appears as the
-    no-detection mass of every pmf computed from the observable.
+    ``effects`` is a sequence of matrices in outcome order.  Construction
+    validates every effect (Hermitian and positive) and the total (at most
+    the identity), each within the fixed ``EFFECT_TOL``.  Totals strictly
+    below the identity are legal; the deficit appears as the no-detection
+    mass of every pmf computed from the observable.
     """
 
-    def __init__(self, outcomes: Sequence[Label], effects, tol: float = EFFECT_TOL):
+    def __init__(self, outcomes: Sequence[Label], effects):
         super().__init__(outcomes, effects)
         stack = self._stack
         adjoint = stack.conj().transpose(0, 2, 1)
-        hermitian = np.abs(stack - adjoint).max(axis=(1, 2)) <= tol
+        hermitian = np.abs(stack - adjoint).max(axis=(1, 2)) <= EFFECT_TOL
         # a non-Hermitian effect fails whatever its spectrum; zeroing it keeps
         # non-finite entries, which are never Hermitian, away from eigvalsh
         sym = np.where(hermitian[:, None, None], 0.5 * (stack + adjoint), 0.0)
@@ -225,12 +224,12 @@ class Povm(_OutcomeTable):
         total = sum(self._table.values())
         # one eigvalsh over the symmetrized effects and the total
         spectra = np.linalg.eigvalsh(np.concatenate([sym, [0.5 * (total + total.conj().T)]]))
-        positive = hermitian & (spectra[:-1].min(axis=1) >= -tol)
+        positive = hermitian & (spectra[:-1].min(axis=1) >= -EFFECT_TOL)
         if not positive.all():
             x = self.outcomes[np.argmin(positive)]
             raise NotPositive(f"effect for outcome {x!r} is not positive")
         excess = spectra[-1].max() - 1.0
-        if excess > tol:
+        if excess > EFFECT_TOL:
             raise Overcomplete(f"effects exceed the identity by {excess:.3e}")
         self._total = _readonly(total)
 
@@ -240,13 +239,13 @@ class Povm(_OutcomeTable):
     def total(self) -> np.ndarray:
         return self._total
 
-    def is_normalized(self, tol: float = EFFECT_TOL) -> bool:
-        return op.operator_norm(self._total - op.identity(self.dim)) <= tol
+    def is_normalized(self) -> bool:
+        return op.operator_norm(self._total - op.identity(self.dim)) <= EFFECT_TOL
 
     @classmethod
-    def from_vectors(cls, outcomes: Sequence[Label], vectors, tol: float = EFFECT_TOL) -> "Povm":
+    def from_vectors(cls, outcomes: Sequence[Label], vectors) -> "Povm":
         """Rank-one observable |v_x><v_x| from one vector per outcome."""
-        return cls(outcomes, [op.projector(op.as_vector(v)) for v in vectors], tol)
+        return cls(outcomes, [op.projector(op.as_vector(v)) for v in vectors])
 
 
 def existence_observable(dim: int) -> Povm:
@@ -270,10 +269,10 @@ class OperatorValuedMeasure(_OutcomeTable):
     def hermiticity_residual(self) -> float:
         return max(op.hermiticity_residual(v) for v in self._table.values())
 
-    def is_observable(self, tol: float = EFFECT_TOL) -> bool:
+    def is_observable(self) -> bool:
         """Whether the family happens to be a valid sub-normalized Povm."""
         try:
-            Povm(self.outcomes, self._stack, tol)
+            Povm(self.outcomes, self._stack)
         except (NotPositive, Overcomplete):
             return False
         return True
@@ -354,9 +353,9 @@ def sample_outcomes(observable: Povm, state: State, shots: int, seed: int) -> li
     return sample_pmf(outcome_pmf(observable, state), shots, seed)
 
 
-def commute(a: Povm, b: Povm, tol: float = COMMUTE_TOL) -> bool:
+def commute(a: Povm, b: Povm) -> bool:
     """Whether every effect of ``a`` commutes with every effect of ``b``."""
-    return first_clash((a, b), tol) is None
+    return first_clash((a, b), COMMUTE_TOL) is None
 
 
 def first_clash(factors: Sequence[Povm], tol: float) -> tuple | None:
@@ -406,13 +405,13 @@ def ordered_product(factors: Sequence[Povm]) -> tuple[list, np.ndarray]:
     return outcomes, acc
 
 
-def product_observable(a: Povm, b: Povm, tol: float = COMMUTE_TOL) -> Povm:
+def product_observable(a: Povm, b: Povm) -> Povm:
     """Simultaneous observable with effects E_a(x) E_b(y) and paired outcomes.
 
     Exists only when the factors commute pairwise; otherwise NonCommuting is
     raised carrying the worst offending outcome pair.
     """
-    clash = first_clash((a, b), tol)
+    clash = first_clash((a, b), COMMUTE_TOL)
     if clash is not None:
         _, _, x, y, norm = clash
         raise NonCommuting(x, y, norm)
@@ -422,8 +421,7 @@ def product_observable(a: Povm, b: Povm, tol: float = COMMUTE_TOL) -> Povm:
 def tensor_observable(a: Povm, b: Povm) -> Povm:
     """Joint observable on the tensor product space, outcomes paired."""
     outcomes = [(x, y) for x in a.outcomes for y in b.outcomes]
-    effects = {(x, y): op.tensor_op(a.effect(x), b.effect(y)) for x, y in outcomes}
-    return Povm(outcomes, effects)
+    return Povm(outcomes, [op.tensor_op(a.effect(x), b.effect(y)) for x, y in outcomes])
 
 
 def conjugate_observable(observable: Povm, by) -> Povm:
@@ -459,7 +457,6 @@ def conditional_formal_values(
     state: State,
     condition: Iterable[Label],
     normalizer=None,
-    zero_tol: float = 1e-13,
 ) -> dict:
     """Conditional values of a formal pair measure given first-slot outcomes.
 
@@ -468,9 +465,10 @@ def conditional_formal_values(
         sum over c in condition of <u, M(c, y) u>   divided by the denominator,
 
     where the denominator defaults to the total of the numerators and can be
-    overridden with an explicit ``normalizer`` operator.  Because the measure
-    is only formal the results are complex and may lie outside [0, 1]; that
-    is the point of computing them.
+    overridden with an explicit ``normalizer`` operator; one of magnitude at
+    most ``ZERO_TOL`` raises ZeroDenominator.  Because the measure is only
+    formal the results are complex and may lie outside [0, 1]; that is the
+    point of computing them.
     """
     condition = list(condition)
     if not condition:
@@ -498,6 +496,6 @@ def conditional_formal_values(
         denom = _expectation(state, op.as_operator(normalizer))
     else:
         denom = sum(numerators.values())
-    if abs(denom) <= zero_tol:
+    if abs(denom) <= ZERO_TOL:
         raise ZeroDenominator(f"conditioning mass {abs(denom):.3e} is numerically zero")
     return {y: numerators[y] / denom for y in seconds}

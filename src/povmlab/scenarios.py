@@ -385,10 +385,7 @@ def run_eraser(spec: EraserSpec | None = None) -> ScenarioResult:
     )
 
     def slice_pmf(mark):
-        effects = {
-            y: op.tensor_op(marker.effect(mark), inner.effect(y))
-            for y in inner.outcomes
-        }
+        effects = [op.tensor_op(marker.effect(mark), inner.effect(y)) for y in inner.outcomes]
         return outcome_pmf(Povm(inner.outcomes, effects), psi)
 
     marked_plus = slice_pmf(1)
@@ -450,14 +447,16 @@ class DoubleSlitConfig:
     The fields named in ``EXPOSED`` are the command-line flags of
     ``povmlab doubleslit`` and the ``parameters`` block of the result; the
     others are declared defaults, and the output metadata records the
-    ``GEOMETRY`` ones and most of the rest.  The stop rule's chunk length and peak floor are
-    the fixed constants ``CHECK_INTERVAL`` and ``PEAK_FLOOR``.  The packet
-    starts off-axis (``source_y``) so the two openings are unevenly
-    illuminated: in the window on the weakly lit side the strong beam's
-    envelope tail and the weak beam arrive with comparable amplitude,
-    giving branch-1 fringes near-unit contrast.  In branch 2 the absorbing
-    separator removes everything that approaches the axis, so the same
-    window sees one beam and stays smooth.
+    ``GEOMETRY`` ones and most of the rest.  Fixed, not fields: natural
+    units (hbar = mass = 1), the class constants ``septum_strength``,
+    ``sponge_width`` and ``sponge_strength``, and the stop rule's
+    ``CHECK_INTERVAL`` and ``PEAK_FLOOR``.  The packet starts off-axis
+    (``source_y``) so the two openings are unevenly illuminated: in the
+    window on the weakly lit side the strong beam's envelope tail and the
+    weak beam arrive with comparable amplitude, giving branch-1 fringes
+    near-unit contrast.  In branch 2 the absorbing separator removes
+    everything that approaches the axis, so the same window sees one beam
+    and stays smooth.
     """
 
     EXPOSED: ClassVar[tuple[str, ...]] = (
@@ -468,6 +467,9 @@ class DoubleSlitConfig:
         "septum_half_width", "septum_strength",
     )
     BRANCHES: ClassVar[tuple[str, ...]] = ("1", "2", "both")
+    septum_strength: ClassVar[float] = 3.0
+    sponge_width: ClassVar[int] = 28
+    sponge_strength: ClassVar[float] = 6.0
 
     branch: str = "both"
     nx: int = 512
@@ -490,10 +492,7 @@ class DoubleSlitConfig:
     wall_thickness: float = 0.3
     wedge_apex_x: float | None = None
     septum_half_width: float = 3.6
-    septum_strength: float = 3.0
     slit_x: float = 0.0
-    sponge_width: int = 28
-    sponge_strength: float = 6.0
     mass_target: float = 0.9
     window_lo: int = -10
     window_hi: int = -4
@@ -505,10 +504,15 @@ class DoubleSlitConfig:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
         if self.shots < 0 or self.max_steps < 1:
             raise ValidationError("shots must be >= 0 and max_steps >= 1")
-        if not any(n != 0 for n in range(self.window_lo, self.window_hi + 1)):
+        if not self.window:
             raise EmptyWindow(
                 f"window {self.window_lo}..{self.window_hi} holds no screen strip"
             )
+
+    @property
+    def window(self) -> list[int]:
+        """The screen strips of the fringe window: ``window_lo..window_hi`` but 0."""
+        return [n for n in range(self.window_lo, self.window_hi + 1) if n != 0]
 
 
 def _propagator(config, potential) -> Propagator:
@@ -572,8 +576,9 @@ def _ordering_spot_check(pool) -> dict:
     Applies 'propagate under branch i, keep the screen-side part, undo the
     propagation' in both orders to one packet and reports the distance of
     the results.  A nonzero value witnesses that the branch evolutions
-    cannot share one observable tree.  The two orders are independent
-    chains and run on the two threads of ``pool``, sharing the propagators.
+    cannot share one observable tree.  The two orders are two fields that
+    ``_step_fields`` steps side by side, under branches (2, 1) and then
+    under (1, 2).
     """
     grid = Grid2D(128, 96, 38.4, 28.8)
     params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=8.0)
@@ -589,18 +594,16 @@ def _ordering_spot_check(pool) -> dict:
 
     beyond = (grid.x[None, :] >= params.b) * np.ones((grid.ny, 1))
 
-    def heisenberg_indicator(branch, amplitudes):
-        # U* chi U with U the branch propagator: forward, clip, backward.
-        prop = props[branch]
-        fwd = prop.run(WavePacket2D(grid, amplitudes), steps).amplitudes
-        clipped = fwd * beyond
-        # the generator is real, so backward evolution is conjugation
-        return np.conj(prop.run(WavePacket2D(grid, np.conj(clipped)), steps).amplitudes)
-
-    def after(later, earlier):
-        return heisenberg_indicator(later, heisenberg_indicator(earlier, packet.amplitudes))
-
-    first, second = pool.map(after, (1, 2), (2, 1))
+    # each stage applies U* chi U, U the branch propagator: forward, clip,
+    # backward; the generator is real, so backward evolution is conjugation
+    packets = [packet, packet]
+    for branches in ((2, 1), (1, 2)):
+        stage = [props[branch] for branch in branches]
+        forward = _step_fields(pool, stage, packets, steps)
+        clipped = [WavePacket2D(grid, np.conj(p.amplitudes * beyond)) for p in forward]
+        backward = _step_fields(pool, stage, clipped, steps)
+        packets = [WavePacket2D(grid, np.conj(p.amplitudes)) for p in backward]
+    first, second = (p.amplitudes for p in packets)
     residual = float(np.sqrt(np.sum(np.abs(first - second) ** 2) * grid.cell_area))
     return {
         "residual_norm": residual,
@@ -643,10 +646,9 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     the pmfs.
 
     The run uses a pool of two threads.  ``_step_fields`` steps the branch
-    fields, then the two single-opening fields; the two orders of the
-    ordering check run one per thread.  Each field's arithmetic is the same
-    as stepping it alone and inline, so the result does not depend on
-    scheduling.
+    fields, then the two single-opening fields, then the two orders of the
+    ordering check.  Each field's arithmetic is the same as stepping it
+    alone and inline, so the result does not depend on scheduling.
     """
     config = config if config is not None else DoubleSlitConfig()
     grid = Grid2D(config.nx, config.ny, config.lx, config.ly)
@@ -656,10 +658,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     packet0 = init_packet(grid, params, center=(config.source_x, config.source_y))
 
     px, py = momentum_expectation(packet0)
-    momentum_residual = max(
-        abs(px - params.hbar * params.k0) / (params.hbar * params.k0),
-        abs(py) / (params.hbar * params.k0),
-    )
+    momentum_residual = max(abs(px - params.k0) / params.k0, abs(py) / params.k0)
 
     wanted = ("1", "2") if config.branch == "both" else (config.branch,)
     potentials = [
@@ -684,7 +683,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
             if config.ordering_check:
                 ordering = _ordering_spot_check(pool)
 
-    window = [n for n in range(config.window_lo, config.window_hi + 1) if n != 0]
+    window = config.window
     pmfs = []
     identities = [
         IdentityCheck.within("initial-momentum-relative", momentum_residual, 0.02),

@@ -114,21 +114,21 @@ def histogram_to_csv_bytes(counts: dict) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def emit(result, fmt: str = "json", path=None, pmf_label: str | None = None, histogram: bool = False) -> bytes:
+def emit(result, fmt: str = "json", path=None, histogram: bool = False) -> bytes:
     """Serialize a ScenarioResult and optionally write it out.
 
     ``fmt='json'`` emits the whole result.  ``fmt='csv'`` emits one table:
-    the pmf named by ``pmf_label`` (default: the first one), or its shot
-    histogram with ``histogram=True``.
+    the result's first pmf, or with ``histogram=True`` its first shot
+    histogram.  ``pmf_to_csv_bytes`` and ``histogram_to_csv_bytes`` write
+    any other one.
     """
     if fmt == "json":
         data = to_json_bytes(result.to_payload())
     elif fmt == "csv":
         if histogram:
-            table = result.histogram_named(pmf_label)
-            data = histogram_to_csv_bytes(table)
+            data = histogram_to_csv_bytes(result.histogram_named())
         else:
-            data = pmf_to_csv_bytes(result.pmf_named(pmf_label))
+            data = pmf_to_csv_bytes(result.pmf_named())
     else:
         raise ValidationError(f"unknown format {fmt!r}")
     if path is not None:

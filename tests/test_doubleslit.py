@@ -546,6 +546,19 @@ def test_packet_in_front_of_screen_lands_in_bin_zero():
     assert all(p <= 1e-12 for n, p in pmf.probabilities.items() if n != 0)
 
 
+def test_mass_beyond_the_screen_is_the_detectors_screen_side():
+    # a grid column exactly on the screen line lies beyond it, as for the bins
+    grid = Grid2D(32, 32, 16.0, 16.0)
+    b = float(grid.x[19])
+    assert b == 1.75
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    packet = WavePacket2D(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_area))
+    pmf = detector_pmf(packet, DetectorBinning(b, 0.5))
+    screen_side = sum(p for n, p in pmf.probabilities.items() if n != 0)
+    assert packet.mass_beyond(b) == pytest.approx(screen_side, abs=1e-12)
+
+
 def test_bin_indicator_route_agrees_with_density_route():
     pot = build_potential(GRID, PARAMS, 1, GEOMETRY)
     out = evolve(small_packet(), pot, 0.01, 350)

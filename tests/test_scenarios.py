@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -243,7 +244,16 @@ def test_double_slit_config_rejects_an_empty_fringe_window():
         DoubleSlitConfig(window_lo=0, window_hi=0, branch="both")
     with pytest.raises(EmptyWindow):
         DoubleSlitConfig(window_lo=-3, window_hi=-4)
-    assert DoubleSlitConfig(window_lo=0, window_hi=1).window_hi == 1
+    assert DoubleSlitConfig(window_lo=0, window_hi=1).window == [1]
+    assert DoubleSlitConfig().window == [-10, -9, -8, -7, -6, -5, -4]
+
+
+def test_fixed_run_values_are_class_constants_not_fields():
+    names = {f.name for f in fields(DoubleSlitConfig)}
+    for name in ("septum_strength", "sponge_width", "sponge_strength"):
+        assert name not in names
+        with pytest.raises(TypeError):
+            DoubleSlitConfig(**{name: getattr(DoubleSlitConfig, name)})
 
 
 # ------------------------------------------------------------- serialization
