@@ -594,8 +594,10 @@ def _ordering_spot_check(pool) -> dict:
 
     beyond = (grid.x[None, :] >= params.b) * np.ones((grid.ny, 1))
 
-    # each stage applies U* chi U, U the branch propagator: forward, clip,
-    # backward; the generator is real, so backward evolution is conjugation
+    # each stage is forward, clip, backward, with conjugation standing in
+    # for the inverse evolution.  That is exact for branch 1 only, whose
+    # generator is real; branch 2's separator is a complex-stretched layer,
+    # so its backward leg is not the inverse (ROADMAP open item 1)
     packets = [packet, packet]
     for branches in ((2, 1), (1, 2)):
         stage = [props[branch] for branch in branches]

@@ -109,19 +109,19 @@ def test_sealing_closes_exactly_one_opening():
 
 
 def test_geometry_rejects_impossible_layouts():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="touch the axis"):
         SlitGeometry(hole_center=0.5, hole_width=1.6)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="septum must not reach"):
         SlitGeometry(hole_center=2.0, hole_width=1.6, septum_half_width=1.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="hole width"):
         SlitGeometry(hole_width=-1.0)
-    with pytest.raises(GeometryOutOfDomain):
+    with pytest.raises(GeometryOutOfDomain, match="screen"):
         build_potential(GRID, PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=50.0),
                         1, GEOMETRY)
-    with pytest.raises(GeometryOutOfDomain):
+    with pytest.raises(GeometryOutOfDomain, match="holes extend"):
         big = SlitGeometry(hole_center=14.0, hole_width=1.6)
         build_potential(GRID, PARAMS, 1, big)
-    with pytest.raises(GeometryOutOfDomain):
+    with pytest.raises(GeometryOutOfDomain, match="wedge apex"):
         bad_wedge = SlitGeometry(hole_center=2.0, hole_width=1.6, wedge_apex_x=1.0,
                                  septum_half_width=1.1)
         build_potential(GRID, PARAMS, 1, bad_wedge)
@@ -454,7 +454,8 @@ def test_many_line_patterns_step_exactly_like_one_flat_system(branch):
 def test_production_propagator_keeps_one_operator_per_distinct_line():
     # the default run's branch-2 walls leave 3 distinct lines per sweep;
     # full-size factors and explicit diagonals held 35.6 MiB and peaked at
-    # 45 MiB during construction
+    # 45 MiB during construction, and full-size sponge ramps peaked at
+    # 7.3 MiB; the edge damping now touches only the margin cells
     c = DoubleSlitConfig()
     grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
     params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
@@ -469,7 +470,7 @@ def test_production_propagator_keeps_one_operator_per_distinct_line():
         tracemalloc.stop()
     assert prop.grid == grid
     assert held - before < 4 * 2**20
-    assert peak - before < 16 * 2**20
+    assert peak - before < 6 * 2**20
 
 
 def test_one_propagator_runs_on_many_threads_at_once():

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import povmlab
 from povmlab.cli import main
 from povmlab.doubleslit import (
     DetectorBinning,
@@ -470,3 +475,42 @@ def test_cli_double_slit_histogram_csv(tmp_path):
     lines = out.read_bytes().decode().strip().split("\n")
     assert lines[0] == "bin,count"
     assert sum(int(line.split(",")[1]) for line in lines[1:]) == 500
+
+
+# ------------------------------------------------------------ import cost
+
+
+# runs in a fresh interpreter: this process has SciPy loaded already
+SCIPY_PROBE = """
+import sys
+from povmlab import cli, run_scenario, emit
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for name in ("wheeler", "hardy", "three-boxes", "eraser"):
+    result = run_scenario(name)
+    emit(result)
+    emit(result, fmt="csv")
+assert cli.main(["scenario", "wheeler"]) == 0
+assert not scipy_modules(), scipy_modules()
+
+import numpy as np
+from povmlab.doubleslit import Grid2D, Potential2D, Propagator, WavePacket2D
+
+grid = Grid2D(16, 16, 4.0, 4.0)
+prop = Propagator(Potential2D(grid, np.zeros((16, 16), dtype=bool), 1), 0.01)
+prop.run(WavePacket2D(grid, np.ones((16, 16))), 1)
+assert "scipy.linalg" in sys.modules, scipy_modules()
+"""
+
+
+def test_finite_layer_and_scenario_cli_never_load_scipy():
+    src = str(Path(povmlab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.startswith(b"{")
