@@ -29,7 +29,6 @@ from .doubleslit import (
     fringe_visibility,
     init_packet,
     momentum_expectation,
-    position_expectation,
     which_way_mass,
 )
 from .errors import (

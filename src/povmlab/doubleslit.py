@@ -14,7 +14,11 @@ wavefunction norm oscillates by O(dt^2) around 1 without secular drift.
 
 Detector bins follow a screen line x = b: bin 0 is everything in front of
 the screen, bin n >= 1 is the strip delta*(n-1) < y <= delta*n beyond it,
-and bin n <= -1 the mirrored strip delta*n < y <= delta*(n+1).
+and bin n <= -1 the mirrored strip delta*n < y <= delta*(n+1).  Beyond
+the first column at or past b, each strip is a band of whole rows, and
+``which_way_mass`` splits such a detector pmf by the sign of y.  The stop
+rule's constants are ``CHECK_INTERVAL``, ``PEAK_FLOOR`` and ``MASS_TARGET``
+in :mod:`povmlab.scenarios`.
 
 SciPy is imported only by the two LAPACK calls, when the first
 ``Propagator`` factors its sweeps, on the thread that builds it.  Importing
@@ -57,7 +61,6 @@ __all__ = [
     "fringe_visibility",
     "which_way_mass",
     "momentum_expectation",
-    "position_expectation",
 ]
 
 
@@ -118,6 +121,10 @@ class Grid2D:
     def contains(self, x: float, y: float = 0.0) -> bool:
         return abs(x) <= self.lx / 2 and abs(y) <= self.ly / 2
 
+    def first_column(self, x0: float) -> int:
+        """Index of the first column at or beyond ``x0``; all later ones are too."""
+        return int(np.searchsorted(self.x, x0))
+
 
 @dataclass
 class WavePacket2D:
@@ -149,8 +156,9 @@ class WavePacket2D:
 
     def mass_beyond(self, x0: float) -> float:
         """Mass on the columns at or beyond ``x0``, the detector's screen side."""
-        cols = self.grid.x >= x0
-        return float(np.sum(np.abs(self.amplitudes[:, cols]) ** 2) * self.grid.cell_area)
+        # summed column by column: the stop steps of recorded runs rest on this order
+        beyond = np.abs(self.amplitudes[:, self.grid.first_column(x0) :]).T.ravel()
+        return float(np.sum(beyond**2) * self.grid.cell_area)
 
 
 @dataclass(frozen=True)
@@ -228,12 +236,6 @@ class Potential2D:
                 raise ValidationError("septum damping rates must be nonnegative")
             self.septum = s
 
-    def obstructed(self) -> np.ndarray:
-        """Cells that interact with the packet: walls or absorber."""
-        if self.septum is None:
-            return self.blocked.copy()
-        return self.blocked | (self.septum > 0.0)
-
 
 @dataclass(frozen=True)
 class SpongeConfig:
@@ -263,15 +265,19 @@ class DetectorBinning:
         n = np.ceil(np.asarray(y) / self.delta).astype(int)
         return np.where(np.asarray(y) > 0, n, n - 1)
 
-    def indices(self, grid: Grid2D) -> np.ndarray:
-        """Per-cell bin label on a grid; 0 in front of the screen."""
+    def _screen(self, grid: Grid2D) -> tuple[int, np.ndarray]:
+        """The first screen-side column and each row's strip; strips rise with y."""
         if not (-grid.lx / 2 < self.b < grid.lx / 2):
             raise GeometryOutOfDomain(f"screen b={self.b} is outside the domain")
         if self.delta < grid.dy:
             raise UnresolvableScale("bin height is below the grid spacing")
+        return grid.first_column(self.b), self.bin_of(grid.y)
+
+    def indices(self, grid: Grid2D) -> np.ndarray:
+        """Per-cell bin label on a grid; 0 in front of the screen."""
+        column, strips = self._screen(grid)
         labels = np.zeros((grid.ny, grid.nx), dtype=int)
-        beyond = grid.x >= self.b
-        labels[:, beyond] = self.bin_of(grid.y)[:, None]
+        labels[:, column:] = strips[:, None]
         return labels
 
 
@@ -817,17 +823,16 @@ def detector_pmf(packet: WavePacket2D, binning: DetectorBinning) -> Pmf:
     Mass removed by an absorbing layer (packet.absorbed) plus any numerical
     deficit shows up as the no-detection probability.
     """
-    labels = binning.indices(packet.grid).ravel()
-    # a stable sort keeps each bin's cells in grid order, so every bin is
-    # summed as one contiguous run of the same values as a masked gather
-    order = np.argsort(labels, kind="stable")
-    grouped = labels[order]
-    cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
-    runs = np.split(packet.density().ravel()[order], cuts)
-    sums = {int(n): float(run.sum()) for n, run in zip(grouped[np.r_[0, cuts]], runs)}
-    sums.setdefault(0, 0.0)
-    keys = sorted(sums.keys())
-    probs = {n: min(max(sums[n], 0.0), 1.0) for n in keys}
+    column, strips = binning._screen(packet.grid)
+    density = packet.density()
+    # a bin is raveled before it is summed, so its cells are added pairwise
+    # in grid order, as from a masked gather, not row by row
+    sums = {0: float(density[:, :column].ravel().sum())}
+    if column < packet.grid.nx:
+        cuts = np.flatnonzero(np.diff(strips)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(strips)]):
+            sums[int(strips[lo])] = float(density[lo:hi, column:].ravel().sum())
+    probs = {n: min(max(sums[n], 0.0), 1.0) for n in sorted(sums)}
     nd = min(max(1.0 - sum(probs.values()), 0.0), 1.0)
     return Pmf(probs, nd)
 
@@ -835,8 +840,10 @@ def detector_pmf(packet: WavePacket2D, binning: DetectorBinning) -> Pmf:
 def bin_indicator_expectation(packet: WavePacket2D, binning: DetectorBinning, n: int) -> float:
     """<psi, chi_n psi> computed as an inner product with the bin indicator.
 
-    Mathematically the same number as detector_pmf(...)[n]; kept as an
-    independent code path against the density-summation route.
+    The reference for detector_pmf(...)[n].  The two share the column cut
+    and ``bin_of``, not the arithmetic: only this route builds the label
+    array of ``DetectorBinning.indices``, and it sums an inner product where
+    ``detector_pmf`` sums row bands of the density.
     """
     chi = (binning.indices(packet.grid) == n).astype(float)
     psi = packet.amplitudes
@@ -868,13 +875,8 @@ def fringe_visibility(pmf: Pmf, window: Sequence[int], smooth: int = 3) -> float
     return float((hi - lo) / (hi + lo))
 
 
-def which_way_mass(packet: WavePacket2D, binning: DetectorBinning) -> WhichWayMass:
-    """Mass beyond the screen split by sign of y; the rest is the remainder."""
-    return _which_way_from_pmf(detector_pmf(packet, binning))
-
-
-def _which_way_from_pmf(pmf: Pmf) -> WhichWayMass:
-    """The split of ``which_way_mass`` from a detector pmf already at hand."""
+def which_way_mass(pmf: Pmf) -> WhichWayMass:
+    """A detector pmf's screen-side mass split by sign of y; the rest is the remainder."""
     upper = sum(p for n, p in pmf.probabilities.items() if n >= 1)
     lower = sum(p for n, p in pmf.probabilities.items() if n <= -1)
     return WhichWayMass(upper, lower, pmf.probabilities.get(0, 0.0) + pmf.no_detection)
@@ -894,11 +896,3 @@ def momentum_expectation(packet: WavePacket2D) -> tuple[float, float]:
     px = float((weight * kx[None, :]).sum() / total)
     py = float((weight * ky[:, None]).sum() / total)
     return px, py
-
-
-def position_expectation(packet: WavePacket2D) -> tuple[float, float]:
-    dens = packet.density()
-    total = dens.sum()
-    cx = float((dens * packet.grid.x[None, :]).sum() / total)
-    cy = float((dens * packet.grid.y[:, None]).sum() / total)
-    return cx, cy

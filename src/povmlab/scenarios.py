@@ -27,12 +27,12 @@ from .doubleslit import (
     SlitGeometry,
     SpongeConfig,
     WavePacket2D,
-    _which_way_from_pmf,
     build_potential,
     detector_pmf,
     fringe_visibility,
     init_packet,
     momentum_expectation,
+    which_way_mass,
 )
 from .errors import EmptyWindow, InvalidAmplitudes, NonCommuting, ValidationError
 from .measurement import (
@@ -435,9 +435,13 @@ def run_eraser(spec: EraserSpec | None = None) -> ScenarioResult:
 
 
 # The stop rule's fixed constants: the screen-side mass is checked every
-# CHECK_INTERVAL steps, and a fall from at least PEAK_FLOOR is the peak.
+# CHECK_INTERVAL steps, a fall from at least PEAK_FLOOR is the peak, and
+# reaching MASS_TARGET stops outright.  The histogram check skips outcomes
+# expecting fewer than MIN_EXPECTED_COUNTS counts.
 CHECK_INTERVAL = 25
 PEAK_FLOOR = 0.02
+MASS_TARGET = 0.9
+MIN_EXPECTED_COUNTS = 25.0
 
 
 @dataclass(frozen=True)
@@ -450,9 +454,9 @@ class DoubleSlitConfig:
     ``GEOMETRY`` ones and most of the rest.  Fixed, not fields: natural
     units (hbar = mass = 1), the class constants ``septum_strength``,
     ``sponge_width`` and ``sponge_strength``, and the stop rule's
-    ``CHECK_INTERVAL`` and ``PEAK_FLOOR``.  The packet starts off-axis
-    (``source_y``) so the two openings are unevenly illuminated: in the
-    window on the weakly lit side the strong beam's envelope tail and the
+    ``CHECK_INTERVAL``, ``PEAK_FLOOR`` and ``MASS_TARGET``.  The packet
+    starts off-axis (``source_y``) so the two openings are unevenly lit: in
+    the window on the weakly lit side the strong beam's envelope tail and the
     weak beam arrive with comparable amplitude, giving branch-1 fringes
     near-unit contrast.  In branch 2 the absorbing separator removes
     everything that approaches the axis, so the same window sees one beam
@@ -493,7 +497,6 @@ class DoubleSlitConfig:
     wedge_apex_x: float | None = None
     septum_half_width: float = 3.6
     slit_x: float = 0.0
-    mass_target: float = 0.9
     window_lo: int = -10
     window_hi: int = -4
     smooth: int = 3
@@ -545,7 +548,7 @@ def _propagate_lockstep(config, pool, potentials, packet):
     packet arrives and falls once its front reaches the edge absorber, so
     its peak is the moment the pattern is fully formed.  The peak is seen
     one chunk late; every field keeps its previous chunk and rolls back
-    with the first.  Reaching ``mass_target`` outright also stops;
+    with the first.  Reaching ``MASS_TARGET`` outright also stops;
     ``max_steps`` always caps the run.  Returns (packets, steps, stop
     reason).
     """
@@ -558,7 +561,7 @@ def _propagate_lockstep(config, pool, potentials, packet):
         chunk = min(CHECK_INTERVAL, config.max_steps - done)
         stepped = _step_fields(pool, props, packets, chunk)
         stepped_mass = stepped[0].mass_beyond(config.b)
-        if stepped_mass >= config.mass_target:
+        if stepped_mass >= MASS_TARGET:
             packets, done = stepped, done + chunk
             reason = "mass-target"
             break
@@ -615,20 +618,18 @@ def _ordering_spot_check(pool) -> dict:
     }
 
 
-def _three_sigma_deviation(
-    pmf: Pmf, counts: Counter, shots: int, min_expected: float = 25.0
-) -> float:
+def _three_sigma_deviation(pmf: Pmf, counts: Counter, shots: int) -> float:
     """Largest per-outcome deviation in units of the binomial sigma.
 
-    Outcomes expecting fewer than ``min_expected`` counts are skipped: the
-    normal band is meaningless there and a hundred near-empty strips would
-    otherwise trip the bound almost surely.
+    Outcomes expecting fewer than ``MIN_EXPECTED_COUNTS`` counts are skipped:
+    the normal band is meaningless there and a hundred near-empty strips
+    would otherwise trip the bound almost surely.
     """
     worst = 0.0
     labels = list(pmf.outcomes) + [NO_DETECTION]
     for x in labels:
         p = pmf.no_detection if x is NO_DETECTION else pmf[x]
-        if p * shots < min_expected or (1 - p) * shots < min_expected:
+        if min(p, 1 - p) * shots < MIN_EXPECTED_COUNTS:
             continue
         freq = counts.get(x, 0) / shots
         sig = math.sqrt(p * (1 - p) / shots)
@@ -700,7 +701,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         "sponge": {"width": config.sponge_width, "strength": config.sponge_strength},
         "window": window,
         "smooth": config.smooth,
-        "mass_target": config.mass_target,
+        "mass_target": MASS_TARGET,
         "natural_units": {"hbar": 1.0, "mass": 1.0},
     }
 
@@ -739,18 +740,14 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         upper, lower = (detector_pmf(packet, binning) for packet in single_packets)
         pmfs += [("upper-only", upper), ("lower-only", lower)]
 
-        p2 = pmf2.probabilities
-        strips = sorted(
-            n for n in set(p2) | set(upper.probabilities) | set(lower.probabilities)
-            if n != 0
-        )
+        # one grid and one binning: the three pmfs have the same strips, in order
         tv = 0.0
-        for n in strips:
-            ref = (upper if n >= 1 else lower).probabilities.get(n, 0.0)
-            tv += abs(p2.get(n, 0.0) - ref)
+        for n, p in pmf2.probabilities.items():
+            if n != 0:
+                tv += abs(p - (upper if n >= 1 else lower)[n])
         identities.append(IdentityCheck.within("superposition-of-paths", tv, 1e-3))
 
-        way = _which_way_from_pmf(pmf2)
+        way = which_way_mass(pmf2)
         metadata["which-way-branch-2"] = {
             "upper": way.upper, "lower": way.lower, "remainder": way.remainder,
         }

@@ -76,8 +76,6 @@ def test_absorbing_lining_hugs_the_separator():
     assert not p2.septum[~inside & ~p2.blocked].any()
     assert (p2.septum[p2.blocked] == 0).all()
     assert p2.septum.max() <= GEOMETRY.septum_strength + 1e-12
-    # obstruction = walls plus lining, and it exceeds the branch-1 mask
-    assert np.array_equal(p2.obstructed(), p2.blocked | (p2.septum > 0))
 
 
 def test_branch_one_mask_is_mirror_symmetric():
@@ -560,6 +558,33 @@ def test_mass_beyond_the_screen_is_the_detectors_screen_side():
     assert packet.mass_beyond(b) == pytest.approx(screen_side, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid, b, delta",
+    [
+        # 0.7-high strips on 0.3-high rows: bands of two and three rows
+        pytest.param(Grid2D(67, 49, 20.1, 14.7), 2.0, 0.7, id="unequal-bands"),
+        # a column centre exactly on the screen line
+        pytest.param(Grid2D(32, 32, 16.0, 16.0), 1.75, 0.5, id="column-on-screen"),
+        # the screen line past the last column centre: no screen-side column
+        pytest.param(Grid2D(32, 32, 8.0, 8.0), 3.95, 0.6, id="no-screen-column"),
+    ],
+)
+def test_readout_sums_each_bin_bit_for_bit_like_a_masked_gather(grid, b, delta):
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=(grid.ny, grid.nx)) + 1j * rng.normal(size=(grid.ny, grid.nx))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_area)
+    packet = WavePacket2D(grid, psi)
+    binning = DetectorBinning(b, delta)
+    labels = binning.indices(grid)
+    density = packet.density()
+    pmf = detector_pmf(packet, binning)
+    assert list(pmf.probabilities) == sorted(set(labels.ravel().tolist()))
+    for n, p in pmf.probabilities.items():
+        assert p == float(density[labels == n].sum())
+    area = grid.cell_area
+    assert packet.mass_beyond(b) == float(np.sum(np.abs(psi[:, grid.x >= b]) ** 2) * area)
+
+
 def test_bin_indicator_route_agrees_with_density_route():
     pot = build_potential(GRID, PARAMS, 1, GEOMETRY)
     out = evolve(small_packet(), pot, 0.01, 350)
@@ -607,7 +632,7 @@ def test_which_way_mass_is_balanced_for_a_centered_packet():
     pot = build_potential(GRID, PARAMS, 2, GEOMETRY)
     packet = small_packet(center=(-6.0, 0.0))
     out = evolve(packet, pot, 0.01, 450, sponge=SpongeConfig(10, 6.0))
-    way = which_way_mass(out, DetectorBinning(PARAMS.b, PARAMS.delta))
+    way = which_way_mass(detector_pmf(out, DetectorBinning(PARAMS.b, PARAMS.delta)))
     assert way.upper == pytest.approx(way.lower, rel=0.02)
     assert way.upper + way.lower + way.remainder == pytest.approx(1.0, abs=1e-9)
 
@@ -619,6 +644,6 @@ def test_sealed_opening_starves_its_side_of_the_screen():
     pot = build_potential(GRID, PARAMS, 2, sealed)
     packet = small_packet(center=(-6.0, 0.0))
     out = evolve(packet, pot, 0.01, 450, sponge=SpongeConfig(10, 6.0))
-    way = which_way_mass(out, DetectorBinning(PARAMS.b, PARAMS.delta))
+    way = which_way_mass(detector_pmf(out, DetectorBinning(PARAMS.b, PARAMS.delta)))
     assert way.lower <= 1e-6
     assert way.upper > 1e-4

@@ -202,16 +202,26 @@ def test_double_slit_histograms_are_seeded(cheap_run):
     assert other.histogram_named("branch-1") != counts
 
 
+# walls that cover cells at CHEAP's 0.6 spacing; the screen mass peaks
+# below MASS_TARGET behind them
+WALLED = dict(hole_center=4.5, hole_width=3.0, wall_thickness=0.6, septum_half_width=2.0)
+
+
 @pytest.mark.parametrize(
-    "mass_target, stop", [(0.9, "mass-target"), (1.0, "screen-mass-peak")]
+    "walls, stop, stop_steps",
+    [
+        pytest.param({}, "mass-target", 300, id="cheap-mass-target"),
+        pytest.param(WALLED, "screen-mass-peak", 350, id="walled-screen-mass-peak"),
+    ],
 )
-def test_lockstep_fields_match_single_branch_runs(mass_target, stop):
+def test_lockstep_fields_match_single_branch_runs(walls, stop, stop_steps):
     # branch 2 is stepped alongside branch 1 and must roll back with it
     # when the screen-mass peak is seen one chunk late
-    cfg = {**CHEAP, "mass_target": mass_target, "ordering_check": False}
+    cfg = {**CHEAP, **walls, "ordering_check": False}
     alone = run_doubleslit(DoubleSlitConfig(**cfg))
     both = run_doubleslit(DoubleSlitConfig(**{**cfg, "branch": "both"}))
     steps = alone.metadata["steps-branch-1"]
+    assert steps == stop_steps
     assert alone.metadata["stop-branch-1"] == stop
     assert both.metadata["stop-branch-1"] == stop
     assert both.metadata["steps-branch-1"] == steps
@@ -223,9 +233,8 @@ def test_lockstep_fields_match_single_branch_runs(mass_target, stop):
     # branch 2 equals the same field stepped alone for exactly `steps`
     grid = Grid2D(128, 96, 76.8, 57.6)
     params = PhysicalParams(k0=2.0, sigma=3.0, delta=0.6, b=8.0)
-    geometry = SlitGeometry(
-        hole_center=3.0, hole_width=5.0, septum_half_width=0.4, septum_strength=3.0
-    )
+    config = DoubleSlitConfig(**cfg)
+    geometry = SlitGeometry(**{name: getattr(config, name) for name in config.GEOMETRY})
     prop = Propagator(
         build_potential(grid, params, 2, geometry), 0.05, sponge=SpongeConfig(28, 6.0)
     )
@@ -259,6 +268,8 @@ def test_fixed_run_values_are_class_constants_not_fields():
         assert name not in names
         with pytest.raises(TypeError):
             DoubleSlitConfig(**{name: getattr(DoubleSlitConfig, name)})
+    # the stop rule's settings are the constants of povmlab.scenarios
+    assert not names & {"check_interval", "peak_floor", "mass_target"}
 
 
 # ------------------------------------------------------------- serialization
