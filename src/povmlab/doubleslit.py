@@ -543,33 +543,20 @@ class _LineBlock:
     losses: slice | None = None
 
 
-def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[...] = src.T``, copied in square tiles that stay in cache.
-
-    A plain transposed copy strides through one side a whole line at a
-    time; on the 512x384 grid tiles of 64 halve the y phase's copy.
-    """
-    tile = 64
-    rows, cols = dst.shape
-    for i in range(0, rows, tile):
-        for j in range(0, cols, tile):
-            dst[i : i + tile, j : j + tile] = src[j : j + tile, i : i + tile].T
-
-
 class _Work:
     """Work arrays of one ``Propagator.run`` call; blocks write disjoint slices.
 
-    The state ``z`` starts as ``psi`` transposed to the y layout.  Each
-    block has its own ``TILE_LINES``-line scratch row for the explicit y half.
+    The three fields ``z``, ``w`` and ``u`` and the damped cells' losses are
+    all a call allocates; a step adds only temporaries of one tile or of a
+    block's damped cells.  The state ``z`` starts as ``psi`` transposed to
+    the y layout.
     """
 
     def __init__(self, psi: np.ndarray, n_damped: int, per_step_losses: bool):
         self.z = np.empty(psi.size, dtype=complex)  # the state, y layout
-        _transpose_into(self.z.reshape(psi.shape[::-1]), psi)
+        self.z.reshape(psi.shape[::-1])[...] = psi.T
         self.w = np.empty_like(self.z)  # explicit y half of the next step, y layout
         self.u = np.empty_like(self.z)  # x solve of w, x layout
-        self.scratch = np.empty((2, TILE_LINES * psi.shape[0] - 1), dtype=complex)
-        self.held = np.empty(n_damped, dtype=complex)
         self.loss = np.empty(n_damped) if per_step_losses else None
 
 
@@ -711,7 +698,11 @@ class Propagator:
         Given ``pool``, an executor with a worker to spare, block 1 of each
         phase runs on it while the calling thread runs block 0; without one
         both run here in turn.  Either way the result is the same to the bit.
-        Work arrays are allocated once per call.
+
+        A call allocates the entry copy, which becomes the result, and three
+        work fields (``_Work``); a step allocates nothing field-sized, only
+        one tile's off-diagonal products and the gather of a block's damped
+        cells.
         """
         if steps < 0:
             raise ValidationError("steps must be nonnegative")
@@ -746,7 +737,7 @@ class Propagator:
                 absorbed += float(np.sum(work.loss)) * area
         # the result reuses the entry copy: an array made after the work
         # arrays and kept would stop the heap shrinking when they are freed
-        _transpose_into(psi, work.z.reshape(nx, ny))
+        psi[...] = work.z.reshape(nx, ny).T
         if track_by_norm:
             absorbed += (n0 - float(np.sum(np.abs(psi) ** 2))) * area
         return WavePacket2D(self.grid, psi, absorbed)
@@ -758,21 +749,17 @@ class Propagator:
             main, low, up = run.explicit
             for start in range(run.cells.start, run.cells.stop, tile):
                 z = work.z[start : min(start + tile, run.cells.stop)]
-                w = work.w[start : start + z.size]
-                product = work.scratch[k, : z.size - 1]
-                np.multiply(main[: z.size], z, out=w)
-                np.multiply(up[: z.size - 1], z[1:], out=product)
-                w[:-1] += product
-                np.multiply(low[: z.size - 1], z[:-1], out=product)
-                w[1:] += product
+                n = z.size
+                w = work.w[start : start + n]
+                np.multiply(main[:n], z, out=w)
+                w[:-1] += up[: n - 1] * z[1:]
+                w[1:] += low[: n - 1] * z[:-1]
 
     def _x_sweep(self, k: int, work: _Work) -> None:
         """u = (1 + i a H_x)^-1 w on x block k, w transposed in."""
         block = self._x_blocks[k]
         ny, nx = self.grid.ny, self.grid.nx
-        _transpose_into(
-            work.u[block.cells].reshape(-1, nx), work.w.reshape(nx, ny)[:, block.lines]
-        )
+        work.u[block.cells].reshape(-1, nx)[...] = work.w.reshape(nx, ny)[:, block.lines].T
         _solve_runs(block.runs, work.u, nx)
 
     def _y_sweep(self, k: int, work: _Work, more: bool) -> None:
@@ -783,21 +770,16 @@ class Propagator:
         block = self._y_blocks[k]
         ny, nx = self.grid.ny, self.grid.nx
         z = work.z[block.cells]
-        _transpose_into(z.reshape(-1, ny), work.u.reshape(ny, nx)[:, block.lines])
+        z.reshape(-1, ny)[...] = work.u.reshape(ny, nx)[:, block.lines].T
         # the explicit x half 2u - w, elementwise, so in either layout
         z *= 2.0
         z -= work.w[block.cells]
         _solve_runs(block.runs, work.z, ny)
         if block.damp_at.size:
-            held = work.held[block.losses]
-            np.take(z, block.damp_at, out=held, mode="clip")
+            held = z[block.damp_at]
             if work.loss is not None:
-                loss = work.loss[block.losses]
-                np.abs(held, out=loss)
-                np.square(loss, out=loss)
-                loss *= block.keep
-            held *= block.damp
-            z[block.damp_at] = held
+                work.loss[block.losses] = np.abs(held) ** 2 * block.keep
+            z[block.damp_at] = held * block.damp
         if more:
             self._explicit_y(k, work)
 

@@ -144,32 +144,25 @@ def _expectation(state: State, a: np.ndarray) -> complex:
 
 
 def _as_stack(outcomes: tuple, operators) -> np.ndarray:
-    """The operators as one new complex ``(n, d, d)`` array in outcome order."""
-    if isinstance(operators, np.ndarray) and operators.ndim == 3:
-        # a batched kernel's output: its entries share one shape, so one
-        # check covers them all
-        if len(operators) != len(outcomes):
-            raise ValidationError("effect count does not match outcome count")
-        op.as_operator(operators[0])
-        return operators.astype(complex, order="C")
-    operators = list(operators)
-    if len(operators) != len(outcomes):
+    """One new complex ``(n, d, d)`` array of a sequence of matrices or a stack."""
+    try:
+        stack = np.array(operators, dtype=complex)
+    except ValueError:  # a ragged sequence
+        raise DimensionMismatch("effects do not share one shape") from None
+    if stack.shape[:1] != (len(outcomes),):
         raise ValidationError("effect count does not match outcome count")
-    operators = [op.as_operator(e) for e in operators]
-    dims = {e.shape[0] for e in operators}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"effects live on different dimensions: {sorted(dims)}")
-    return np.stack(operators)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise DimensionMismatch(f"expected a stack of square operators, got shape {stack.shape}")
+    return stack
 
 
 class _OutcomeTable:
     """Operators indexed by a finite, ordered outcome set.
 
     The shared part of ``Povm`` and ``OperatorValuedMeasure``: table
-    coercion, ``dim``, lookup and the additive extension to subsets.  The
-    operators live in one read-only ``(n, d, d)`` stack in outcome order,
-    which the batched kernels below read whole; the table's values are
-    views of it.
+    coercion, ``dim`` and lookup.  The operators live in one read-only
+    ``(n, d, d)`` stack in outcome order, which the batched kernels below
+    read whole; the table's values are views of it.
     """
 
     def __init__(self, outcomes: Sequence[Label], operators):
@@ -189,13 +182,6 @@ class _OutcomeTable:
 
     def _at(self, outcome: Label) -> np.ndarray:
         return self._table[outcome]
-
-    def _additive(self, outcomes: Iterable[Label]) -> np.ndarray:
-        """Additive extension to subsets; the empty subset gives zero."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in outcomes:
-            acc = acc + self._table[x]
-        return acc
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, outcomes={list(self.outcomes)!r})"
@@ -234,7 +220,13 @@ class Povm(_OutcomeTable):
         self._total = _readonly(total)
 
     effect = _OutcomeTable._at
-    effect_of = _OutcomeTable._additive
+
+    def effect_of(self, outcomes: Iterable[Label]) -> np.ndarray:
+        """Additive extension to subsets; the empty subset gives zero."""
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        for x in outcomes:
+            acc = acc + self._table[x]
+        return acc
 
     def total(self) -> np.ndarray:
         return self._total
@@ -261,10 +253,6 @@ class OperatorValuedMeasure(_OutcomeTable):
     """
 
     value = _OutcomeTable._at
-    value_of = _OutcomeTable._additive
-
-    def total(self) -> np.ndarray:
-        return self.value_of(self.outcomes)
 
     def hermiticity_residual(self) -> float:
         return max(op.hermiticity_residual(v) for v in self._table.values())
@@ -289,17 +277,17 @@ class Pmf:
         probs = {}
         for x, p in dict(self.probabilities).items():
             p = float(p)
-            if p < -PMF_TOL or p > 1.0 + PMF_TOL:
+            if not -PMF_TOL <= p <= 1.0 + PMF_TOL:  # NaN fails too
                 raise ValidationError(f"probability {p:.12g} for {x!r} outside [0, 1]")
             probs[x] = min(max(p, 0.0), 1.0)
         nd = float(self.no_detection)
-        if nd < -PMF_TOL or nd > 1.0 + PMF_TOL:
+        if not -PMF_TOL <= nd <= 1.0 + PMF_TOL:
             raise ValidationError(f"no-detection mass {nd:.12g} outside [0, 1]")
         # sub-tolerance no-detection mass is roundoff from a complete
         # observable, not a physical deficit; snap it away
         nd = 0.0 if nd <= PMF_TOL else min(nd, 1.0)
         total = sum(probs.values()) + nd
-        if abs(total - 1.0) > PMF_TOL:
+        if not abs(total - 1.0) <= PMF_TOL:
             raise ValidationError(f"pmf mass {total:.12g} is not 1")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "no_detection", nd)

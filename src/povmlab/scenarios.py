@@ -764,19 +764,25 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     )
 
 
-# scenario name -> its run function, given the keyword arguments of run_scenario
+# scenario name -> its run function and the one keyword it takes, if any
 _SCENARIOS = {
-    "eraser": lambda kwargs: run_eraser(kwargs.get("spec")),
-    "wheeler": lambda kwargs: run_wheeler(),
-    "hardy": lambda kwargs: run_hardy(),
-    "three-boxes": lambda kwargs: run_three_boxes(),
-    "doubleslit": lambda kwargs: run_doubleslit(kwargs.get("config")),
+    "eraser": (run_eraser, "spec"),
+    "wheeler": (run_wheeler, None),
+    "hardy": (run_hardy, None),
+    "three-boxes": (run_three_boxes, None),
+    "doubleslit": (run_doubleslit, "config"),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run_scenario(name: str, **kwargs) -> ScenarioResult:
-    """Dispatch by frozen scenario name."""
+    """Dispatch by frozen scenario name; a keyword the scenario does not take is an error."""
     if name not in _SCENARIOS:
         raise ValidationError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    return _SCENARIOS[name](kwargs)
+    run, keyword = _SCENARIOS[name]
+    unknown = sorted(set(kwargs) - {keyword})
+    if unknown:
+        raise ValidationError(
+            f"scenario {name!r} takes {keyword or 'no keyword'}, not {', '.join(unknown)}"
+        )
+    return run(**kwargs)

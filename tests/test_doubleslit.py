@@ -471,6 +471,33 @@ def test_production_propagator_keeps_one_operator_per_distinct_line():
     assert peak - before < 6 * 2**20
 
 
+def test_production_steps_allocate_no_field_sized_array():
+    # a run call holds the entry copy, which becomes the result, and three
+    # work fields: 4 of the 3 MiB production fields.  A step may add only
+    # tile- and margin-sized temporaries, so one more field-sized array per
+    # step, even a short-lived one, takes the peak past 5 fields
+    c = DoubleSlitConfig()
+    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
+    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
+    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
+    sponge = SpongeConfig(c.sponge_width, c.sponge_strength)
+    packet = init_packet(grid, params, center=(c.source_x, c.source_y))
+    field = grid.nx * grid.ny * np.dtype(complex).itemsize
+    with ThreadPoolExecutor(2) as pool:
+        for branch in (1, 2):
+            prop = Propagator(build_potential(grid, params, branch, geometry), c.dt, sponge=sponge)
+            prop.run(packet, 1, pool=pool)  # SciPy's LAPACK loads here, untraced
+            for on in (None, pool):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    prop.run(packet, 3, pool=on)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - before < 5 * field, (branch, on, (peak - before) / field)
+
+
 def test_one_propagator_runs_on_many_threads_at_once():
     # more threads than cores, each with its own packet, all on one
     # instance: per-run work arrays keep the runs from mixing

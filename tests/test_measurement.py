@@ -116,6 +116,20 @@ def test_pmf_mass_must_close():
     assert p.total_mass() == pytest.approx(1.0, abs=TOL)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pmf_rejects_non_finite_masses(bad):
+    # every comparison with NaN is False, so a range check written as
+    # "fails when below or above" lets NaN through and the pmf emits nan
+    with pytest.raises(ValidationError):
+        Pmf({1: bad})
+    with pytest.raises(ValidationError):
+        Pmf({1: 0.5, 2: bad}, 0.5)
+    with pytest.raises(ValidationError):
+        Pmf({1: 0.5}, bad)
+    with pytest.raises(ValidationError):
+        Pmf({1: 1.0}, bad)
+
+
 # -------------------------------------------------------- probability rule
 
 
@@ -410,6 +424,12 @@ def test_dimension_mismatch_is_reported():
         product_observable(o2, o3)
     with pytest.raises(DimensionMismatch):
         outcome_pmf(o2, PureState(op.basis_vector(3, 0) + 0.0))
+    # a ragged family, a vector among matrices, a single matrix for two outcomes
+    for effects in ([op.identity(2), op.identity(3)], [op.identity(2), np.ones(2)], np.eye(2)):
+        with pytest.raises(DimensionMismatch):
+            Povm((1, 2), effects)
+    with pytest.raises(ValidationError, match="count"):
+        Povm((1, 2, 3), np.stack([op.identity(2)] * 2))
 
 
 def test_existence_observable_is_trivial():

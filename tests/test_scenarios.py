@@ -148,6 +148,13 @@ def test_run_scenario_dispatches_and_rejects_unknown_names():
             assert run_scenario(name).scenario == name
     with pytest.raises(ValidationError, match="three-boxes"):
         run_scenario("umbrella")
+    # a keyword the scenario does not take is refused, not ignored
+    with pytest.raises(ValidationError, match="sepc"):
+        run_scenario("eraser", sepc=EraserSpec(alpha1=0.6, alpha2=0.8))
+    with pytest.raises(ValidationError, match="config"):
+        run_scenario("wheeler", config=42)
+    with pytest.raises(ValidationError, match="spec"):
+        run_scenario("doubleslit", spec=EraserSpec())
 
 
 # ------------------------------------------------------- result containers
