@@ -20,10 +20,13 @@ the first column at or past b, each strip is a band of whole rows, and
 rule's constants are ``CHECK_INTERVAL``, ``PEAK_FLOOR`` and ``MASS_TARGET``
 in :mod:`povmlab.scenarios`.
 
-SciPy is imported only by the two LAPACK calls, when the first
-``Propagator`` factors its sweeps, on the thread that builds it.  Importing
-povmlab, the finite-dimensional layer and the canned scenarios never load
-it; loading ``scipy.linalg`` takes about 0.2 s and 27 MB on a 2-vCPU VM.
+SciPy is imported only for LAPACK's ``zgttrf``, when the first
+``Propagator`` factors its sweeps, on the thread that builds it, and for
+``zgttrs`` only where the C kernel of :mod:`povmlab._tridiag` cannot be
+built.  That first ``Propagator`` also compiles or loads the kernel.
+Importing povmlab, the finite-dimensional layer and the canned scenarios
+never load SciPy or the kernel; loading ``scipy.linalg`` takes about 0.2 s
+and 27 MB on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _tridiag
 from .errors import (
     EmptyWindow,
     GeometryOutOfDomain,
@@ -462,24 +466,26 @@ TILE_LINES = 16
 class _Run:
     """Consecutive lines of one block that share one line operator.
 
-    ``cells`` is the run's flat range in its sweep's layout and ``lu`` the
-    ``zgttrf`` factors of ``1 + i a H`` on one line.  A y run also carries
-    the explicit y half ``1 - i a H`` as three diagonals repeated over
-    ``TILE_LINES`` lines, zero across line ends.
+    ``lines`` is the run's range of its sweep's lines and ``solve`` applies
+    the ``zgttrf`` factors of ``1 + i a H`` on one line to each of them.  A
+    y run also carries the explicit y half ``1 - i a H`` as three diagonals
+    repeated over ``TILE_LINES`` lines, zero across line ends.
     """
 
-    cells: slice
-    lu: tuple
+    lines: slice
+    solve: _tridiag.LineSolve
     explicit: tuple = ()
 
 
-def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=False):
+def _line_runs(free: np.ndarray, coeff: float, a: float, kernel, stretch=None, explicit=False):
     """``(lines, runs)`` of each half of a sweep whose lines are the rows of ``free``.
 
     The halves are the first ``n_lines // 2`` lines and the rest.  Lines
     with equal free cells and equal stretch have equal operators, so each
-    distinct line is built and factored once.  A run is a maximal stretch
-    of consecutive equal lines, cut at the edge of the halves.
+    distinct line is built and factored once, and solved through
+    ``kernel``, the library ``_tridiag.kernel()`` returned (None for
+    ``zgttrs``).  A run is a maximal stretch of consecutive equal lines,
+    cut at the edge of the halves.
     """
     n_lines, n_points = free.shape
     patterns: dict[bytes, int] = {}
@@ -509,7 +515,8 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=
         for diagonal in (lower, main, upper):
             diagonal *= 1j * a
         main += 1.0
-        factors.append((_factor_tridiagonal(lower, main, upper), tiles))
+        solve = _tridiag.LineSolve(_factor_tridiagonal(lower, main, upper), kernel)
+        factors.append((solve, tiles))
 
     edges = np.flatnonzero(pattern[1:] != pattern[:-1]) + 1
     halves = []
@@ -518,7 +525,7 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=
         starts = [half.start, *edges[(edges > half.start) & (edges < half.stop)].tolist()]
         stops = [*starts[1:], half.stop]
         halves.append((half, tuple(
-            _Run(slice(lo * n_points, hi * n_points), *factors[pattern[lo]])
+            _Run(slice(lo, hi), *factors[pattern[lo]])
             for lo, hi in zip(starts, stops)
         )))
     return halves
@@ -528,14 +535,13 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=
 class _LineBlock:
     """One of the two independent halves of a sweep's line system.
 
-    ``lines`` indexes the sweep's lines and ``cells`` the flat vector of its
-    layout; ``runs`` tile ``cells`` in order.  A y block also carries its
-    slices of the edge damping: ``damp_at`` counts from the block's first
-    cell and ``losses`` is its share of the per-step loss array.
+    ``lines`` indexes the sweep's lines, and ``runs`` tile them in order.
+    A y block also carries its slices of the edge damping: ``damp_at``
+    counts from the block's first cell and ``losses`` is its share of the
+    per-step loss array.
     """
 
     lines: slice
-    cells: slice
     runs: tuple
     damp_at: np.ndarray | None = None
     damp: np.ndarray | None = None
@@ -546,17 +552,18 @@ class _LineBlock:
 class _Work:
     """Work arrays of one ``Propagator.run`` call; blocks write disjoint slices.
 
-    The three fields ``z``, ``w`` and ``u`` and the damped cells' losses are
-    all a call allocates; a step adds only temporaries of one tile or of a
-    block's damped cells.  The state ``z`` starts as ``psi`` transposed to
-    the y layout.
+    Both fields are flat vectors of the y layout, ``(nx, ny)`` C-ordered,
+    for the whole call.  ``z`` starts as ``psi`` transposed into that
+    layout; it holds the state between steps and the x solve ``u`` within
+    one.  ``w`` holds the explicit y half.  The two fields and the damped
+    cells' losses are all a call allocates; a step adds only temporaries of
+    one tile or of a block's damped cells.
     """
 
     def __init__(self, psi: np.ndarray, n_damped: int, per_step_losses: bool):
-        self.z = np.empty(psi.size, dtype=complex)  # the state, y layout
+        self.z = np.empty(psi.size, dtype=complex)
         self.z.reshape(psi.shape[::-1])[...] = psi.T
-        self.w = np.empty_like(self.z)  # explicit y half of the next step, y layout
-        self.u = np.empty_like(self.z)  # x solve of w, x layout
+        self.w = np.empty_like(self.z)
         self.loss = np.empty(n_damped) if per_step_losses else None
 
 
@@ -573,16 +580,18 @@ def _on_both(pool, sweep, *args) -> None:
         other.result()
 
 
-def _solve_runs(runs, flat: np.ndarray, n_points: int) -> None:
-    """Solve each run's lines of ``flat`` in place, one ``zgttrs`` per run.
+def _solve_runs(runs, lines: np.ndarray) -> None:
+    """Solve each run's lines in place, one ``LineSolve`` call per run.
 
-    A run's lines are a C-ordered ``(lines, n_points)`` block, so its
-    transpose is the F-ordered right-hand side LAPACK overwrites in place.
+    ``lines`` is the ``(n_points, n_lines)`` view of the y-layout state with
+    one of the sweep's lines per column: the state itself for x, whose
+    lines are adjacent in memory, and its transpose for y, whose lines are
+    contiguous.  The C kernel solves either in place; ``zgttrs``, where the
+    kernel cannot be built, solves a y run in place and an x run in a
+    column-major copy.
     """
-    from scipy.linalg import lapack  # loaded by the factoring above
-
     for run in runs:
-        lapack.zgttrs(*run.lu, flat[run.cells].reshape(-1, n_points).T, overwrite_b=1)
+        run.solve(lines[:, run.lines])
 
 
 class Propagator:
@@ -600,17 +609,25 @@ class Propagator:
     pattern with one operator: the production walls leave 2 or 3 patterns
     per sweep.  Each pattern is factored once at construction (LAPACK
     ``zgttrf``); reuse the instance for chunked runs.  A run is a stretch of
-    consecutive lines of one pattern.  One ``zgttrs`` call solves a whole
-    run, its lines the right-hand sides, and the explicit y half works
-    through a run ``TILE_LINES`` lines at a time with the pattern's
-    diagonals repeated over one tile.
+    consecutive lines of one pattern.  One ``LineSolve`` call solves a
+    whole run: the C kernel of :mod:`povmlab._tridiag`, which the first
+    construction in a process compiles or loads, or ``zgttrs`` where it
+    cannot be built.  The explicit y half works through a run
+    ``TILE_LINES`` lines at a time with the pattern's diagonals repeated
+    over one tile.
+
+    The state stays in one layout, ``(nx, ny)`` C-ordered, for a whole
+    ``run`` call: its y lines are contiguous and its x lines adjacent, the
+    kernel solves both in place, and the only transposes are the entry
+    copy and the result.
 
     This is the arithmetic of one solve of the whole flattened system.
     Its factorization meets zero couplings at every line end, so it never
     pivots across one and factors each line as if it stood alone; LAPACK's
-    ``zgtts2`` does the same operations on each right-hand-side column; and
-    a flat explicit product only adds zero couplings across a tile edge.
-    Only the sign of an exact zero can differ.
+    ``zgtts2`` does the same operations on each right-hand-side column, and
+    the kernel does them on many lines at once; and a flat explicit
+    product only adds zero couplings across a tile edge.  Only the sign of
+    an exact zero can differ.
 
     Runs are cut at the middle line, which splits each sweep into two
     blocks: rows ``[0, ny//2)`` and ``[ny//2, ny)`` for x, columns
@@ -634,18 +651,18 @@ class Propagator:
         self.dt = float(dt)
         free = ~potential.blocked
         a = dt / 2.0
+        kernel = _tridiag.kernel()
 
-        # x lines are the rows of the (ny, nx) layout; no stretch acts along x
+        # x lines are the rows of the (ny, nx) mask; no stretch acts along x
         cx = 1.0 / (2.0 * grid.dx**2)
         self._x_blocks = tuple(
-            _LineBlock(lines, slice(lines.start * grid.nx, lines.stop * grid.nx), runs)
-            for lines, runs in _line_runs(free, cx, a)
+            _LineBlock(lines, runs) for lines, runs in _line_runs(free, cx, a, kernel)
         )
 
-        # y lines are the rows of the transposed (nx, ny) layout
+        # y lines are the rows of the transposed mask, the state's layout
         cy = 1.0 / (2.0 * grid.dy**2)
         stretch = None if potential.septum is None else potential.septum.T
-        y_halves = _line_runs(free.T, cy, a, stretch, explicit=True)
+        y_halves = _line_runs(free.T, cy, a, kernel, stretch, explicit=True)
 
         # ``damped`` lists the damped cells of the flattened (nx, ny) layout
         # the step ends on, ascending, and ``damp`` their factors
@@ -671,7 +688,7 @@ class Propagator:
             cells = slice(lines.start * grid.ny, lines.stop * grid.ny)
             lo, hi = np.searchsorted(damped, (cells.start, cells.stop))
             y_blocks.append(_LineBlock(
-                lines, cells, runs,
+                lines, runs,
                 damp_at=damped[lo:hi] - cells.start,
                 damp=damp[lo:hi],
                 keep=1.0 - damp[lo:hi] ** 2,
@@ -691,17 +708,19 @@ class Propagator:
         no-op for packets already produced by a run.
 
         Each step has two phases over the two line blocks, with a join after
-        each: the x solve in the x layout, then in the y layout ``2u - w``,
-        the y solve, the edge damping and the next step's explicit y half.
-        Within a block every run is one multi-right-hand-side ``zgttrs``
-        call, and the explicit half goes tile by tile through each run.
-        Given ``pool``, an executor with a worker to spare, block 1 of each
-        phase runs on it while the calling thread runs block 0; without one
-        both run here in turn.  Either way the result is the same to the bit.
+        each, both in the y layout the state keeps for the whole call: the x
+        solve of ``w`` into the state array, then ``2u - w``, the y solve,
+        the edge damping and the next step's explicit y half.  Within a
+        block every run is one ``LineSolve`` call, and the explicit half
+        goes tile by tile through each run.  Given ``pool``, an executor
+        with a worker to spare, block 1 of each phase runs on it while the
+        calling thread runs block 0; without one both run here in turn.
+        Either way the result is the same to the bit.
 
-        A call allocates the entry copy, which becomes the result, and three
-        work fields (``_Work``); a step allocates nothing field-sized, only
-        one tile's off-diagonal products and the gather of a block's damped
+        A call allocates the entry copy, which becomes the result, and two
+        work fields (``_Work``); the entry and the result are the only
+        transposed copies.  A step allocates nothing field-sized, only one
+        tile's off-diagonal products and the gather of a block's damped
         cells.
         """
         if steps < 0:
@@ -725,7 +744,6 @@ class Propagator:
         track_by_norm = self.potential.septum is not None
         if track_by_norm:
             n0 = float(np.sum(np.abs(psi) ** 2))
-        # the state is carried in the (nx, ny) layout between steps
         work = _Work(psi, self._n_damped, not track_by_norm and self._n_damped > 0)
         if steps:
             _on_both(pool, self._explicit_y, work)
@@ -744,11 +762,13 @@ class Propagator:
 
     def _explicit_y(self, k: int, work: _Work) -> None:
         """w = (1 - i a H_y) z on y block k, one tile of lines at a time."""
-        tile = TILE_LINES * self.grid.ny
+        ny = self.grid.ny
+        tile = TILE_LINES * ny
         for run in self._y_blocks[k].runs:
             main, low, up = run.explicit
-            for start in range(run.cells.start, run.cells.stop, tile):
-                z = work.z[start : min(start + tile, run.cells.stop)]
+            stop = run.lines.stop * ny
+            for start in range(run.lines.start * ny, stop, tile):
+                z = work.z[start : min(start + tile, stop)]
                 n = z.size
                 w = work.w[start : start + n]
                 np.multiply(main[:n], z, out=w)
@@ -756,25 +776,25 @@ class Propagator:
                 w[1:] += low[: n - 1] * z[:-1]
 
     def _x_sweep(self, k: int, work: _Work) -> None:
-        """u = (1 + i a H_x)^-1 w on x block k, w transposed in."""
+        """u = (1 + i a H_x)^-1 w on x block k, solved in the state array ``z``."""
         block = self._x_blocks[k]
-        ny, nx = self.grid.ny, self.grid.nx
-        work.u[block.cells].reshape(-1, nx)[...] = work.w.reshape(nx, ny)[:, block.lines].T
-        _solve_runs(block.runs, work.u, nx)
+        state = work.z.reshape(self.grid.nx, self.grid.ny)
+        state[:, block.lines] = work.w.reshape(state.shape)[:, block.lines]
+        _solve_runs(block.runs, state)
 
     def _y_sweep(self, k: int, work: _Work, more: bool) -> None:
-        """z = (1 + i a H_y)^-1 (2u - w) on y block k, u transposed in, then damped.
+        """z = (1 + i a H_y)^-1 (2u - w) on y block k, then damped.
 
         With ``more`` steps to go, also forms the next step's explicit half.
         """
         block = self._y_blocks[k]
         ny, nx = self.grid.ny, self.grid.nx
-        z = work.z[block.cells]
-        z.reshape(-1, ny)[...] = work.u.reshape(ny, nx)[:, block.lines].T
-        # the explicit x half 2u - w, elementwise, so in either layout
+        cells = slice(block.lines.start * ny, block.lines.stop * ny)
+        z = work.z[cells]
+        # the explicit x half, elementwise on u in the state array
         z *= 2.0
-        z -= work.w[block.cells]
-        _solve_runs(block.runs, work.z, ny)
+        z -= work.w[cells]
+        _solve_runs(block.runs, work.z.reshape(nx, ny).T)
         if block.damp_at.size:
             held = z[block.damp_at]
             if work.loss is not None:

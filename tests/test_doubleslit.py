@@ -431,9 +431,9 @@ def test_many_line_patterns_step_exactly_like_one_flat_system(branch):
     prop = Propagator(pot, 0.01, sponge=sponge)
     for blocks in (prop._x_blocks, prop._y_blocks):
         runs = blocks[0].runs + blocks[1].runs
-        assert len({id(run.lu) for run in runs}) >= 8
+        assert len({id(run.solve) for run in runs}) >= 8
     # the run that crosses the block edge is cut there and keeps its factors
-    assert prop._y_blocks[0].runs[-1].lu is prop._y_blocks[1].runs[0].lu
+    assert prop._y_blocks[0].runs[-1].solve is prop._y_blocks[1].runs[0].solve
     packet = init_packet(ODD_GRID, PARAMS, center=(1.0, 0.5))  # over the wedge
     assert np.abs(packet.amplitudes[pot.blocked]).max() > 0.0
 

@@ -498,9 +498,22 @@ def test_cli_double_slit_histogram_csv(tmp_path):
 # ------------------------------------------------------------ import cost
 
 
-# runs in a fresh interpreter: this process has SciPy loaded already
+# runs in a fresh interpreter: this process has SciPy and the C kernel loaded
+# already.  Every shared library loaded goes through the recording CDLL, and a
+# kernel build would write to the empty cache under XDG_CACHE_HOME.
 SCIPY_PROBE = """
-import sys
+import ctypes, os, sys
+
+loaded = []
+
+class RecordingCDLL(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        loaded.append(os.path.basename(name))
+        super().__init__(name, *args, **kwargs)
+
+ctypes.CDLL = RecordingCDLL
+cache = os.path.join(os.environ["XDG_CACHE_HOME"], "povmlab")
+
 from povmlab import cli, run_scenario, emit
 
 def scipy_modules():
@@ -512,6 +525,7 @@ for name in ("wheeler", "hardy", "three-boxes", "eraser"):
     emit(result, fmt="csv")
 assert cli.main(["scenario", "wheeler"]) == 0
 assert not scipy_modules(), scipy_modules()
+assert not loaded and not os.path.exists(cache), (loaded, cache)
 
 import numpy as np
 from povmlab.doubleslit import Grid2D, Potential2D, Propagator, WavePacket2D
@@ -520,13 +534,19 @@ grid = Grid2D(16, 16, 4.0, 4.0)
 prop = Propagator(Potential2D(grid, np.zeros((16, 16), dtype=bool), 1), 0.01)
 prop.run(WavePacket2D(grid, np.ones((16, 16))), 1)
 assert "scipy.linalg" in sys.modules, scipy_modules()
+assert [name.split("-")[0] for name in loaded] == ["_tridiag"], loaded
+assert os.listdir(cache) == loaded, (os.listdir(cache), loaded)
 """
 
 
-def test_finite_layer_and_scenario_cli_never_load_scipy():
+def test_finite_layer_and_scenario_cli_never_load_scipy(tmp_path):
     src = str(Path(povmlab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    env = {
+        **os.environ,
+        "PYTHONPATH": src if not path else src + os.pathsep + path,
+        "XDG_CACHE_HOME": str(tmp_path),
+    }
     done = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, timeout=120
     )
