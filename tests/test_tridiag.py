@@ -96,7 +96,8 @@ def test_kernel_matches_zgttrs_bit_for_bit_where_the_factorization_pivots():
 
 # runs in a fresh interpreter: this process has its kernel loaded already.
 # Prints whether the kernel loaded and the bits of 30 steps of a walled,
-# layered, sponged branch-2 field.
+# layered, sponged branch-2 field.  The mode "zgttrs" replaces the loader,
+# and "broken-compiler" makes the compiler reject its command line.
 STEP_PROBE = """
 import hashlib, sys
 from povmlab import _tridiag
@@ -105,6 +106,8 @@ from povmlab.doubleslit import (
     init_packet,
 )
 
+if sys.argv[1] == "zgttrs":
+    _tridiag.kernel = lambda: None
 if sys.argv[1] == "broken-compiler":
     _tridiag.FLAGS += ("-fno-such-option",)
 grid = Grid2D(64, 48, 19.2, 14.4)
@@ -144,17 +147,9 @@ def _probe_result(proc):
 @pytest.fixture(scope="module")
 def zgttrs_digest(tmp_path_factory):
     """The probe's bits with the loader forced to the ``zgttrs`` backend."""
-    code = STEP_PROBE.replace(
-        "if sys.argv[1]", "_tridiag.kernel = lambda: None\nif sys.argv[1]"
-    )
     cache_home = tmp_path_factory.mktemp("cache")
-    done = subprocess.run(
-        [sys.executable, "-c", code, "build"], env=_probe_env(cache_home),
-        capture_output=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr.decode()
-    loaded, digest = done.stdout.decode().split()
-    assert loaded == "False"
+    loaded, digest = _probe_result(_start_probe(cache_home, "zgttrs"))
+    assert not loaded
     assert not (cache_home / "povmlab").exists()
     return digest
 
