@@ -97,26 +97,57 @@ def test_kernel_matches_zgttrs_bit_for_bit_where_the_factorization_pivots():
 # runs in a fresh interpreter: this process has its kernel loaded already.
 # Prints whether the kernel loaded and the bits of 30 steps of a walled,
 # layered, sponged branch-2 field.  The mode "zgttrs" replaces the loader,
-# and "broken-compiler" makes the compiler reject its command line.
+# "broken-compiler" makes the compiler reject its command line, and
+# "threads" builds the propagator on 4 threads released together by a
+# barrier, with a short switch interval and a build that takes at least
+# half a second, and checks that the process compiled once and that every
+# thread's propagator got the kernel and steps to the same bits.
 STEP_PROBE = """
-import hashlib, sys
+import hashlib, sys, threading, time
+from concurrent.futures import ThreadPoolExecutor
 from povmlab import _tridiag
 from povmlab.doubleslit import (
     Grid2D, PhysicalParams, Propagator, SlitGeometry, SpongeConfig, build_potential,
     init_packet,
 )
 
+builds = []
 if sys.argv[1] == "zgttrs":
     _tridiag.kernel = lambda: None
 if sys.argv[1] == "broken-compiler":
     _tridiag.FLAGS += ("-fno-such-option",)
+build = _tridiag._build
+
+def counted_build(*args):
+    builds.append(args)
+    time.sleep(0.5 if sys.argv[1] == "threads" else 0.0)
+    build(*args)
+
+_tridiag._build = counted_build
 grid = Grid2D(64, 48, 19.2, 14.4)
 params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=4.0)
 geometry = SlitGeometry(hole_center=2.0, hole_width=1.6, septum_half_width=1.1)
-prop = Propagator(build_potential(grid, params, 2, geometry), 0.01, sponge=SpongeConfig(6, 6.0))
-out = prop.run(init_packet(grid, params, center=(-3.0, 0.5)), 30)
-digest = hashlib.sha256(out.amplitudes.tobytes() + out.absorbed.hex().encode()).hexdigest()
-print(_tridiag.kernel() is not None, digest)
+potential = build_potential(grid, params, 2, geometry)
+packet = init_packet(grid, params, center=(-3.0, 0.5))
+
+start = threading.Barrier(4 if sys.argv[1] == "threads" else 1, timeout=60)
+
+def step(_):
+    start.wait()
+    prop = Propagator(potential, 0.01, sponge=SpongeConfig(6, 6.0))
+    out = prop.run(packet, 30)
+    bits = out.amplitudes.tobytes() + out.absorbed.hex().encode()
+    return prop._x_blocks[0].runs[0].solve._lib is not None, hashlib.sha256(bits).hexdigest()
+
+if sys.argv[1] == "threads":
+    sys.setswitchinterval(1e-6)
+    with ThreadPoolExecutor(4) as pool:
+        results = set(pool.map(step, range(4)))
+    assert len(results) == 1 and len(builds) == 1, (results, builds)
+    (result,) = results
+else:
+    result = step(0)
+print(*result)
 """
 
 
@@ -160,6 +191,10 @@ def test_two_cold_builds_at_once_step_to_the_same_bits(tmp_path, zgttrs_digest):
     assert results == [(True, zgttrs_digest)] * 2
     # one library, no temporary file left behind
     assert [p.suffix for p in (tmp_path / "povmlab").iterdir()] == [".so"]
+
+
+def test_threads_that_build_at_once_compile_once(tmp_path, zgttrs_digest):
+    assert _probe_result(_start_probe(tmp_path, "threads")) == (True, zgttrs_digest)
 
 
 def test_unwritable_cache_falls_back_to_zgttrs_with_the_same_bits(tmp_path, zgttrs_digest):
