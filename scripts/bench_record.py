@@ -7,9 +7,9 @@ record goes to, relative to the current directory.  Run ``i`` of a
 workload runs ``perfbench/run.py --workload W --seed FIRST_SEED+i
 --seconds S --trace 0`` of every checkout, each in a fresh process from
 the checkout's root, one after another; the order of the checkouts flips
-from one run to the next.  So, across files, equal run indices are
-same-session pairs at one seed, and only such pairs compare: the same code
-has run twice as fast on one 2-vCPU VM as on another.
+from one run to the next.  So, across files, equal run indices are pairs
+run back to back at one seed on one machine, and only such pairs compare:
+the same code has run twice as fast on one 2-vCPU VM as on another.
 
 A record holds the checkout's git sha, the machine (CPU model, core count,
 L2 size) and library versions (Python, numpy, SciPy, its OpenBLAS, the C
