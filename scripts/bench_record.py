@@ -1,23 +1,33 @@
 """Run perfbench on one or more checkouts and write one BENCH_<n>.json per checkout.
 
-    python3 scripts/bench_record.py --runs 10 --first-seed 11 PARENT=BENCH_0.json .=BENCH_15.json
+    python3 scripts/bench_record.py --first-seed 11 PARENT=BENCH_0.json .=BENCH_15.json
 
 Each argument ``CHECKOUT=OUT`` names a povmlab checkout and the file its
-record goes to, relative to the current directory.  Run ``i`` of a
-workload runs ``perfbench/run.py --workload W --seed FIRST_SEED+i
---seconds S --trace 0`` of every checkout, each in a fresh process from
-the checkout's root, one after another; the order of the checkouts flips
-from one run to the next.  So, across files, equal run indices are pairs
-run back to back at one seed on one machine, and only such pairs compare:
-the same code has run twice as fast on one 2-vCPU VM as on another.
+record goes to, relative to the current directory.  The workloads and the
+run length are those of ``BENCHMARK.json``.  Run ``i`` of a workload runs
+``perfbench/run.py --workload W --seed FIRST_SEED+i --seconds S --trace 0``
+of every checkout, each in a fresh process from the checkout's root, one
+after another; the order of the checkouts flips from one run to the next.
+So, across files, equal run indices are pairs run back to back at one
+seed on one machine, and only such pairs compare: the same code has run
+twice as fast on one 2-vCPU VM as on another.  A claimed gain needs ten
+pairs, the default.
+
+Each checkout builds the C kernel into a cache of its own
+(``XDG_CACHE_HOME`` at a temporary directory), never into the user's.
+Before the pairs, every workload runs once per checkout, at the first
+seed, on an emptied cache.  That cold run pays the compile, and
+perfbench's ``peak_rss_mb`` counts the compiler child with about the
+benchmark process's own peak, so its figures are kept apart from the
+pairs', which run on the cache it filled.
 
 A record holds the checkout's git sha, the machine (CPU model, core count,
 L2 size) and library versions (Python, numpy, SciPy, its OpenBLAS, the C
 compiler), every run's end-to-end metrics, digest and correctness, each
-metric's best, median and interquartile range, and the hashes of
-``scripts/byte_oracle.py --slit``, so a record pins bytes as well as
-times.  The last lines of standard output compare the first checkout with
-each other one, metric by metric.
+metric's best, median and interquartile range, the cold run, and the
+hashes of ``scripts/byte_oracle.py --slit``, so a record pins bytes as
+well as times.  The last lines of standard output compare the first
+checkout with each other one, metric by metric.
 """
 
 from __future__ import annotations
@@ -26,30 +36,26 @@ import argparse
 import json
 import os
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
 import sysconfig
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("slit-both", "slit-open", "finite-algebra")
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="CHECKOUT=OUT")
-    parser.add_argument("--runs", type=int, default=5, help="runs per workload and checkout")
+    parser.add_argument("--runs", type=int, default=10, help="paired runs per workload")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
     args.targets = [tuple(Path(p) for p in t.split("=", 1)) for t in args.targets]
     if any(len(t) != 2 for t in args.targets):
         parser.error("each target is CHECKOUT=OUT")
-    args.workloads = args.workloads.split(",")
-    if not set(args.workloads) <= set(WORKLOADS):
-        parser.error(f"workloads are {', '.join(WORKLOADS)}")
     return args
 
 
@@ -96,10 +102,14 @@ def git_sha(checkout: Path) -> str | None:
     return None if sha is None else sha + ("+dirty" if dirty else "")
 
 
-def oracle(checkout: Path) -> list[dict]:
+def _env(cache: Path) -> dict:
+    return {**os.environ, "XDG_CACHE_HOME": str(cache)}
+
+
+def oracle(checkout: Path, cache: Path) -> list[dict]:
     done = subprocess.run(
         [sys.executable, "scripts/byte_oracle.py", "--slit"],
-        cwd=checkout, capture_output=True, text=True, timeout=1800, check=True,
+        cwd=checkout, env=_env(cache), capture_output=True, text=True, timeout=1800, check=True,
     )
     return [
         {"sha256": digest, "command": command}
@@ -107,12 +117,12 @@ def oracle(checkout: Path) -> list[dict]:
     ]
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float, cache: Path) -> dict:
     """One perfbench run: its result object plus the digest of its info line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=3600,
+        cwd=checkout, env=_env(cache), capture_output=True, text=True, timeout=3600,
     )
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -135,7 +145,11 @@ def summary(values: list[float], better: str) -> dict:
     }
 
 
-def record(runs: list[dict], seeds: list[int], better: dict) -> dict:
+def _values(run: dict) -> dict:
+    return {name: m["value"] for name, m in run["metrics"].items()}
+
+
+def record(runs: list[dict], seeds: list[int], better: dict, cold: dict) -> dict:
     metrics = {}
     for name in runs[0]["metrics"]:
         values = [run["metrics"][name]["value"] for run in runs]
@@ -148,6 +162,10 @@ def record(runs: list[dict], seeds: list[int], better: dict) -> dict:
         "failed": sum(run["failed"] for run in runs),
         "digests": [run["digest"] for run in runs],
         "metrics": metrics,
+        "cold": {
+            "seed": seeds[0], "correct": cold["correct"], "failed": cold["failed"],
+            "digest": cold["digest"], "metrics": _values(cold),
+        },
     }
 
 
@@ -162,6 +180,8 @@ def compare(base: dict, other: dict, workload: str) -> list[str]:
             f"(quartiles {b['q1']:.6g}-{b['q3']:.6g})  other median {o['median']:.6g} "
             f"(quartiles {o['q1']:.6g}-{o['q3']:.6g})  other better in {wins}/{len(b['values'])}"
         )
+    lines.append(f"{workload:15s} cold run     base {json.dumps(base['cold']['metrics'])}")
+    lines.append(f"{workload:15s} cold run     other {json.dumps(other['cold']['metrics'])}")
     return lines
 
 
@@ -169,32 +189,49 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.runs)]
-    results = {checkout: {w: [] for w in args.workloads} for checkout, _ in args.targets}
     checkouts = [checkout for checkout, _ in args.targets]
-    for i, seed in enumerate(seeds):
-        order = checkouts if i % 2 == 0 else checkouts[::-1]
-        for workload in args.workloads:
-            for checkout in order:
-                run = perfbench(checkout, workload, seed, args.seconds)
-                results[checkout][workload].append(run)
-                print(f"run {i} {workload} {checkout}: "
-                      + json.dumps({k: v["value"] for k, v in run["metrics"].items()}), flush=True)
-    host = machine()
-    records = {}
-    for checkout, out in args.targets:
-        records[checkout] = {
-            "git_sha": git_sha(checkout),
-            "machine": host,
-            "settings": {"runs": args.runs, "seconds": args.seconds, "trace": 0,
-                         "checkout_order": "alternating, first checkout first on even runs"},
-            "workloads": {w: record(results[checkout][w], seeds, better) for w in args.workloads},
-            "oracle": oracle(checkout),
-        }
-        out.write_text(json.dumps(records[checkout], indent=1) + "\n")
+    results = {checkout: {w: [] for w in workloads} for checkout in checkouts}
+    cold = {checkout: {} for checkout in checkouts}
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
+        caches = {checkout: Path(scratch, str(k)) for k, checkout in enumerate(checkouts)}
+        for workload in workloads:
+            for checkout in checkouts:
+                shutil.rmtree(caches[checkout], ignore_errors=True)
+                run = perfbench(checkout, workload, seeds[0], seconds, caches[checkout])
+                cold[checkout][workload] = run
+                print(f"cold {workload} {checkout}: {json.dumps(_values(run))}", flush=True)
+        for i, seed in enumerate(seeds):
+            order = checkouts if i % 2 == 0 else checkouts[::-1]
+            for workload in workloads:
+                for checkout in order:
+                    run = perfbench(checkout, workload, seed, seconds, caches[checkout])
+                    results[checkout][workload].append(run)
+                    print(f"run {i} {workload} {checkout}: {json.dumps(_values(run))}", flush=True)
+        host = machine()
+        records = {}
+        for checkout, out in args.targets:
+            records[checkout] = {
+                "git_sha": git_sha(checkout),
+                "machine": host,
+                "settings": {
+                    "runs": args.runs, "seconds": seconds, "trace": 0,
+                    "checkout_order": "alternating, first checkout first on even runs",
+                    "kernel_cache": "one per checkout; a cold run per workload on an emptied "
+                                    "cache, then the pairs on the cache it filled",
+                },
+                "workloads": {
+                    w: record(results[checkout][w], seeds, better, cold[checkout][w])
+                    for w in workloads
+                },
+                "oracle": oracle(checkout, caches[checkout]),
+            }
+            out.write_text(json.dumps(records[checkout], indent=1) + "\n")
     base = checkouts[0]
     for other in checkouts[1:]:
-        for workload in args.workloads:
+        for workload in workloads:
             print("\n".join(compare(records[base]["workloads"][workload],
                                     records[other]["workloads"][workload], workload)))
     return 0

@@ -13,7 +13,9 @@ under a name keyed by the source, the compiler command and flags, the
 compiler executable's resolved path, size and modification time, and the
 platform; a warm cache starts no process.  A build writes a temporary file
 and renames it into place, so processes that build at once each load a
-complete library.
+complete library.  A cached library that does not load (say, truncated by
+a crash) is built again once.  When there is still no kernel, a warning
+says so and the slower ``zgttrs`` backend runs.
 """
 
 from __future__ import annotations
@@ -76,24 +78,35 @@ def _build(compiler: list[str], target: Path) -> None:
             os.unlink(tmp)
 
 
+def _open(compiler: list[str], target: Path) -> ctypes.CDLL:
+    """The library at ``target``, built first if it is missing or does not load."""
+    if target.exists():
+        try:
+            return ctypes.CDLL(str(target))
+        except OSError:
+            target.unlink(missing_ok=True)
+    _build(compiler, target)
+    return ctypes.CDLL(str(target))
+
+
 @functools.lru_cache(maxsize=None)
 def _load() -> ctypes.CDLL | None:
     # deferred, like the modules above: importing povmlab loads none of them
     import shlex
     import subprocess
     import sysconfig
+    import warnings
 
     try:
         source = SOURCE.read_bytes()
         compiler = shlex.split(sysconfig.get_config_var("CC") or "")
         target = _library_path(source, compiler) if compiler else None
         if target is None:
-            return None
-        if not target.exists():
-            _build(compiler, target)
-        lib = ctypes.CDLL(str(target))
-    except (OSError, subprocess.SubprocessError):
+            raise OSError(f"no C compiler: {' '.join(compiler) or 'CC is unset'}")
+        lib = _open(compiler, target)
+    except (OSError, subprocess.SubprocessError) as error:
         # no source, no compiler, a failed build or an unwritable cache
+        warnings.warn(f"povmlab: no C tridiagonal kernel ({error}); the grid steps with zgttrs")
         return None
     pointer = ctypes.c_void_p
     for name in ENTRIES:

@@ -1,6 +1,16 @@
 import numpy as np
+import pytest
 
 from povmlab.measurement import Povm, PureState
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the C kernel into a fresh cache: the suite writes nothing outside tmp,
+    and its first ``Propagator`` compiles, as on a new machine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 def random_state(rng, dim):

@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -169,18 +171,19 @@ def _start_probe(cache_home, mode="build"):
 
 
 def _probe_result(proc):
+    """Whether the kernel loaded, the bits' digest, and whether a fallback was announced."""
     out, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()
     loaded, digest = out.decode().split()
-    return loaded == "True", digest
+    return loaded == "True", digest, b"no C tridiagonal kernel" in err
 
 
 @pytest.fixture(scope="module")
 def zgttrs_digest(tmp_path_factory):
     """The probe's bits with the loader forced to the ``zgttrs`` backend."""
     cache_home = tmp_path_factory.mktemp("cache")
-    loaded, digest = _probe_result(_start_probe(cache_home, "zgttrs"))
-    assert not loaded
+    loaded, digest, warned = _probe_result(_start_probe(cache_home, "zgttrs"))
+    assert not loaded and not warned
     assert not (cache_home / "povmlab").exists()
     return digest
 
@@ -188,25 +191,36 @@ def zgttrs_digest(tmp_path_factory):
 def test_two_cold_builds_at_once_step_to_the_same_bits(tmp_path, zgttrs_digest):
     procs = [_start_probe(tmp_path), _start_probe(tmp_path)]
     results = [_probe_result(proc) for proc in procs]
-    assert results == [(True, zgttrs_digest)] * 2
+    assert results == [(True, zgttrs_digest, False)] * 2
     # one library, no temporary file left behind
     assert [p.suffix for p in (tmp_path / "povmlab").iterdir()] == [".so"]
 
 
 def test_threads_that_build_at_once_compile_once(tmp_path, zgttrs_digest):
-    assert _probe_result(_start_probe(tmp_path, "threads")) == (True, zgttrs_digest)
+    assert _probe_result(_start_probe(tmp_path, "threads")) == (True, zgttrs_digest, False)
 
 
 def test_unwritable_cache_falls_back_to_zgttrs_with_the_same_bits(tmp_path, zgttrs_digest):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     # a cache under a regular file cannot be created, even by root
-    assert _probe_result(_start_probe(blocker / "cache")) == (False, zgttrs_digest)
+    assert _probe_result(_start_probe(blocker / "cache")) == (False, zgttrs_digest, True)
 
 
 def test_failing_compiler_falls_back_to_zgttrs_with_the_same_bits(tmp_path, zgttrs_digest):
-    assert _probe_result(_start_probe(tmp_path, "broken-compiler")) == (False, zgttrs_digest)
+    assert _probe_result(_start_probe(tmp_path, "broken-compiler")) == (False, zgttrs_digest, True)
     assert list((tmp_path / "povmlab").iterdir()) == []
+
+
+def test_a_truncated_cached_library_is_built_again(tmp_path, monkeypatch, zgttrs_digest):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    compiler = shlex.split(sysconfig.get_config_var("CC"))
+    target = _tridiag._library_path(_tridiag.SOURCE.read_bytes(), compiler)
+    target.parent.mkdir(parents=True)
+    target.write_bytes(b"")  # what a crash before the compiler's write leaves
+    assert _probe_result(_start_probe(tmp_path)) == (True, zgttrs_digest, False)
+    assert target.stat().st_size > 0
+    assert list(target.parent.iterdir()) == [target]
 
 
 def test_zgttrs_backend_reproduces_the_coarse_both_branch_oracle(monkeypatch):
