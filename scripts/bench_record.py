@@ -10,16 +10,16 @@ of every checkout, each in a fresh process from the checkout's root, one
 after another; the order of the checkouts flips from one run to the next.
 So, across files, equal run indices are pairs run back to back at one
 seed on one machine, and only such pairs compare: the same code has run
-twice as fast on one 2-vCPU VM as on another.  A claimed gain needs ten
-pairs, the default.
+twice as fast on one 2-vCPU VM as on another.  There are ``RUNS`` pairs,
+the ten a claimed gain needs.
 
 Each checkout builds the C kernel into a cache of its own
 (``XDG_CACHE_HOME`` at a temporary directory), never into the user's.
 Before the pairs, every workload runs once per checkout, at the first
-seed, on an emptied cache.  That cold run pays the compile, and
-perfbench's ``peak_rss_mb`` counts the compiler child with about the
-benchmark process's own peak, so its figures are kept apart from the
-pairs', which run on the cache it filled.
+seed, on an empty cache.  That cold run pays the compile, and perfbench's
+``peak_rss_mb`` counts the compiler child with about the benchmark
+process's own peak, so its figures are kept apart from the pairs', which
+run on a cache holding what the cold runs built.
 
 A record holds the checkout's git sha, the machine (CPU model, core count,
 L2 size) and library versions (Python, numpy, SciPy, its OpenBLAS, the C
@@ -45,12 +45,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RUNS = 10
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="CHECKOUT=OUT")
-    parser.add_argument("--runs", type=int, default=10, help="paired runs per workload")
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     args.targets = [tuple(Path(p) for p in t.split("=", 1)) for t in args.targets]
@@ -191,18 +191,20 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    seeds = [args.first_seed + i for i in range(args.runs)]
+    seeds = [args.first_seed + i for i in range(RUNS)]
     checkouts = [checkout for checkout, _ in args.targets]
     results = {checkout: {w: [] for w in workloads} for checkout in checkouts}
     cold = {checkout: {} for checkout in checkouts}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
         caches = {checkout: Path(scratch, str(k)) for k, checkout in enumerate(checkouts)}
         for workload in workloads:
-            for checkout in checkouts:
-                shutil.rmtree(caches[checkout], ignore_errors=True)
-                run = perfbench(checkout, workload, seeds[0], seconds, caches[checkout])
+            for k, checkout in enumerate(checkouts):
+                cold_cache = Path(scratch, workload, str(k))
+                run = perfbench(checkout, workload, seeds[0], seconds, cold_cache)
                 cold[checkout][workload] = run
                 print(f"cold {workload} {checkout}: {json.dumps(_values(run))}", flush=True)
+                if cold_cache.exists():  # the pairs run on what the cold runs built
+                    shutil.copytree(cold_cache, caches[checkout], dirs_exist_ok=True)
         for i, seed in enumerate(seeds):
             order = checkouts if i % 2 == 0 else checkouts[::-1]
             for workload in workloads:
@@ -217,10 +219,10 @@ def main(argv=None) -> int:
                 "git_sha": git_sha(checkout),
                 "machine": host,
                 "settings": {
-                    "runs": args.runs, "seconds": seconds, "trace": 0,
+                    "runs": RUNS, "seconds": seconds, "trace": 0,
                     "checkout_order": "alternating, first checkout first on even runs",
-                    "kernel_cache": "one per checkout; a cold run per workload on an emptied "
-                                    "cache, then the pairs on the cache it filled",
+                    "kernel_cache": "a cold run per workload on an empty cache, then the "
+                                    "pairs on a cache holding what the cold runs built",
                 },
                 "workloads": {
                     w: record(results[checkout][w], seeds, better, cold[checkout][w])
