@@ -14,7 +14,7 @@ beside its separator.  Run it from anywhere; it imports ``povmlab`` from
 this checkout's ``src``::
 
     python3 scripts/byte_oracle.py            # about a second
-    python3 scripts/byte_oracle.py --slit     # adds the slit runs, 20-35 s
+    python3 scripts/byte_oracle.py --slit     # adds the slit runs, 12-15 s
 """
 
 from __future__ import annotations

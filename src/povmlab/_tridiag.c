@@ -11,10 +11,11 @@
  * waiting on the one before it; walking many lines in lockstep hides that
  * latency.
  *
- * Complex arrays are interleaved (re, im) doubles; ipiv is 1-based.  Line
- * j's cell i is at b[i * ld + j] in tridiag_solve_lines_fast and at
- * b[j * ld + i] in tridiag_solve_lines_contiguous (LAPACK's layout, ld its
- * ldb).  Offsets count complex numbers.
+ * Complex arrays are interleaved (re, im) doubles; ipiv is 1-based.  The
+ * one entry, tridiag_solve_lines, takes the lines as a strided view: line
+ * j's cell i is at b[i * step + j * ld], offsets counting complex numbers.
+ * Adjacent lines have ld = 1; contiguous lines, LAPACK's layout, have
+ * step = 1 and ld zgttrs's ldb.
  */
 
 #include <stddef.h>
@@ -95,11 +96,7 @@ static inline void substitute2(double *x, const double *u, const double *y,
     quotient(x, re, im, s);
 }
 
-/*
- * Line j's cell i is at b + 2 * (i * step + j * ld), in doubles: step = 1
- * for lines-contiguous, ld = 1 for lines-fast.  zgtts2's loops, with the
- * lines of one group innermost.
- */
+/* zgtts2's loops on m lines of a view, with the lines innermost */
 static void solve_group(int n, int m, ptrdiff_t step, ptrdiff_t ld, const double *dl,
                         const double *d, const double *du, const double *du2,
                         const int *ipiv, double *b)
@@ -134,20 +131,11 @@ static void solve_group(int n, int m, ptrdiff_t step, ptrdiff_t ld, const double
     }
 }
 
-void tridiag_solve_lines_fast(int n, int nrhs, ptrdiff_t ld, const double *dl,
-                              const double *d, const double *du, const double *du2,
-                              const int *ipiv, double *b)
+void tridiag_solve_lines(int n, int nrhs, ptrdiff_t step, ptrdiff_t ld, const double *dl,
+                         const double *d, const double *du, const double *du2,
+                         const int *ipiv, double *b)
 {
     for (int j = 0; j < nrhs; j += GROUP)
-        solve_group(n, nrhs - j < GROUP ? nrhs - j : GROUP, ld, 1,
-                    dl, d, du, du2, ipiv, b + 2 * (ptrdiff_t)j);
-}
-
-void tridiag_solve_lines_contiguous(int n, int nrhs, ptrdiff_t ld, const double *dl,
-                                    const double *d, const double *du, const double *du2,
-                                    const int *ipiv, double *b)
-{
-    for (int j = 0; j < nrhs; j += GROUP)
-        solve_group(n, nrhs - j < GROUP ? nrhs - j : GROUP, 1, ld,
+        solve_group(n, nrhs - j < GROUP ? nrhs - j : GROUP, step, ld,
                     dl, d, du, du2, ipiv, b + 2 * (ptrdiff_t)j * ld);
 }

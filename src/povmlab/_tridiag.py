@@ -1,10 +1,12 @@
 """Tridiagonal solves on many grid lines at once: a C kernel, or ``zgttrs``.
 
-``LineSolve`` holds the ``zgttrf`` factors of one line's matrix and applies
-them to every line of a view.  Its leaf solve has two backends that give
-the same bits: the C kernel in ``_tridiag.c``, which walks many lines in
-lockstep, and LAPACK's ``zgttrs``, which walks one line at a time and runs
-only when the kernel cannot be built or loaded.
+``LineSolve`` factors one line's matrix with LAPACK's ``zgttrf`` and
+applies the factors to every line of a view.  Its leaf solve has two
+backends that give the same bits under one view contract: the C kernel in
+``_tridiag.c``, which walks many lines in lockstep, and LAPACK's
+``zgttrs``, which walks one line at a time and runs only when the kernel
+cannot be built or loaded.  This is the only module that imports SciPy,
+when the first ``LineSolve`` factors.
 
 The kernel is compiled by ``kernel()``, on the first call in a process,
 with the C compiler Python was built with (``sysconfig``'s ``CC``).  The
@@ -28,10 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import StabilityViolation
+
 SOURCE = Path(__file__).with_name("_tridiag.c")
 # no fused multiply-add, no reassociation: the kernel must round like zgtts2
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-ENTRIES = ("tridiag_solve_lines_fast", "tridiag_solve_lines_contiguous")
 ITEM = np.dtype(complex).itemsize
 
 _lock = threading.Lock()
@@ -108,11 +111,9 @@ def _load() -> ctypes.CDLL | None:
         # no source, no compiler, a failed build or an unwritable cache
         warnings.warn(f"povmlab: no C tridiagonal kernel ({error}); the grid steps with zgttrs")
         return None
-    pointer = ctypes.c_void_p
-    for name in ENTRIES:
-        entry = getattr(lib, name)
-        entry.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_ssize_t] + [pointer] * 6
-        entry.restype = None
+    entry = lib.tridiag_solve_lines
+    entry.argtypes = [ctypes.c_int, ctypes.c_int] + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * 6
+    entry.restype = None
     return lib
 
 
@@ -122,40 +123,53 @@ def kernel() -> ctypes.CDLL | None:
         return _load()
 
 
-class LineSolve:
-    """Solves with the ``zgttrf`` factors ``lu`` of one line's matrix, in place.
+def _factor_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> tuple:
+    """LU factors of a complex tridiagonal matrix, as LAPACK ``zgttrs`` takes them.
 
-    ``lines`` is a complex view of shape ``(n, n_lines)``, one line per
-    column, either with its lines adjacent (unit stride along the lines,
-    the kernel's lines-fast entry) or with each line contiguous (LAPACK's
-    column-major layout, the lines-contiguous entry).  Without a kernel,
-    ``zgttrs`` solves a column-major copy, or the view itself when it is
-    column-major.
+    ``lower[i]`` is the entry (i+1, i) and ``upper[i]`` the entry (i, i+1).
+    """
+    from scipy.linalg import lapack  # deferred: importing povmlab loads no SciPy
+
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, main, upper)
+    if info != 0:
+        raise StabilityViolation(f"tridiagonal sweep matrix is singular (zgttrf info={info})")
+    return dl, d, du, du2, ipiv
+
+
+class LineSolve:
+    """Solves with one line's tridiagonal matrix, on every line of a view, in place.
+
+    The matrix has ``main`` on its diagonal, ``lower[i]`` at (i+1, i) and
+    ``upper[i]`` at (i, i+1); its ``zgttrf`` factors are ``lu``.  ``lines``
+    is a writeable complex view of shape ``(n, n_lines)``, one line per
+    column, with unit stride across the lines (adjacent lines) or along
+    them (contiguous lines), and no two lines overlapping.  The C kernel
+    solves the view itself; ``zgttrs``, where there is no kernel, solves a
+    column-major copy, or the view itself when it is column-major.
     """
 
-    def __init__(self, lu: tuple, lib: ctypes.CDLL | None):
-        self.lu = lu  # holds the arrays whose addresses the kernel reads
-        self._lib = lib
-        self._at = tuple(array.ctypes.data for array in lu)
-        self._n = lu[1].size
+    def __init__(self, lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+        self._lib = kernel()
+        self.lu = _factor_tridiagonal(lower, main, upper)  # the kernel reads these
+        self._at = tuple(array.ctypes.data for array in self.lu)
+        self._n = main.size
 
     def __call__(self, lines: np.ndarray) -> None:
-        if self._lib is None:
-            from scipy.linalg import lapack  # loaded by zgttrf
-
-            b = np.asfortranarray(lines)
-            lapack.zgttrs(*self.lu, b, overwrite_b=1)
-            if b is not lines:
-                lines[...] = b
-            return
         n, m = lines.shape
         along, across = lines.strides
         if n != self._n or lines.dtype != complex or not lines.flags.writeable:
             raise ValueError("lines do not fit the factors")
-        if across == ITEM and along % ITEM == 0 and along >= m * ITEM:
-            entry, ld = self._lib.tridiag_solve_lines_fast, along // ITEM
-        elif along == ITEM and across % ITEM == 0 and across >= n * ITEM:
-            entry, ld = self._lib.tridiag_solve_lines_contiguous, across // ITEM
-        else:
-            raise ValueError("lines need unit stride along or across them")
-        entry(n, m, ld, *self._at, lines.ctypes.data)
+        step, ld = along // ITEM, across // ITEM
+        if along % ITEM or across % ITEM or not (
+            ld == 1 and step >= m or step == 1 and ld >= n
+        ):
+            raise ValueError("lines need unit stride along or across them, without overlap")
+        if self._lib is not None:
+            self._lib.tridiag_solve_lines(n, m, step, ld, *self._at, lines.ctypes.data)
+            return
+        from scipy.linalg import lapack  # loaded by zgttrf
+
+        b = np.asfortranarray(lines)
+        lapack.zgttrs(*self.lu, b, overwrite_b=1)
+        if b is not lines:
+            lines[...] = b

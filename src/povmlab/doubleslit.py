@@ -20,13 +20,14 @@ the first column at or past b, each strip is a band of whole rows, and
 rule's constants are ``CHECK_INTERVAL``, ``PEAK_FLOOR`` and ``MASS_TARGET``
 in :mod:`povmlab.scenarios`.
 
-SciPy is imported only for LAPACK's ``zgttrf``, when the first
-``Propagator`` factors its sweeps, on the thread that builds it, and for
-``zgttrs`` only where the C kernel of :mod:`povmlab._tridiag` cannot be
-built.  That first ``Propagator`` also compiles or loads the kernel.
-Importing povmlab, the finite-dimensional layer and the canned scenarios
-never load SciPy or the kernel; loading ``scipy.linalg`` takes about 0.2 s
-and 27 MB on a 2-vCPU VM.
+Every line solve goes through :mod:`povmlab._tridiag`, which factors
+each line's matrix and solves with its C kernel, or with LAPACK's
+``zgttrs`` where the kernel cannot be built.  The first ``Propagator`` in a
+process compiles or loads that kernel and loads SciPy for ``zgttrf``, on
+the thread that builds it; this module imports no SciPy.  Importing
+povmlab, the finite-dimensional layer and the canned scenarios never load
+SciPy or the kernel; loading ``scipy.linalg`` takes about 0.2 s and 27 MB
+on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -444,19 +445,6 @@ def _line_operator(
     return main, lower, upper
 
 
-def _factor_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> tuple:
-    """LU factors of a complex tridiagonal matrix, as LAPACK ``zgttrs`` takes them.
-
-    ``lower[i]`` is the entry (i+1, i) and ``upper[i]`` the entry (i, i+1).
-    """
-    from scipy.linalg import lapack  # deferred: see the module docstring
-
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, main, upper)
-    if info != 0:
-        raise StabilityViolation(f"tridiagonal sweep matrix is singular (zgttrf info={info})")
-    return dl, d, du, du2, ipiv
-
-
 # lines per tile of the explicit y half: a tile's three coefficient rows and
 # its slice of the state stay in cache while the three products run
 TILE_LINES = 16
@@ -466,9 +454,9 @@ TILE_LINES = 16
 class _Run:
     """Consecutive lines of one block that share one line operator.
 
-    ``lines`` is the run's range of its sweep's lines and ``solve`` applies
-    the ``zgttrf`` factors of ``1 + i a H`` on one line to each of them.  A
-    y run also carries the explicit y half ``1 - i a H`` as three diagonals
+    ``lines`` is the run's range of its sweep's lines and ``solve`` solves
+    ``(1 + i a H) x = b`` on each of them, ``H`` one line's operator.  A y
+    run also carries the explicit y half ``1 - i a H`` as three diagonals
     repeated over ``TILE_LINES`` lines, zero across line ends.
     """
 
@@ -477,28 +465,26 @@ class _Run:
     explicit: tuple = ()
 
 
-def _line_runs(free: np.ndarray, coeff: float, a: float, kernel, stretch=None, explicit=False):
+def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=False):
     """``(lines, runs)`` of each half of a sweep whose lines are the rows of ``free``.
 
     The halves are the first ``n_lines // 2`` lines and the rest.  Lines
     with equal free cells and equal stretch have equal operators, so each
-    distinct line is built and factored once, and solved through
-    ``kernel``, the library ``_tridiag.kernel()`` returned (None for
-    ``zgttrs``).  A run is a maximal stretch of consecutive equal lines,
-    cut at the edge of the halves.
+    distinct line is built and factored once, at its first line.  A run is
+    a maximal stretch of consecutive equal lines, cut at the edge of the
+    halves.
     """
     n_lines, n_points = free.shape
-    patterns: dict[bytes, int] = {}
+    # each line's pattern, named by the first line that has it
+    firsts: dict[bytes, int] = {}
     pattern = np.array([
-        patterns.setdefault(
-            free[i].tobytes() + (b"" if stretch is None else stretch[i].tobytes()),
-            len(patterns),
+        firsts.setdefault(
+            free[i].tobytes() + (b"" if stretch is None else stretch[i].tobytes()), i
         )
         for i in range(n_lines)
     ])
-    firsts = np.unique(pattern, return_index=True)[1]
-    factors = []
-    for i in firsts:
+    factors = {}
+    for i in firsts.values():
         row_stretch = 0.0 if stretch is None else stretch[i]
         main, lower, upper = _line_operator(1, n_points, free[i], coeff, row_stretch)
         tiles = ()
@@ -515,8 +501,7 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, kernel, stretch=None, e
         for diagonal in (lower, main, upper):
             diagonal *= 1j * a
         main += 1.0
-        solve = _tridiag.LineSolve(_factor_tridiagonal(lower, main, upper), kernel)
-        factors.append((solve, tiles))
+        factors[i] = (_tridiag.LineSolve(lower, main, upper), tiles)
 
     edges = np.flatnonzero(pattern[1:] != pattern[:-1]) + 1
     halves = []
@@ -549,24 +534,6 @@ class _LineBlock:
     losses: slice | None = None
 
 
-class _Work:
-    """Work arrays of one ``Propagator.run`` call; blocks write disjoint slices.
-
-    Both fields are flat vectors of the y layout, ``(nx, ny)`` C-ordered,
-    for the whole call.  ``z`` starts as ``psi`` transposed into that
-    layout; it holds the state between steps and the x solve ``u`` within
-    one.  ``w`` holds the explicit y half.  The two fields and the damped
-    cells' losses are all a call allocates; a step adds only temporaries of
-    one tile or of a block's damped cells.
-    """
-
-    def __init__(self, psi: np.ndarray, n_damped: int, per_step_losses: bool):
-        self.z = np.empty(psi.size, dtype=complex)
-        self.z.reshape(psi.shape[::-1])[...] = psi.T
-        self.w = np.empty_like(self.z)
-        self.loss = np.empty(n_damped) if per_step_losses else None
-
-
 def _on_both(pool, sweep, *args) -> None:
     """Run ``sweep`` on block 1 in ``pool`` and on block 0 here, or both here."""
     if pool is None:
@@ -578,20 +545,6 @@ def _on_both(pool, sweep, *args) -> None:
         sweep(0, *args)
     finally:
         other.result()
-
-
-def _solve_runs(runs, lines: np.ndarray) -> None:
-    """Solve each run's lines in place, one ``LineSolve`` call per run.
-
-    ``lines`` is the ``(n_points, n_lines)`` view of the y-layout state with
-    one of the sweep's lines per column: the state itself for x, whose
-    lines are adjacent in memory, and its transpose for y, whose lines are
-    contiguous.  The C kernel solves either in place; ``zgttrs``, where the
-    kernel cannot be built, solves a y run in place and an x run in a
-    column-major copy.
-    """
-    for run in runs:
-        run.solve(lines[:, run.lines])
 
 
 class Propagator:
@@ -607,14 +560,12 @@ class Propagator:
     y; couplings never cross line ends.  A line's operator depends only on
     its free cells and its stretch, so lines that agree in both form one
     pattern with one operator: the production walls leave 2 or 3 patterns
-    per sweep.  Each pattern is factored once at construction (LAPACK
-    ``zgttrf``); reuse the instance for chunked runs.  A run is a stretch of
-    consecutive lines of one pattern.  One ``LineSolve`` call solves a
-    whole run: the C kernel of :mod:`povmlab._tridiag`, which the first
-    construction in a process compiles or loads, or ``zgttrs`` where it
-    cannot be built.  The explicit y half works through a run
-    ``TILE_LINES`` lines at a time with the pattern's diagonals repeated
-    over one tile.
+    per sweep.  Each pattern is factored once at construction, by its
+    ``_tridiag.LineSolve``; reuse the instance for chunked runs.  A run is a
+    stretch of consecutive lines of one pattern, and one ``LineSolve`` call
+    solves a whole run in place, through the C kernel or ``zgttrs``.  The
+    explicit y half works through a run ``TILE_LINES`` lines at a time with
+    the pattern's diagonals repeated over one tile.
 
     The state stays in one layout, ``(nx, ny)`` C-ordered, for a whole
     ``run`` call: its y lines are contiguous and its x lines adjacent, the
@@ -651,18 +602,17 @@ class Propagator:
         self.dt = float(dt)
         free = ~potential.blocked
         a = dt / 2.0
-        kernel = _tridiag.kernel()
 
         # x lines are the rows of the (ny, nx) mask; no stretch acts along x
         cx = 1.0 / (2.0 * grid.dx**2)
         self._x_blocks = tuple(
-            _LineBlock(lines, runs) for lines, runs in _line_runs(free, cx, a, kernel)
+            _LineBlock(lines, runs) for lines, runs in _line_runs(free, cx, a)
         )
 
         # y lines are the rows of the transposed mask, the state's layout
         cy = 1.0 / (2.0 * grid.dy**2)
         stretch = None if potential.septum is None else potential.septum.T
-        y_halves = _line_runs(free.T, cy, a, kernel, stretch, explicit=True)
+        y_halves = _line_runs(free.T, cy, a, stretch, explicit=True)
 
         # ``damped`` lists the damped cells of the flattened (nx, ny) layout
         # the step ends on, ascending, and ``damp`` their factors
@@ -717,11 +667,15 @@ class Propagator:
         calling thread runs block 0; without one both run here in turn.
         Either way the result is the same to the bit.
 
-        A call allocates the entry copy, which becomes the result, and two
-        work fields (``_Work``); the entry and the result are the only
-        transposed copies.  A step allocates nothing field-sized, only one
-        tile's off-diagonal products and the gather of a block's damped
-        cells.
+        Both work fields are flat vectors of the y layout, ``(nx, ny)``
+        C-ordered.  ``z`` starts as ``psi`` transposed into that layout; it
+        holds the state between steps and the x solve ``u`` within one.
+        ``w`` holds the explicit y half.  A call allocates the entry copy,
+        which becomes the result, then ``z``, ``w`` and the damped cells'
+        losses; the entry and the result are the only transposed copies.  A
+        step allocates nothing field-sized, only one tile's off-diagonal
+        products and the gather of a block's damped cells.  Blocks write
+        disjoint slices of ``z``, ``w`` and the losses.
         """
         if steps < 0:
             raise ValidationError("steps must be nonnegative")
@@ -744,23 +698,26 @@ class Propagator:
         track_by_norm = self.potential.septum is not None
         if track_by_norm:
             n0 = float(np.sum(np.abs(psi) ** 2))
-        work = _Work(psi, self._n_damped, not track_by_norm and self._n_damped > 0)
+        z = np.empty(psi.size, dtype=complex)
+        z.reshape(nx, ny)[...] = psi.T
+        w = np.empty_like(z)
+        loss = None if track_by_norm or not self._n_damped else np.empty(self._n_damped)
         if steps:
-            _on_both(pool, self._explicit_y, work)
+            _on_both(pool, self._explicit_y, z, w)
         for step in range(steps):
-            _on_both(pool, self._x_sweep, work)
-            _on_both(pool, self._y_sweep, work, step + 1 < steps)
-            if work.loss is not None:
+            _on_both(pool, self._x_sweep, z, w)
+            _on_both(pool, self._y_sweep, z, w, loss, step + 1 < steps)
+            if loss is not None:
                 # one sum over both blocks' losses keeps the summation order
-                absorbed += float(np.sum(work.loss)) * area
+                absorbed += float(np.sum(loss)) * area
         # the result reuses the entry copy: an array made after the work
         # arrays and kept would stop the heap shrinking when they are freed
-        psi[...] = work.z.reshape(nx, ny).T
+        psi[...] = z.reshape(nx, ny).T
         if track_by_norm:
             absorbed += (n0 - float(np.sum(np.abs(psi) ** 2))) * area
         return WavePacket2D(self.grid, psi, absorbed)
 
-    def _explicit_y(self, k: int, work: _Work) -> None:
+    def _explicit_y(self, k: int, z: np.ndarray, w: np.ndarray) -> None:
         """w = (1 - i a H_y) z on y block k, one tile of lines at a time."""
         ny = self.grid.ny
         tile = TILE_LINES * ny
@@ -768,40 +725,51 @@ class Propagator:
             main, low, up = run.explicit
             stop = run.lines.stop * ny
             for start in range(run.lines.start * ny, stop, tile):
-                z = work.z[start : min(start + tile, stop)]
-                n = z.size
-                w = work.w[start : start + n]
-                np.multiply(main[:n], z, out=w)
-                w[:-1] += up[: n - 1] * z[1:]
-                w[1:] += low[: n - 1] * z[:-1]
+                zt = z[start : min(start + tile, stop)]
+                n = zt.size
+                wt = w[start : start + n]
+                np.multiply(main[:n], zt, out=wt)
+                wt[:-1] += up[: n - 1] * zt[1:]
+                wt[1:] += low[: n - 1] * zt[:-1]
 
-    def _x_sweep(self, k: int, work: _Work) -> None:
-        """u = (1 + i a H_x)^-1 w on x block k, solved in the state array ``z``."""
+    def _x_sweep(self, k: int, z: np.ndarray, w: np.ndarray) -> None:
+        """u = (1 + i a H_x)^-1 w on x block k, solved in the state array ``z``.
+
+        The x lines are the columns of the ``(nx, ny)`` state, adjacent in
+        memory.
+        """
         block = self._x_blocks[k]
-        state = work.z.reshape(self.grid.nx, self.grid.ny)
-        state[:, block.lines] = work.w.reshape(state.shape)[:, block.lines]
-        _solve_runs(block.runs, state)
+        state = z.reshape(self.grid.nx, self.grid.ny)
+        state[:, block.lines] = w.reshape(state.shape)[:, block.lines]
+        for run in block.runs:
+            run.solve(state[:, run.lines])
 
-    def _y_sweep(self, k: int, work: _Work, more: bool) -> None:
+    def _y_sweep(
+        self, k: int, z: np.ndarray, w: np.ndarray, loss: np.ndarray | None, more: bool
+    ) -> None:
         """z = (1 + i a H_y)^-1 (2u - w) on y block k, then damped.
 
-        With ``more`` steps to go, also forms the next step's explicit half.
+        The y lines are the rows of the ``(nx, ny)`` state, each contiguous;
+        ``loss`` gets the block's damped cells' losses.  With ``more`` steps
+        to go, also forms the next step's explicit half.
         """
         block = self._y_blocks[k]
         ny, nx = self.grid.ny, self.grid.nx
         cells = slice(block.lines.start * ny, block.lines.stop * ny)
-        z = work.z[cells]
+        zb = z[cells]
         # the explicit x half, elementwise on u in the state array
-        z *= 2.0
-        z -= work.w[cells]
-        _solve_runs(block.runs, work.z.reshape(nx, ny).T)
+        zb *= 2.0
+        zb -= w[cells]
+        lines = z.reshape(nx, ny).T
+        for run in block.runs:
+            run.solve(lines[:, run.lines])
         if block.damp_at.size:
-            held = z[block.damp_at]
-            if work.loss is not None:
-                work.loss[block.losses] = np.abs(held) ** 2 * block.keep
-            z[block.damp_at] = held * block.damp
+            held = zb[block.damp_at]
+            if loss is not None:
+                loss[block.losses] = np.abs(held) ** 2 * block.keep
+            zb[block.damp_at] = held * block.damp
         if more:
-            self._explicit_y(k, work)
+            self._explicit_y(k, z, w)
 
 
 def evolve(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+from povmlab._tridiag import _factor_tridiagonal
 from povmlab.doubleslit import (
     DetectorBinning,
     Grid2D,
@@ -16,7 +17,6 @@ from povmlab.doubleslit import (
     SlitGeometry,
     SpongeConfig,
     WavePacket2D,
-    _factor_tridiagonal,
     _line_operator,
     bin_indicator_expectation,
     build_potential,
@@ -472,10 +472,11 @@ def test_production_propagator_keeps_one_operator_per_distinct_line():
 
 
 def test_production_steps_allocate_no_field_sized_array():
-    # a run call holds the entry copy, which becomes the result, and three
-    # work fields: 4 of the 3 MiB production fields.  A step may add only
-    # tile- and margin-sized temporaries, so one more field-sized array per
-    # step, even a short-lived one, takes the peak past 5 fields
+    # a run call holds the entry copy, which becomes the result, and two
+    # work fields, z and w: 3 of the 3 MiB production fields, which peak at
+    # 3.4-3.5 with the step's tile- and margin-sized temporaries.  One more
+    # field-sized array per step, even a short-lived one, takes the peak
+    # past 4 fields
     c = DoubleSlitConfig()
     grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
     params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
@@ -495,7 +496,7 @@ def test_production_steps_allocate_no_field_sized_array():
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak - before < 5 * field, (branch, on, (peak - before) / field)
+                assert peak - before < 4 * field, (branch, on, (peak - before) / field)
 
 
 def test_one_propagator_runs_on_many_threads_at_once():

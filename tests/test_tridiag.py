@@ -3,6 +3,7 @@
 import hashlib
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack
 
 import povmlab
@@ -23,29 +25,28 @@ from povmlab.doubleslit import (
     build_potential,
     init_packet,
 )
+from povmlab.errors import StabilityViolation
 from povmlab.scenarios import DoubleSlitConfig, run_doubleslit
 from povmlab.serialize import emit
 
 
-def _kernel_and_lapack(lu, rhs):
-    """``rhs`` (n, lines) solved by both kernel entries and by ``zgttrs``, as uint64 bits.
+def _kernel_and_lapack(solve, rhs):
+    """``rhs`` (n, lines) solved by the kernel in both layouts and by ``zgttrs``, as uint64 bits.
 
     The kernel's views sit inside wider arrays, as runs sit inside the
-    state: lines-fast with a leading dimension beyond the line count,
-    lines-contiguous with one beyond the line length.
+    state: adjacent lines with a line step beyond the line count,
+    contiguous lines with a leading dimension beyond the line length.
     """
-    kernel = _tridiag.kernel()
-    assert kernel is not None, "the C kernel did not build"
-    solve = _tridiag.LineSolve(lu, kernel)
+    assert solve._lib is not None, "the C kernel did not build"
     n, m = rhs.shape
-    fast = np.zeros((n, m + 3), dtype=complex)[:, 1 : m + 1]
+    adjacent = np.zeros((n, m + 3), dtype=complex)[:, 1 : m + 1]
     contiguous = np.zeros((n + 2, m), dtype=complex, order="F")[1 : n + 1]
     results = []
-    for lines in (fast, contiguous):
+    for lines in (adjacent, contiguous):
         lines[...] = rhs
         solve(lines)
         results.append(lines)
-    expected, info = lapack.zgttrs(*lu, np.asfortranarray(rhs))
+    expected, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
     assert info == 0
     return [np.ascontiguousarray(a).view(np.uint64) for a in (*results, expected)]
 
@@ -65,8 +66,8 @@ def test_kernel_matches_zgttrs_bit_for_bit_on_every_production_run():
                 n = run.solve.lu[1].size
                 shape = (n, run.lines.stop - run.lines.start)
                 rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                fast, contiguous, expected = _kernel_and_lapack(run.solve.lu, rhs)
-                assert np.array_equal(fast, expected)
+                adjacent, contiguous, expected = _kernel_and_lapack(run.solve, rhs)
+                assert np.array_equal(adjacent, expected)
                 assert np.array_equal(contiguous, expected)
                 checked += 1
     assert checked == 22  # every run of both sweeps of both branches
@@ -81,17 +82,77 @@ def test_kernel_matches_zgttrs_bit_for_bit_where_the_factorization_pivots():
     lower = np.where(rng.uniform(size=n - 1) < 0.5, 3.0, 0.05) * phase(n - 1)
     main = rng.uniform(0.1, 1.0, size=n) * phase(n)
     upper = rng.uniform(0.5, 2.0, size=n - 1) * phase(n - 1)
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, main, upper)
-    assert info == 0
+    solve = _tridiag.LineSolve(lower, main, upper)
+    dl, d, du, du2, ipiv = solve.lu
     swapped = ipiv != np.arange(1, n + 1)
     assert 10 < swapped.sum() < n - 1  # both branches of the elimination
     assert np.abs(du2).max() > 0.0
     # both branches of Smith's division
     assert (np.abs(d.real) < np.abs(d.imag)).any() and (np.abs(d.real) > np.abs(d.imag)).any()
     rhs = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    fast, contiguous, expected = _kernel_and_lapack((dl, d, du, du2, ipiv), rhs)
-    assert np.array_equal(fast, expected)
+    adjacent, contiguous, expected = _kernel_and_lapack(solve, rhs)
+    assert np.array_equal(adjacent, expected)
     assert np.array_equal(contiguous, expected)
+
+
+@pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
+def test_both_backends_hold_the_line_solve_to_one_view_contract(backend, monkeypatch):
+    if backend == "zgttrs":
+        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
+    n, m = 24, 5
+    lower, main, upper = np.full(n - 1, -1.0 + 0j), np.full(n, 3.0 + 1j), np.full(n - 1, -1.0 + 0j)
+    solve = _tridiag.LineSolve(lower, main, upper)
+    assert (solve._lib is None) == (backend == "zgttrs")
+    rng = np.random.default_rng(13)
+    rhs = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    # both unit-stride layouts, each inside a wider array, are solved in place
+    expected, _ = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
+    adjacent = np.zeros((n, m + 2), dtype=complex)[:, 1 : m + 1]
+    contiguous = np.zeros((n + 3, m), dtype=complex, order="F")[2 : n + 2]
+    for lines in (adjacent, contiguous):
+        lines[...] = rhs
+        solve(lines)
+        assert np.array_equal(lines, expected)
+
+    read_only = np.asfortranarray(rhs)  # a layout zgttrs would solve in place
+    read_only.flags.writeable = False
+    item = rhs.itemsize
+    wide = np.zeros(4 * n * m, dtype=complex)
+    refused = {
+        "line length": rhs[1:],
+        # strides of whole complex items, so only the dtype is wrong
+        "float view": rhs.real,
+        "read-only view": read_only,
+        "no unit stride, rows": np.zeros((2 * n, 2 * m), dtype=complex)[::2, ::2],
+        "no unit stride, columns": np.zeros((2 * n, 2 * m), dtype=complex, order="F")[::2, ::2],
+        "line step of half an item": as_strided(wide, (n, m), (m * item + item // 2, item)),
+        "leading dimension of half an item": as_strided(wide, (n, m), (item, n * item + item // 2)),
+        # contiguous lines with a leading dimension below the line length,
+        # and adjacent lines with a line step below the line count
+        "overlapping columns": as_strided(rhs, (n, m), (item, (n - 1) * item)),
+        "overlapping rows": as_strided(rhs, (n, m), ((m - 1) * item, item)),
+    }
+    for name, lines in refused.items():
+        before = lines.copy()
+        with pytest.raises(ValueError):
+            solve(lines)
+        assert np.array_equal(lines, before), name
+
+    # upper triangular with a zero on the diagonal
+    zero = np.zeros(n, dtype=complex)
+    with pytest.raises(StabilityViolation):
+        _tridiag.LineSolve(zero[1:], zero, upper)
+
+
+def test_the_kernel_compiles_without_a_warning(tmp_path):
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not compiler or shutil.which(compiler[0]) is None:
+        pytest.skip("no C compiler")
+    subprocess.run(
+        [*compiler, *_tridiag.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "lint.so"), str(_tridiag.SOURCE)],
+        check=True, capture_output=True, timeout=300,
+    )
 
 
 # ------------------------------------------------------------------- build
