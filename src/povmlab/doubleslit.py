@@ -20,11 +20,12 @@ the first column at or past b, each strip is a band of whole rows, and
 rule's constants are ``CHECK_INTERVAL``, ``PEAK_FLOOR`` and ``MASS_TARGET``
 in :mod:`povmlab.scenarios`.
 
-Every line solve goes through :mod:`povmlab._tridiag`, which factors
-each line's matrix and solves with its C kernel, or with LAPACK's
-``zgttrs`` where the kernel cannot be built.  The first ``Propagator`` in a
-process compiles or loads that kernel and loads SciPy for ``zgttrf``, on
-the thread that builds it; this module imports no SciPy.  Importing
+Every line solve, and the rest of each step around the solves, goes
+through :mod:`povmlab._tridiag`, which factors each line's matrix and
+steps with its C kernel, or with LAPACK's ``zgttrs`` and numpy where the
+kernel cannot be built.  The first ``Propagator`` in a process compiles
+or loads that kernel and loads SciPy for ``zgttrf``, on the thread that
+builds it; this module imports no SciPy.  Importing
 povmlab, the finite-dimensional layer and the canned scenarios never load
 SciPy or the kernel; loading ``scipy.linalg`` takes about 0.2 s and 27 MB
 on a 2-vCPU VM.
@@ -445,34 +446,31 @@ def _line_operator(
     return main, lower, upper
 
 
-# lines per tile of the explicit y half: a tile's three coefficient rows and
-# its slice of the state stay in cache while the three products run
-TILE_LINES = 16
-
-
 @dataclass(frozen=True)
 class _Run:
     """Consecutive lines of one block that share one line operator.
 
     ``lines`` is the run's range of its sweep's lines and ``solve`` solves
     ``(1 + i a H) x = b`` on each of them, ``H`` one line's operator.  A y
-    run also carries the explicit y half ``1 - i a H`` as three diagonals
-    repeated over ``TILE_LINES`` lines, zero across line ends.
+    run also carries its ``_tridiag.LinePhase``: the y phase on its lines,
+    with the explicit y half ``1 - i a H`` and its share of the edge
+    damping.
     """
 
     lines: slice
     solve: _tridiag.LineSolve
-    explicit: tuple = ()
+    phase: _tridiag.LinePhase | None = None
 
 
 def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=False):
-    """``(lines, runs)`` of each half of a sweep whose lines are the rows of ``free``.
+    """The runs of each half of a sweep whose lines are the rows of ``free``.
 
     The halves are the first ``n_lines // 2`` lines and the rest.  Lines
     with equal free cells and equal stretch have equal operators, so each
     distinct line is built and factored once, at its first line.  A run is
     a maximal stretch of consecutive equal lines, cut at the edge of the
-    halves.
+    halves, given as ``(lines, solve, explicit)``: its range, its pattern's
+    ``LineSolve`` and, if asked for, the diagonals of ``1 - i a H``.
     """
     n_lines, n_points = free.shape
     # each line's pattern, named by the first line that has it
@@ -487,51 +485,37 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=
     for i in firsts.values():
         row_stretch = 0.0 if stretch is None else stretch[i]
         main, lower, upper = _line_operator(1, n_points, free[i], coeff, row_stretch)
-        tiles = ()
+        diagonals = None
         if explicit:
-            # the flat operator's off-diagonals are zero across line ends
-            tiles = tuple(
-                np.tile(diagonal, TILE_LINES)[: TILE_LINES * n_points - pad]
-                for diagonal, pad in (
-                    (1.0 - 1j * a * main, 0),
-                    (-1j * a * np.r_[lower, 0.0], 1),
-                    (-1j * a * np.r_[upper, 0.0], 1),
-                )
-            )
+            diagonals = (-1j * a * lower, 1.0 - 1j * a * main, -1j * a * upper)
         for diagonal in (lower, main, upper):
             diagonal *= 1j * a
         main += 1.0
-        factors[i] = (_tridiag.LineSolve(lower, main, upper), tiles)
+        factors[i] = (_tridiag.LineSolve(lower, main, upper), diagonals)
 
     edges = np.flatnonzero(pattern[1:] != pattern[:-1]) + 1
     halves = []
     cut = n_lines // 2
-    for half in (slice(0, cut), slice(cut, n_lines)):
-        starts = [half.start, *edges[(edges > half.start) & (edges < half.stop)].tolist()]
-        stops = [*starts[1:], half.stop]
-        halves.append((half, tuple(
-            _Run(slice(lo, hi), *factors[pattern[lo]])
-            for lo, hi in zip(starts, stops)
-        )))
+    for first, last in ((0, cut), (cut, n_lines)):
+        starts = [first, *edges[(edges > first) & (edges < last)].tolist()]
+        stops = [*starts[1:], last]
+        halves.append(tuple(
+            (slice(lo, hi), *factors[pattern[lo]]) for lo, hi in zip(starts, stops)
+        ))
     return halves
 
 
 @dataclass(frozen=True)
 class _LineBlock:
-    """One of the two independent halves of a sweep's line system.
+    """One of the two independent halves of a sweep's line system: its runs, in order."""
 
-    ``lines`` indexes the sweep's lines, and ``runs`` tile them in order.
-    A y block also carries its slices of the edge damping: ``damp_at``
-    counts from the block's first cell and ``losses`` is its share of the
-    per-step loss array.
-    """
-
-    lines: slice
     runs: tuple
-    damp_at: np.ndarray | None = None
-    damp: np.ndarray | None = None
-    keep: np.ndarray | None = None
-    losses: slice | None = None
+
+
+def _each(k: int, calls: list, *args) -> None:
+    """Make each of block ``k``'s calls with ``args``."""
+    for call in calls[k]:
+        call(*args)
 
 
 def _on_both(pool, sweep, *args) -> None:
@@ -562,23 +546,28 @@ class Propagator:
     pattern with one operator: the production walls leave 2 or 3 patterns
     per sweep.  Each pattern is factored once at construction, by its
     ``_tridiag.LineSolve``; reuse the instance for chunked runs.  A run is a
-    stretch of consecutive lines of one pattern, and one ``LineSolve`` call
-    solves a whole run in place, through the C kernel or ``zgttrs``.  The
-    explicit y half works through a run ``TILE_LINES`` lines at a time with
-    the pattern's diagonals repeated over one tile.
+    stretch of consecutive lines of one pattern.  Each phase of a step is
+    one call per run: the x phase a ``LineSolve`` that solves ``w`` into
+    the state, the y phase a ``_tridiag.LinePhase`` that forms ``2u - w``,
+    solves, damps and forms the next explicit y half from the pattern's
+    three diagonals.  Both run through the C kernel, or through ``zgttrs``
+    and numpy with the same bits.
 
     The state stays in one layout, ``(nx, ny)`` C-ordered, for a whole
     ``run`` call: its y lines are contiguous and its x lines adjacent, the
-    kernel solves both in place, and the only transposes are the entry
-    copy and the result.
+    kernel works on both where they lie, and the only transposes are the
+    entry copy and the result.
 
     This is the arithmetic of one solve of the whole flattened system.
     Its factorization meets zero couplings at every line end, so it never
     pivots across one and factors each line as if it stood alone; LAPACK's
     ``zgtts2`` does the same operations on each right-hand-side column, and
     the kernel does them on many lines at once; and a flat explicit
-    product only adds zero couplings across a tile edge.  Only the sign of
-    an exact zero can differ.
+    product only adds zero couplings across a line end.  Only the sign of
+    an exact zero can differ.  The explicit half's complex products are
+    the plain ``(ac - bd, ad + bc)`` and a damped cell's loss is
+    ``re*re + im*im`` times its keep, so neither rounds by numpy's SIMD
+    dispatch.
 
     Runs are cut at the middle line, which splits each sweep into two
     blocks: rows ``[0, ny//2)`` and ``[ny//2, ny)`` for x, columns
@@ -606,7 +595,8 @@ class Propagator:
         # x lines are the rows of the (ny, nx) mask; no stretch acts along x
         cx = 1.0 / (2.0 * grid.dx**2)
         self._x_blocks = tuple(
-            _LineBlock(lines, runs) for lines, runs in _line_runs(free, cx, a)
+            _LineBlock(tuple(_Run(span, solve) for span, solve, _ in runs))
+            for runs in _line_runs(free, cx, a)
         )
 
         # y lines are the rows of the transposed mask, the state's layout
@@ -633,17 +623,21 @@ class Propagator:
             damped, damp = margin[damping], damp[damping]
         self._n_damped = damped.size
 
+        # a y run's cells are its lines' rows of the (nx, ny) layout, and its
+        # damped cells count from its first cell
         y_blocks = []
-        for lines, runs in y_halves:
-            cells = slice(lines.start * grid.ny, lines.stop * grid.ny)
-            lo, hi = np.searchsorted(damped, (cells.start, cells.stop))
-            y_blocks.append(_LineBlock(
-                lines, runs,
-                damp_at=damped[lo:hi] - cells.start,
-                damp=damp[lo:hi],
-                keep=1.0 - damp[lo:hi] ** 2,
-                losses=slice(lo, hi),
-            ))
+        for runs in y_halves:
+            y_runs = []
+            for span, solve, explicit in runs:
+                first = span.start * grid.ny
+                lo, hi = np.searchsorted(damped, (first, span.stop * grid.ny))
+                phase = _tridiag.LinePhase(
+                    solve, explicit, span.stop - span.start,
+                    damped[lo:hi] - first, damp[lo:hi], 1.0 - damp[lo:hi] ** 2,
+                    slice(int(lo), int(hi)), damped.size,
+                )
+                y_runs.append(_Run(span, solve, phase))
+            y_blocks.append(_LineBlock(tuple(y_runs)))
         self._y_blocks = tuple(y_blocks)
 
     def run(
@@ -660,22 +654,23 @@ class Propagator:
         Each step has two phases over the two line blocks, with a join after
         each, both in the y layout the state keeps for the whole call: the x
         solve of ``w`` into the state array, then ``2u - w``, the y solve,
-        the edge damping and the next step's explicit y half.  Within a
-        block every run is one ``LineSolve`` call, and the explicit half
-        goes tile by tile through each run.  Given ``pool``, an executor
-        with a worker to spare, block 1 of each phase runs on it while the
-        calling thread runs block 0; without one both run here in turn.
-        Either way the result is the same to the bit.
+        the edge damping and the next step's explicit y half.  Each run of a
+        block is bound once per call to its lines of the work fields, and a
+        phase is then one kernel call per run, which releases the GIL.
+        Given ``pool``, an executor with a worker to spare, block 1 of each
+        phase runs on it while the calling thread runs block 0; without one
+        both run here in turn.  Either way the result is the same to the
+        bit.
 
         Both work fields are flat vectors of the y layout, ``(nx, ny)``
         C-ordered.  ``z`` starts as ``psi`` transposed into that layout; it
         holds the state between steps and the x solve ``u`` within one.
         ``w`` holds the explicit y half.  A call allocates the entry copy,
         which becomes the result, then ``z``, ``w`` and the damped cells'
-        losses; the entry and the result are the only transposed copies.  A
-        step allocates nothing field-sized, only one tile's off-diagonal
-        products and the gather of a block's damped cells.  Blocks write
-        disjoint slices of ``z``, ``w`` and the losses.
+        losses; the entry and the result are the only transposed copies.
+        On the kernel a step allocates nothing and makes no numpy pass over
+        a field.  Runs write disjoint lines of ``z`` and ``w`` and disjoint
+        slices of the losses.
         """
         if steps < 0:
             raise ValidationError("steps must be nonnegative")
@@ -702,11 +697,21 @@ class Propagator:
         z.reshape(nx, ny)[...] = psi.T
         w = np.empty_like(z)
         loss = None if track_by_norm or not self._n_damped else np.empty(self._n_damped)
+        # every run's call on its lines of z and w, bound once
+        state, half = z.reshape(nx, ny), w.reshape(nx, ny)
+        x_phase = [
+            [run.solve.bind(state[:, run.lines], half[:, run.lines]) for run in block.runs]
+            for block in self._x_blocks
+        ]
+        y_phase = [
+            [run.phase.bind(state.T[:, run.lines], half.T[:, run.lines], loss) for run in block.runs]
+            for block in self._y_blocks
+        ]
         if steps:
-            _on_both(pool, self._explicit_y, z, w)
+            _on_both(pool, _each, y_phase, False, True)
         for step in range(steps):
-            _on_both(pool, self._x_sweep, z, w)
-            _on_both(pool, self._y_sweep, z, w, loss, step + 1 < steps)
+            _on_both(pool, _each, x_phase)
+            _on_both(pool, _each, y_phase, True, step + 1 < steps)
             if loss is not None:
                 # one sum over both blocks' losses keeps the summation order
                 absorbed += float(np.sum(loss)) * area
@@ -716,60 +721,6 @@ class Propagator:
         if track_by_norm:
             absorbed += (n0 - float(np.sum(np.abs(psi) ** 2))) * area
         return WavePacket2D(self.grid, psi, absorbed)
-
-    def _explicit_y(self, k: int, z: np.ndarray, w: np.ndarray) -> None:
-        """w = (1 - i a H_y) z on y block k, one tile of lines at a time."""
-        ny = self.grid.ny
-        tile = TILE_LINES * ny
-        for run in self._y_blocks[k].runs:
-            main, low, up = run.explicit
-            stop = run.lines.stop * ny
-            for start in range(run.lines.start * ny, stop, tile):
-                zt = z[start : min(start + tile, stop)]
-                n = zt.size
-                wt = w[start : start + n]
-                np.multiply(main[:n], zt, out=wt)
-                wt[:-1] += up[: n - 1] * zt[1:]
-                wt[1:] += low[: n - 1] * zt[:-1]
-
-    def _x_sweep(self, k: int, z: np.ndarray, w: np.ndarray) -> None:
-        """u = (1 + i a H_x)^-1 w on x block k, solved in the state array ``z``.
-
-        The x lines are the columns of the ``(nx, ny)`` state, adjacent in
-        memory.
-        """
-        block = self._x_blocks[k]
-        state = z.reshape(self.grid.nx, self.grid.ny)
-        state[:, block.lines] = w.reshape(state.shape)[:, block.lines]
-        for run in block.runs:
-            run.solve(state[:, run.lines])
-
-    def _y_sweep(
-        self, k: int, z: np.ndarray, w: np.ndarray, loss: np.ndarray | None, more: bool
-    ) -> None:
-        """z = (1 + i a H_y)^-1 (2u - w) on y block k, then damped.
-
-        The y lines are the rows of the ``(nx, ny)`` state, each contiguous;
-        ``loss`` gets the block's damped cells' losses.  With ``more`` steps
-        to go, also forms the next step's explicit half.
-        """
-        block = self._y_blocks[k]
-        ny, nx = self.grid.ny, self.grid.nx
-        cells = slice(block.lines.start * ny, block.lines.stop * ny)
-        zb = z[cells]
-        # the explicit x half, elementwise on u in the state array
-        zb *= 2.0
-        zb -= w[cells]
-        lines = z.reshape(nx, ny).T
-        for run in block.runs:
-            run.solve(lines[:, run.lines])
-        if block.damp_at.size:
-            held = zb[block.damp_at]
-            if loss is not None:
-                loss[block.losses] = np.abs(held) ** 2 * block.keep
-            zb[block.damp_at] = held * block.damp
-        if more:
-            self._explicit_y(k, z, w)
 
 
 def evolve(

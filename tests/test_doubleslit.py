@@ -337,11 +337,19 @@ def test_one_step_matches_dense_sweep_solves(branch):
 ODD_GRID = Grid2D(67, 49, 20.1, 14.7)
 
 
+def _plain_product(d, x):
+    """Real and imaginary parts of ``d * x`` as ``(ac - bd, ad + bc)``."""
+    return d.real * x.real - d.imag * x.imag, d.real * x.imag + d.imag * x.real
+
+
 def _flat_reference_run(pot, dt, sponge, amplitudes, steps):
     """The stepper on one flattened system per sweep, without runs or blocks.
 
     Same operators, same arithmetic, one ``zgttrs`` call per sweep over all
-    lines; the per-run solves must reproduce it bit for bit.
+    lines; the per-run solves must reproduce it bit for bit.  Like the
+    stepper, it forms the explicit half with plain complex products from
+    real parts and a damped cell's loss as ``re*re + im*im``, whose
+    rounding does not depend on numpy's SIMD dispatch.
     """
     grid = pot.grid
     nx, ny, area = grid.nx, grid.ny, grid.cell_area
@@ -377,9 +385,15 @@ def _flat_reference_run(pot, dt, sponge, amplitudes, steps):
     n0 = float(np.sum(np.abs(psi) ** 2))
     z = psi.T.ravel()
     for _ in range(steps):
-        w = (1.0 - 1j * a * main_y) * z
-        w[:-1] += (-1j * a * up_y) * z[1:]
-        w[1:] += (-1j * a * low_y) * z[:-1]
+        wr, wi = _plain_product(1.0 - 1j * a * main_y, z)
+        for (re, im), cells in (
+            (_plain_product(-1j * a * up_y, z[1:]), slice(None, -1)),
+            (_plain_product(-1j * a * low_y, z[:-1]), slice(1, None)),
+        ):
+            wr[cells] += re
+            wi[cells] += im
+        w = np.empty_like(z)
+        w.real, w.imag = wr, wi
         w = w.reshape(nx, ny).T.ravel()
         u, _ = lapack.zgttrs(*lu_x, w)
         u *= 2.0
@@ -387,7 +401,8 @@ def _flat_reference_run(pot, dt, sponge, amplitudes, steps):
         z, _ = lapack.zgttrs(*lu_y, u.reshape(ny, nx).T.ravel())
         before = z[at]
         if pot.septum is None:
-            absorbed += float(np.sum(np.abs(before) ** 2 * (1.0 - damp[at] ** 2))) * area
+            squared = before.real * before.real + before.imag * before.imag
+            absorbed += float(np.sum(squared * (1.0 - damp[at] ** 2))) * area
         z[at] = before * damp[at]
     psi = np.ascontiguousarray(z.reshape(nx, ny).T)
     if pot.septum is not None:

@@ -144,6 +144,197 @@ def test_both_backends_hold_the_line_solve_to_one_view_contract(backend, monkeyp
         _tridiag.LineSolve(zero[1:], zero, upper)
 
 
+def _production_propagators(branch, sponge, monkeypatch):
+    """The default run's propagator for ``branch``, on the kernel and on ``zgttrs``."""
+    c = DoubleSlitConfig()
+    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
+    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
+    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
+    pot = build_potential(grid, params, branch, geometry)
+    kernel = Propagator(pot, c.dt, sponge=sponge)
+    with monkeypatch.context() as patch:
+        patch.setattr(_tridiag, "kernel", lambda: None)
+        fallback = Propagator(pot, c.dt, sponge=sponge)
+    assert kernel._x_blocks[0].runs[0].solve._lib is not None, "the C kernel did not build"
+    assert fallback._x_blocks[0].runs[0].solve._lib is None
+    return kernel, fallback
+
+
+@pytest.mark.parametrize("sponge", [SpongeConfig(), None], ids=["sponge", "no-sponge"])
+@pytest.mark.parametrize("branch", [1, 2])
+def test_kernel_phases_match_the_numpy_route_bit_for_bit_on_every_production_run(
+    branch, sponge, monkeypatch
+):
+    # every run of both phases, on the state's own layout: x runs solve w
+    # into z, y runs do the first step's explicit half alone, a whole step,
+    # and a last step without the explicit half
+    kernel, fallback = _production_propagators(branch, sponge, monkeypatch)
+    nx, ny = kernel.grid.nx, kernel.grid.ny
+    rng = np.random.default_rng(14)
+    field = lambda: rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))  # noqa: E731
+    checked = 0
+    runs = lambda blocks: blocks[0].runs + blocks[1].runs  # noqa: E731
+    for k_run, f_run in zip(runs(kernel._x_blocks), runs(fallback._x_blocks)):
+        assert k_run.lines == f_run.lines
+        z, w = field(), field()
+        source = w.copy()
+        results = []
+        for run in (k_run, f_run):
+            out = z.copy()
+            run.solve(out[:, run.lines], w[:, run.lines])
+            results.append(out.view(np.uint64))
+        assert np.array_equal(*results)
+        assert np.array_equal(w, source)  # read, never written
+        checked += 1
+    for k_run, f_run in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
+        assert k_run.lines == f_run.lines
+        for solve, explicit in ((False, True), (True, True), (True, False)):
+            z, w, loss = field(), field(), rng.normal(size=kernel._n_damped)
+            results = []
+            for run in (k_run, f_run):
+                state, half, losses = z.copy(), w.copy(), loss.copy()
+                run.phase.bind(state.T[:, run.lines], half.T[:, run.lines], losses)(solve, explicit)
+                results.append([a.view(np.uint64) for a in (state, half, losses)])
+            for got, want in zip(*results):
+                assert np.array_equal(got, want), (k_run.lines, solve, explicit)
+            # the run wrote its own lines and losses, and nothing else
+            changed = (results[0][0] != z.view(np.uint64)).any(axis=1)
+            assert not changed[: k_run.lines.start].any() and not changed[k_run.lines.stop :].any()
+            booked = results[0][2] != loss.view(np.uint64)
+            at = k_run.phase._losses
+            assert not booked[: at.start].any() and not booked[at.stop :].any()
+            assert booked[at].all() if solve else not booked[at].any()
+        checked += 1
+    assert checked == {1: 10, 2: 12}[branch]  # the 22 runs of both branches' sweeps
+    assert (kernel._n_damped > 0) == (sponge is not None)
+
+
+@pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
+def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
+    if backend == "zgttrs":
+        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
+    n, m = 24, 5
+    rng = np.random.default_rng(15)
+    # a stretched operator: lower and upper differ
+    lower, upper = -1.0 + 0.3j * rng.uniform(size=n - 1), -1.0 - 0.2j * rng.uniform(size=n - 1)
+    main = 3.0 + 1j * rng.uniform(size=n)
+    solve = _tridiag.LineSolve(lower, main, upper)
+    assert (solve._lib is None) == (backend == "zgttrs")
+    explicit = (-0.5j * lower, 1.0 - 0.5j * main, -0.5j * upper)
+    damp = np.array([0.5, 0.7, 0.9])
+    good = dict(
+        at=np.array([0, n + 2, n * m - 1]), damp=damp, keep=1.0 - damp**2,
+        losses=slice(2, 5), n_losses=6,
+    )
+
+    refused = {
+        "unsorted cells": dict(at=np.array([n + 2, 0, n * m - 1])),
+        "a repeated cell": dict(at=np.array([0, n + 2, n + 2])),
+        "a cell before the run": dict(at=np.array([-1, n + 2, n * m - 1])),
+        "a cell after the run": dict(at=np.array([0, n + 2, n * m])),
+        "a damping factor short": dict(damp=good["damp"][:2]),
+        "a keep short": dict(keep=good["keep"][:2]),
+        "losses short": dict(losses=slice(2, 4)),
+        "losses past the array": dict(losses=slice(4, 7)),
+        "losses before the array": dict(losses=slice(-1, 2)),
+        "strided losses": dict(losses=slice(0, 6, 2)),
+    }
+    for name, change in refused.items():
+        arrays = {**good, **change}
+        before = {k: v.copy() for k, v in arrays.items() if isinstance(v, np.ndarray)}
+        with pytest.raises(ValueError):
+            _tridiag.LinePhase(solve, explicit, m, **arrays)
+        for k, v in before.items():
+            assert np.array_equal(arrays[k], v), name
+    with pytest.raises(ValueError):
+        _tridiag.LinePhase(solve, (explicit[0][1:], *explicit[1:]), m, **good)
+
+    phase = _tridiag.LinePhase(solve, explicit, m, **good)
+    # a run's lines inside the state: contiguous, with room on both sides
+    z = rng.normal(size=(m + 2, n)) + 1j * rng.normal(size=(m + 2, n))
+    w = rng.normal(size=(m + 2, n)) + 1j * rng.normal(size=(m + 2, n))
+    loss = rng.normal(size=6)
+    read_only = w.copy()
+    read_only.flags.writeable = False
+    item = z.itemsize
+    calls = {
+        "too many lines": (z.T[:, :m + 1], w.T[:, :m + 1], loss),
+        "too few lines": (z.T[:, 1:m], w.T[:, 1:m], loss),
+        "lines of another length": (z.T[1:, 1:m + 1], w.T[1:, 1:m + 1], loss),
+        "w laid out otherwise": (z.T[:, 1:m + 1], np.asfortranarray(w)[1:m + 1].T.copy(order="C"), loss),
+        "w over z": (z.T[:, 1:m + 1], z.T[:, 1:m + 1], loss),
+        "w overlapping z": (z.T[:, 1:m + 1], z.T[:, 2:m + 2], loss),
+        "read-only w": (z.T[:, 1:m + 1], read_only.T[:, 1:m + 1], loss),
+        "z of floats": (z.real.T[:, 1:m + 1], w.T[:, 1:m + 1], loss),
+        "z without unit stride": (
+            as_strided(z, (n, m), (2 * item, n * item)), w.T[:, 1:m + 1], loss),
+        "a short loss": (z.T[:, 1:m + 1], w.T[:, 1:m + 1], loss[:5]),
+        "a strided loss": (z.T[:, 1:m + 1], w.T[:, 1:m + 1], np.zeros(12)[::2]),
+        "a complex loss": (z.T[:, 1:m + 1], w.T[:, 1:m + 1], loss.astype(complex)),
+    }
+    before = [a.copy() for a in (z, w, loss)]
+    for name, (zv, wv, lv) in calls.items():
+        with pytest.raises(ValueError):
+            phase.bind(zv, wv, lv)
+        for got, want in zip((z, w, loss), before):
+            assert np.array_equal(got, want), name
+
+    # the same views, rightly laid out, are written where the run's are
+    phase.bind(z.T[:, 1:m + 1], w.T[:, 1:m + 1], loss)(True, True)
+    assert np.array_equal(z[[0, m + 1]], before[0][[0, m + 1]])
+    assert np.array_equal(w[[0, m + 1]], before[1][[0, m + 1]])
+    assert np.array_equal(loss[[0, 1, 5]], before[2][[0, 1, 5]])
+    assert not np.array_equal(loss[2:5], before[2][2:5])
+
+
+# numpy's SIMD dispatch turned down to its baseline loops, as on a host
+# without AVX2, FMA3 or AVX-512
+BASELINE_LOOPS = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
+
+# steps a fixed packet on the coarse both-branch oracle's branch-2 walls,
+# matched layer and sponge, and prints the bits of the amplitudes
+DISPATCH_PROBE = """
+import hashlib, sys
+import numpy as np
+from povmlab.doubleslit import Grid2D, PhysicalParams, SlitGeometry, WavePacket2D, build_potential
+from povmlab.scenarios import DoubleSlitConfig, _propagator
+
+config = DoubleSlitConfig(
+    nx=128, ny=96, dt=0.05, k0=2.0, sigma=3.0, b=8.0,
+    source_x=-12.0, hole_center=3.0, hole_width=5.0, septum_half_width=0.4,
+)
+grid = Grid2D(config.nx, config.ny, config.lx, config.ly)
+params = PhysicalParams(k0=config.k0, sigma=config.sigma, delta=config.delta, b=config.b)
+walls = SlitGeometry(**{name: getattr(config, name) for name in config.GEOMETRY})
+potential = build_potential(grid, params, 2, walls)
+packet = WavePacket2D(grid, np.load(sys.argv[1]))
+out = _propagator(config, potential).run(packet, 60)
+print(hashlib.sha256(out.amplitudes.tobytes()).hexdigest())
+"""
+
+
+def test_the_step_bits_do_not_depend_on_numpys_simd_dispatch(tmp_path):
+    # the packet is passed in: init_packet's np.exp rounds by the dispatch
+    # too.  The absorbed mass of a branch-2 field comes from np.abs norms,
+    # which this does not cover
+    rng = np.random.default_rng(17)
+    packet = tmp_path / "packet.npy"
+    np.save(packet, rng.normal(size=(96, 128)) + 1j * rng.normal(size=(96, 128)))
+    digests = []
+    for loops in (None, BASELINE_LOOPS):
+        env = _probe_env(os.environ.get("XDG_CACHE_HOME", tmp_path / "cache"))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if loops:
+            env["NPY_DISABLE_CPU_FEATURES"] = loops
+        done = subprocess.run(
+            [sys.executable, "-c", DISPATCH_PROBE, str(packet)],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        digests.append(done.stdout.decode().split()[-1])
+    assert digests[0] == digests[1]
+
+
 def test_the_kernel_compiles_without_a_warning(tmp_path):
     compiler = shlex.split(sysconfig.get_config_var("CC") or "")
     if not compiler or shutil.which(compiler[0]) is None:
@@ -293,5 +484,5 @@ def test_zgttrs_backend_reproduces_the_coarse_both_branch_oracle(monkeypatch):
         source_x=-12.0, hole_center=3.0, hole_width=5.0, septum_half_width=0.4,
     )
     assert hashlib.sha256(emit(run_doubleslit(config))).hexdigest() == (
-        "1f90a4c974c56703fa374ad477d7eb752dfd8c706d09018819ca99e73c609d10"
+        "756ddc04ae14a85efb9697ae6312db0749253d1c68ce009d021f19fcbda7aba8"
     )
