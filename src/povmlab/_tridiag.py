@@ -5,9 +5,12 @@ solves with the factors on every line of a view.  ``LinePhase`` is the
 rest of a y phase around such a solve: ``2u - w``, the edge damping and
 its losses, and the next step's explicit half.  Each has two backends
 that give the same bits under one view contract: the C kernel in
-``_tridiag.c``, which walks many lines in lockstep, and LAPACK's
+``_tridiag.c``, which copies each group of 16 lines into planar scratch
+and works on all of them at once in vector lanes, and LAPACK's
 ``zgttrs`` with numpy on real and imaginary parts, which runs only when
-the kernel cannot be built or loaded.  This is the only module that
+the kernel cannot be built or loaded.  ``bind`` allocates the kernel's
+scratch, sized by the library's ``tridiag_scratch``, once per bound call,
+so a step allocates nothing.  This is the only module that
 imports SciPy, when the first ``LineSolve`` factors, and the only one
 that knows which backend runs.
 
@@ -119,13 +122,15 @@ def _load() -> ctypes.CDLL | None:
         return None
     pointers = [ctypes.c_void_p] * 5  # a LineSolve's factors
     view = [ctypes.c_int, ctypes.c_int, ctypes.c_ssize_t, ctypes.c_ssize_t]
-    lib.tridiag_solve_lines.argtypes = view + pointers + [ctypes.c_void_p] * 2
+    lib.tridiag_solve_lines.argtypes = view + pointers + [ctypes.c_void_p] * 3
     lib.tridiag_phase.argtypes = (
         view + pointers + [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] + [ctypes.c_void_p] * 4
-        + [ctypes.c_int] * 2 + [ctypes.c_void_p] * 2
+        + [ctypes.c_int] * 2 + [ctypes.c_void_p] * 3
     )
     for entry in (lib.tridiag_solve_lines, lib.tridiag_phase):
         entry.restype = None
+    lib.tridiag_scratch.argtypes = [ctypes.c_int] * 2
+    lib.tridiag_scratch.restype = ctypes.c_size_t
     return lib
 
 
@@ -160,6 +165,11 @@ def _view(lines: np.ndarray, n: int) -> tuple[int, int]:
     ):
         raise ValueError("lines need unit stride along or across them, without overlap")
     return step, ld
+
+
+def _scratch(lib: ctypes.CDLL, n: int, lines: int) -> np.ndarray:
+    """The planes a kernel entry works a group of ``lines`` lines of ``n`` cells in."""
+    return np.empty(lib.tridiag_scratch(n, lines))
 
 
 def _beside(other: np.ndarray, lines: np.ndarray) -> None:
@@ -208,9 +218,13 @@ class LineSolve:
         if self._lib is None:
             return functools.partial(self._zgttrs, lines, rhs)
         entry = self._lib.tridiag_solve_lines
-        args = (self._n, lines.shape[1], step, ld, *self._at, rhs.ctypes.data, lines.ctypes.data)
+        scratch = _scratch(self._lib, self._n, lines.shape[1])
+        args = (
+            self._n, lines.shape[1], step, ld, *self._at,
+            rhs.ctypes.data, lines.ctypes.data, scratch.ctypes.data,
+        )
 
-        def solve(views=(lines, rhs)):  # the views outlive the call
+        def solve(views=(lines, rhs, scratch)):  # the views outlive the call
             entry(*args)
 
         return solve
@@ -292,9 +306,10 @@ class LinePhase:
             self._damping[0].size, *self._at[3:],
             None if loss is None else loss.ctypes.data + self._losses.start * loss.itemsize,
         )
-        tail = (z.ctypes.data, w.ctypes.data)
+        scratch = _scratch(lib, n, self._lines)
+        tail = (z.ctypes.data, w.ctypes.data, scratch.ctypes.data)
 
-        def phase(solve: bool, explicit: bool, views=(z, w, loss)):  # the views outlive the call
+        def phase(solve: bool, explicit: bool, views=(z, w, loss, scratch)):  # they outlive the call
             entry(*head, solve, explicit, *tail)
 
         return phase

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -36,16 +37,20 @@ def _kernel_and_lapack(solve, rhs):
     The kernel's views sit inside wider arrays, as runs sit inside the
     state: adjacent lines with a line step beyond the line count,
     contiguous lines with a leading dimension beyond the line length.
+    Either has a group of 16 lines on each side, which must keep its value.
     """
     assert solve._lib is not None, "the C kernel did not build"
     n, m = rhs.shape
-    adjacent = np.zeros((n, m + 3), dtype=complex)[:, 1 : m + 1]
-    contiguous = np.zeros((n + 2, m), dtype=complex, order="F")[1 : n + 1]
+    lines, margin = slice(16, m + 16), 1.0 - 1.0j
+    adjacent = np.full((n, m + 32), margin)
+    contiguous = np.full((n + 2, m + 32), margin, order="F")
     results = []
-    for lines in (adjacent, contiguous):
-        lines[...] = rhs
-        solve(lines)
-        results.append(lines)
+    for wide, view in ((adjacent, adjacent[:, lines]), (contiguous, contiguous[1 : n + 1, lines])):
+        view[...] = rhs
+        solve(view)
+        results.append(view.copy())
+        view[...] = margin
+        assert (wide == margin).all(), "the solve wrote outside its lines"
     expected, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
     assert info == 0
     return [np.ascontiguousarray(a).view(np.uint64) for a in (*results, expected)]
@@ -344,6 +349,105 @@ def test_the_kernel_compiles_without_a_warning(tmp_path):
          "-o", str(tmp_path / "lint.so"), str(_tridiag.SOURCE)],
         check=True, capture_output=True, timeout=300,
     )
+
+
+# runs in a fresh interpreter, where FLAGS plus the arguments build the
+# kernel anew.  On the production propagators of both branches, every run's
+# solve must give zgttrs's bits and every y run's whole phase the numpy
+# route's; so must the pivoting 64x64 matrix on 37 lines, one group short.
+# Prints a digest of all those bits
+BUILD_PROBE = """
+import hashlib, sys
+import numpy as np
+from scipy.linalg import lapack
+from povmlab import _tridiag
+from povmlab.doubleslit import (
+    Grid2D, PhysicalParams, Propagator, SlitGeometry, SpongeConfig, build_potential,
+)
+from povmlab.scenarios import DoubleSlitConfig
+
+_tridiag.FLAGS += tuple(sys.argv[1:])
+digest = hashlib.sha256()
+rng = np.random.default_rng(18)
+normal = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+def solved(solve, rhs):
+    assert solve._lib is not None, "the C kernel did not build"
+    lines = rhs.copy(order="A")
+    solve(lines)
+    expected, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
+    assert info == 0 and lines.tobytes() == expected.tobytes()
+    digest.update(lines.tobytes())
+
+c = DoubleSlitConfig()
+grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
+params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
+geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
+sponge = SpongeConfig(c.sponge_width, c.sponge_strength)
+runs = lambda blocks: blocks[0].runs + blocks[1].runs
+for branch in (1, 2):
+    pot = build_potential(grid, params, branch, geometry)
+    kernel = Propagator(pot, c.dt, sponge=sponge)
+    load, _tridiag.kernel = _tridiag.kernel, lambda: None
+    fallback = Propagator(pot, c.dt, sponge=sponge)
+    _tridiag.kernel = load
+    for run in runs(kernel._x_blocks):  # adjacent lines, as in the state
+        solved(run.solve, normal(run.solve.lu[1].size, run.lines.stop - run.lines.start))
+    for run in runs(kernel._y_blocks):  # contiguous lines
+        lines = normal(run.lines.stop - run.lines.start, run.solve.lu[1].size)
+        solved(run.solve, lines.T)
+    z, w, loss = normal(grid.nx, grid.ny), normal(grid.nx, grid.ny), rng.normal(size=kernel._n_damped)
+    for k_run, f_run in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
+        bits = []
+        for run in (k_run, f_run):
+            state, half, losses = z.copy(), w.copy(), loss.copy()
+            run.phase.bind(state.T[:, run.lines], half.T[:, run.lines], losses)(True, True)
+            bits.append(b"".join(a.tobytes() for a in (state, half, losses)))
+        assert bits[0] == bits[1], (branch, k_run.lines)
+        digest.update(bits[0])
+n = 64
+phase = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))
+lower = np.where(rng.uniform(size=n - 1) < 0.5, 3.0, 0.05) * phase(n - 1)
+main = rng.uniform(0.1, 1.0, size=n) * phase(n)
+upper = rng.uniform(0.5, 2.0, size=n - 1) * phase(n - 1)
+pivoting = _tridiag.LineSolve(lower, main, upper)
+assert (pivoting.lu[4] != np.arange(1, n + 1)).any()
+solved(pivoting, normal(n, 37))
+print(digest.hexdigest())
+"""
+
+
+def _build_probe(tmp_path, *flags) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", BUILD_PROBE, *flags],
+        env=_probe_env(tmp_path / "-".join(("cache",) + flags)), capture_output=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode().split()[-1]
+
+
+def _cpu_flags() -> set:
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return set()
+    try:
+        info = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in info.splitlines() if line.startswith("flags") for flag in line.split()}
+
+
+def test_the_kernel_keeps_its_bits_when_built_with_fma(tmp_path):
+    # gcc fuses interleaved complex products into vfmaddsub under -mfma,
+    # whatever -ffp-contract says; the planar lanes give it nothing to fuse
+    if not {"avx2", "fma"} <= _cpu_flags():
+        pytest.skip("needs an x86-64 host with AVX2 and FMA")
+    _build_probe(tmp_path, "-mavx2", "-mfma")
+
+
+def test_both_clones_of_the_kernel_give_the_same_bits(tmp_path):
+    # on an AVX2 host the loader always picks the AVX2 clone, so the
+    # baseline one is built alone, without the clone attribute
+    assert _build_probe(tmp_path) == _build_probe(tmp_path, "-DTRIDIAG_NO_CLONES")
 
 
 # ------------------------------------------------------------------- build
