@@ -41,10 +41,10 @@
  * in a scratch to match; lanes past a group's last line hold zeros and are
  * never stored.
  *
- * The clone and its FMA rule.  Where gcc's target_clones exists on x86-64,
- * the planar workers are built twice, for the baseline and for AVX2, and
- * the loader picks by the CPU; the library itself stays portable, with no
- * -march flag.  AVX2 brings no FMA, and no clone may bring it
+ * The clone and its FMA rule.  Where gcc's target_clones exists on x86-64
+ * with glibc, the planar workers are built twice, for the baseline and for
+ * AVX2, and the loader picks by the CPU; the library itself stays portable,
+ * with no -march flag.  AVX2 brings no FMA, and no clone may bring it
  * (arch=x86-64-v3, avx512f): gcc turns interleaved complex products into
  * vfmaddsub instructions whatever -ffp-contract says, which changes bits.
  * Defining TRIDIAG_NO_CLONES builds the baseline workers alone, so a test
@@ -53,6 +53,7 @@
  * Complex arrays are interleaved (re, im) doubles; ipiv is 1-based.
  */
 
+#include <limits.h> /* defines __GLIBC__ on glibc */
 #include <stddef.h>
 
 /*
@@ -65,7 +66,9 @@
 /* lanes of a short group: one AVX2 vector, two SSE2 ones */
 #define NARROW 4
 
-#if defined(__x86_64__) && defined(__has_attribute) && !defined(TRIDIAG_NO_CLONES)
+/* target_clones picks through an ifunc, which needs glibc's loader */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute) && \
+    !defined(TRIDIAG_NO_CLONES)
 #if __has_attribute(target_clones)
 #define CLONES __attribute__((target_clones("avx2", "default")))
 #endif
