@@ -3,48 +3,61 @@
  * tridiagonal matrix A, as LAPACK's zgttrf leaves them, on many lines at
  * once, and the rest of a Crank-Nicolson phase around them.
  *
- * Two entries take the lines as a strided view: line j's cell i is at
- * x[i * step + j * ld], offsets counting complex numbers.  Adjacent lines
- * have ld = 1; contiguous lines, LAPACK's layout, have step = 1 and ld
- * zgttrs's ldb.
+ * The field.  A run of the stepper keeps its state in one work field of an
+ * (ny, nx) grid: two real planes, re then im, each laid out in tiles of
+ * GROUP x lines.  Cell (x, y) sits at ((y / GROUP) * nx + x) * GROUP +
+ * y % GROUP, so a tile row, GROUP x lines of nx cells, is one contiguous
+ * block with the lines innermost, and the GROUP cells of one y line in one
+ * tile are contiguous too.  When ny % GROUP != 0 the last tile is short; its
+ * padding lanes belong to no line and are never loaded or stored.
  *
- *   tridiag_solve_lines  x = A^-1 b on every line; b and x share the
- *                        view's strides, and b == x solves in place.
- *   tridiag_phase        with solve set, z = A^-1 (2 z - w), then for each
- *                        listed cell loss = (re*re + im*im) * keep and
- *                        z *= damp; with explicit set, then w = E z for
- *                        the tridiagonal E, without terms across line ends.
+ *   tridiag_field       the field's size in doubles
+ *   tridiag_to_field    psi, C-ordered complex (ny, nx), into the field
+ *   tridiag_from_field  the field back into such a psi
+ *   tridiag_x_phase     on x lines lo..hi: u = A^-1 w on every line, w the
+ *                       field's lines, then the field is 2 u - w with
+ *                       explicit set, u without
+ *   tridiag_y_phase     on y lines lo..hi: with solve set, z = A^-1 z, then
+ *                       for each listed cell loss = (re*re + im*im) * keep
+ *                       and z *= damp; with explicit set, then z = E z for
+ *                       the tridiagonal E, without terms across line ends
  *
- * Both take a scratch of tridiag_scratch(n, nrhs) doubles, which the caller
- * allocates once and reuses, so an entry allocates nothing.
+ * Both phases take a scratch of tridiag_scratch(n, nrhs) doubles, which the
+ * caller allocates once and reuses, so an entry allocates nothing; runs on
+ * disjoint line ranges of one field may run on different threads.
  *
  * One stated rounding, the same on every host.  Each line gets exactly the
  * arithmetic of reference LAPACK's zgtts2 with trans = 'N', pivot branch
  * included: complex products are (ac - bd, ad + bc) and complex quotients
  * follow Smith's algorithm as gcc expands it under Fortran rules, so the
  * solve equals zgttrs's to the bit.  The explicit half uses the same plain
- * products, summed as (main*z[k] + up*z[k+1]) + low*z[k-1].  Built with
- * -O2 -ffp-contract=off and without -ffast-math, no operation is fused
- * into an FMA or reordered.
+ * products, summed as (main*z[k] + up*z[k+1]) + low*z[k-1].  The explicit
+ * x half is 2 u - w per part, formed where the x phase stores u: the same
+ * IEEE expression on the same operands as where the y phase would load it,
+ * so moving it there moves no bit.  Built with -O2 -ffp-contract=off and
+ * without -ffast-math, no operation is fused into an FMA or reordered.
  *
- * Planar groups.  The entries work a view group by group of up to GROUP
- * lines.  load copies a group into the scratch as two planes, re and im,
- * cell-major with the lines innermost (line j's cell i at plane[i * L + j]
- * for L lanes), forming 2 z - w on the way in.  The workers solve, damp
- * and form the explicit half there, in loops over the L lanes, and store
- * copies the lines back; only load and store know step and ld.  Every line
- * of a group shares the factors, the pivots and the Smith divisors, so each
- * step of zgtts2 is one IEEE operation with the same scalar on every lane,
- * and a vector add, multiply or divide rounds each lane as the scalar one
- * does: the lanes give each line its exact bits.  A group of at most NARROW
- * lines, such as the one-line runs beside the walls, runs on NARROW lanes
- * in a scratch to match; lanes past a group's last line hold zeros and are
- * never stored.
+ * Planar groups.  The workers solve, damp and form the explicit half in a
+ * scratch of two planes, re and im, cell-major with the lines innermost
+ * (line j's cell i at plane[i * L + j] for L lanes), in loops over the L
+ * lanes.  Every line of a group shares the factors, the pivots and the
+ * Smith divisors, so each step of zgtts2 is one IEEE operation with the
+ * same scalar on every lane, and a vector add, multiply or divide rounds
+ * each lane as the scalar one does: the lanes give each line its exact
+ * bits.  A whole tile row of an x run is already such a group: the forward
+ * sweep reads it as it goes, the back sweep stays in scratch, and the
+ * store combines the result with the tile.  An x run that starts or ends
+ * mid-tile copies its lanes of the tile in and writes only those back.  A y
+ * group of GROUP lines comes in and goes out by GROUP x GROUP transposes of
+ * contiguous tiles; they only move data, so no rounding question arises.
+ * A group of at most NARROW lines, such as the one-line runs beside the
+ * walls, runs on NARROW lanes in a scratch to match; lanes past a group's
+ * last line hold zeros and are never stored.
  *
  * The clone and its FMA rule.  Where gcc's target_clones exists on x86-64
- * with glibc, the planar workers are built twice, for the baseline and for
- * AVX2, and the loader picks by the CPU; the library itself stays portable,
- * with no -march flag.  AVX2 brings no FMA, and no clone may bring it
+ * with glibc, the workers are built twice, for the baseline and for AVX2,
+ * and the loader picks by the CPU; the library itself stays portable, with
+ * no -march flag.  AVX2 brings no FMA, and no clone may bring it
  * (arch=x86-64-v3, avx512f): gcc turns interleaved complex products into
  * vfmaddsub instructions whatever -ffp-contract says, which changes bits.
  * Defining TRIDIAG_NO_CLONES builds the baseline workers alone, so a test
@@ -57,10 +70,10 @@
 #include <stddef.h>
 
 /*
- * Lines worked together: a production group's planes (16 lines of 512
- * cells, 128 KiB) stay in L2 from load to store.  On production runs,
- * groups of 8 lines made the x phase 15% slower and groups of 32 the y
- * phase 45% slower.
+ * Lines worked together, and the tile height: a production group's planes
+ * (16 lines of 512 cells, 128 KiB) stay in L2 from load to store.  On
+ * production runs, groups of 8 lines made the x phase 15% slower and groups
+ * of 32 the y phase 45% slower.
  */
 #define GROUP 16
 /* lanes of a short group: one AVX2 vector, two SSE2 ones */
@@ -79,6 +92,15 @@
 /* a body that each worker below instantiates with a constant lane count */
 #define PLANAR static inline __attribute__((always_inline))
 #define LANES for (int j = 0; j < L; j++)
+
+/* four doubles, and a pick of four from two of them */
+typedef double quad __attribute__((vector_size(32)));
+#ifdef __clang__
+#define PICK(a, b, i, j, k, l) __builtin_shufflevector(a, b, i, j, k, l)
+#else
+typedef long long quad_index __attribute__((vector_size(32)));
+#define PICK(a, b, i, j, k, l) __builtin_shuffle(a, b, (quad_index){i, j, k, l})
+#endif
 
 typedef struct {
     const double *dl, *d, *du, *du2;
@@ -123,27 +145,42 @@ PLANAR void divide(int L, double *restrict xr, double *restrict xi, const diviso
         }
 }
 
-/* zgtts2's loops on the planes: x = A^-1 x on every lane */
-PLANAR void solve_planes(int L, int n, const factors *f, double *restrict re,
-                         double *restrict im)
+/*
+ * zgtts2's forward sweep on every lane: x = L^-1 P x in place, or, with
+ * from set, x = L^-1 P b with b's rows of L lanes read as the sweep
+ * reaches them
+ */
+PLANAR void forward(int L, int n, const factors *f, int from, const double *restrict br,
+                    const double *restrict bi, double *restrict re, double *restrict im)
 {
+    if (from)
+        LANES {
+            re[j] = br[j];
+            im[j] = bi[j];
+        }
     for (int i = 0; i < n - 1; i++) {
         double lr = f->dl[2 * i], li = f->dl[2 * i + 1];
         double *xr = re + i * L, *xi = im + i * L, *yr = xr + L, *yi = xi + L;
+        const double *sr = from ? br + (i + 1) * L : yr, *si = from ? bi + (i + 1) * L : yi;
         if (f->ipiv[i] == i + 1)
             LANES {
-                yr[j] = yr[j] - (lr * xr[j] - li * xi[j]);
-                yi[j] = yi[j] - (lr * xi[j] + li * xr[j]);
+                yr[j] = sr[j] - (lr * xr[j] - li * xi[j]);
+                yi[j] = si[j] - (lr * xi[j] + li * xr[j]);
             }
         else
             LANES {
                 double r = xr[j], s = xi[j];
-                xr[j] = yr[j];
-                xi[j] = yi[j];
+                xr[j] = sr[j];
+                xi[j] = si[j];
                 yr[j] = r - (lr * xr[j] - li * xi[j]);
                 yi[j] = s - (lr * xi[j] + li * xr[j]);
             }
     }
+}
+
+/* zgtts2's back sweep on every lane: x = U^-1 x */
+PLANAR void backward(int L, int n, const factors *f, double *restrict re, double *restrict im)
+{
     divisor s = smith(f->d + 2 * (n - 1));
     divide(L, re + (n - 1) * L, im + (n - 1) * L, &s);
     if (n > 1) {
@@ -210,12 +247,14 @@ PLANAR void explicit_planes(int L, int n, const double *low, const double *main,
 
 CLONES static void solve_wide(int n, const factors *f, double *restrict re, double *restrict im)
 {
-    solve_planes(GROUP, n, f, re, im);
+    forward(GROUP, n, f, 0, NULL, NULL, re, im);
+    backward(GROUP, n, f, re, im);
 }
 
 CLONES static void solve_narrow(int n, const factors *f, double *restrict re, double *restrict im)
 {
-    solve_planes(NARROW, n, f, re, im);
+    forward(NARROW, n, f, 0, NULL, NULL, re, im);
+    backward(NARROW, n, f, re, im);
 }
 
 CLONES static void explicit_wide(int n, const double *low, const double *main, const double *up,
@@ -230,39 +269,55 @@ CLONES static void explicit_narrow(int n, const double *low, const double *main,
     explicit_planes(NARROW, n, low, main, up, re, im);
 }
 
-/* m lines of a view into L lanes of the planes: b, or 2 b - w where w is given */
-static void load(int n, int m, int L, ptrdiff_t step, ptrdiff_t ld, const double *b,
-                 const double *w, double *re, double *im)
+/* a whole tile row of n cells: solved from the tile into the planes, then 2 u - w or u back */
+CLONES static void solve_tile(int n, const factors *f, int explicit, double *restrict tr,
+                              double *restrict ti, double *restrict re, double *restrict im)
 {
-    for (int i = 0; i < n; i++) {
-        ptrdiff_t at = 2 * i * step;
-        double *xr = re + i * L, *xi = im + i * L;
-        for (int j = 0; j < m; j++, at += 2 * ld) {
-            if (w) {
-                xr[j] = 2.0 * b[at] - w[at];
-                xi[j] = 2.0 * b[at + 1] - w[at + 1];
-            } else {
-                xr[j] = b[at];
-                xi[j] = b[at + 1];
+    const int L = GROUP;
+    forward(L, n, f, 1, tr, ti, re, im);
+    backward(L, n, f, re, im);
+    for (int i = 0; i < n; i++, tr += L, ti += L, re += L, im += L)
+        if (explicit)
+            LANES {
+                tr[j] = 2.0 * re[j] - tr[j];
+                ti[j] = 2.0 * im[j] - ti[j];
             }
-        }
-        for (int j = m; j < L; j++)
-            xr[j] = xi[j] = 0.0;
-    }
+        else
+            LANES {
+                tr[j] = re[j];
+                ti[j] = im[j];
+            }
 }
 
-/* the first m lanes of the planes into m lines of a view */
-static void store(int n, int m, int L, ptrdiff_t step, ptrdiff_t ld, const double *re,
-                  const double *im, double *x)
+/* b = a^T for row-major GROUP x GROUP blocks, by 4 x 4 blocks of quads */
+PLANAR void transpose(const double *restrict a, double *restrict b)
 {
-    for (int i = 0; i < n; i++) {
-        ptrdiff_t at = 2 * i * step;
-        const double *xr = re + i * L, *xi = im + i * L;
-        for (int j = 0; j < m; j++, at += 2 * ld) {
-            x[at] = xr[j];
-            x[at + 1] = xi[j];
+    for (int r = 0; r < GROUP; r += 4)
+        for (int c = 0; c < GROUP; c += 4) {
+            const double *from = a + r * GROUP + c;
+            double *to = b + c * GROUP + r;
+            quad q0, q1, q2, q3;
+            __builtin_memcpy(&q0, from, sizeof(quad));
+            __builtin_memcpy(&q1, from + GROUP, sizeof(quad));
+            __builtin_memcpy(&q2, from + 2 * GROUP, sizeof(quad));
+            __builtin_memcpy(&q3, from + 3 * GROUP, sizeof(quad));
+            quad t0 = PICK(q0, q1, 0, 4, 2, 6), t1 = PICK(q0, q1, 1, 5, 3, 7);
+            quad t2 = PICK(q2, q3, 0, 4, 2, 6), t3 = PICK(q2, q3, 1, 5, 3, 7);
+            q0 = PICK(t0, t2, 0, 1, 4, 5);
+            q1 = PICK(t1, t3, 0, 1, 4, 5);
+            q2 = PICK(t0, t2, 2, 3, 6, 7);
+            q3 = PICK(t1, t3, 2, 3, 6, 7);
+            __builtin_memcpy(to, &q0, sizeof(quad));
+            __builtin_memcpy(to + GROUP, &q1, sizeof(quad));
+            __builtin_memcpy(to + 2 * GROUP, &q2, sizeof(quad));
+            __builtin_memcpy(to + 3 * GROUP, &q3, sizeof(quad));
         }
-    }
+}
+
+/* the doubles in one plane of an (ny, nx) field */
+static ptrdiff_t plane(int ny, int nx)
+{
+    return (ptrdiff_t)((ny + GROUP - 1) / GROUP) * GROUP * nx;
 }
 
 /* the lanes a group of m lines runs on */
@@ -271,23 +326,102 @@ static int lanes(int m)
     return m > NARROW ? GROUP : NARROW;
 }
 
+size_t tridiag_field(int ny, int nx)
+{
+    return 2 * (size_t)plane(ny, nx);
+}
+
 size_t tridiag_scratch(int n, int nrhs)
 {
     return 2 * (size_t)n * lanes(nrhs < GROUP ? nrhs : GROUP);
 }
 
-void tridiag_solve_lines(int n, int nrhs, ptrdiff_t step, ptrdiff_t ld, const double *dl,
-                         const double *d, const double *du, const double *du2,
-                         const int *ipiv, const double *b, double *x, double *scratch)
+/* tile row by tile row: cell (x, y0 + k) of the grid is cell x * GROUP + k of the row */
+void tridiag_to_field(int ny, int nx, const double *psi, double *field)
+{
+    for (int y0 = 0; y0 < ny; y0 += GROUP) {
+        int cells = ny - y0 < GROUP ? ny - y0 : GROUP;
+        const double *rows = psi + 2 * (ptrdiff_t)y0 * nx;
+        double *re = field + (ptrdiff_t)y0 * nx, *im = re + plane(ny, nx);
+        for (int x = 0; x < nx; x++, re += GROUP, im += GROUP)
+            for (int k = 0; k < cells; k++) {
+                re[k] = rows[2 * ((ptrdiff_t)k * nx + x)];
+                im[k] = rows[2 * ((ptrdiff_t)k * nx + x) + 1];
+            }
+    }
+}
+
+void tridiag_from_field(int ny, int nx, const double *field, double *psi)
+{
+    for (int y0 = 0; y0 < ny; y0 += GROUP) {
+        int cells = ny - y0 < GROUP ? ny - y0 : GROUP;
+        double *rows = psi + 2 * (ptrdiff_t)y0 * nx;
+        const double *re = field + (ptrdiff_t)y0 * nx, *im = re + plane(ny, nx);
+        for (int x = 0; x < nx; x++, re += GROUP, im += GROUP)
+            for (int k = 0; k < cells; k++) {
+                rows[2 * ((ptrdiff_t)k * nx + x)] = re[k];
+                rows[2 * ((ptrdiff_t)k * nx + x) + 1] = im[k];
+            }
+    }
+}
+
+void tridiag_x_phase(int ny, int nx, int lo, int hi, const double *dl, const double *d,
+                     const double *du, const double *du2, const int *ipiv, int explicit,
+                     double *field, double *scratch)
 {
     factors f = {dl, d, du, du2, ipiv};
-    for (int j = 0; j < nrhs; j += GROUP) {
-        int m = nrhs - j < GROUP ? nrhs - j : GROUP, L = lanes(m);
-        ptrdiff_t first = 2 * (ptrdiff_t)j * ld;
+    int n = nx;
+    for (int y = lo; y < hi;) {
+        int tile = y / GROUP, a = y % GROUP;
+        int b = hi - tile * GROUP < GROUP ? hi - tile * GROUP : GROUP, m = b - a, L = lanes(m);
+        double *tr = field + (ptrdiff_t)tile * nx * GROUP, *ti = tr + plane(ny, nx);
         double *re = scratch, *im = scratch + (ptrdiff_t)n * L;
-        load(n, m, L, step, ld, b + first, NULL, re, im);
+        y += m;
+        if (m == GROUP) {
+            solve_tile(n, &f, explicit, tr, ti, re, im);
+            continue;
+        }
+        /* lanes a..b of the tile row through the first m lanes of the planes */
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < L; j++) {
+                re[i * L + j] = j < m ? tr[i * GROUP + a + j] : 0.0;
+                im[i * L + j] = j < m ? ti[i * GROUP + a + j] : 0.0;
+            }
         (L == GROUP ? solve_wide : solve_narrow)(n, &f, re, im);
-        store(n, m, L, step, ld, re, im, x + first);
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < m; j++) {
+                double *xr = tr + i * GROUP + a + j, *xi = ti + i * GROUP + a + j;
+                *xr = explicit ? 2.0 * re[i * L + j] - *xr : re[i * L + j];
+                *xi = explicit ? 2.0 * im[i * L + j] - *xi : im[i * L + j];
+            }
+    }
+}
+
+/*
+ * y lines x..x+m of a field into L lanes of the planes (out = 0), or back
+ * (out = 1); lanes past m are zeroed on the way in
+ */
+CLONES static void move_lines(int ny, int nx, int x, int m, int L, double *field, double *planes,
+                              int out)
+{
+    ptrdiff_t size = plane(ny, nx);
+    for (int part = 0; part < 2; part++) {
+        double *p = planes + part * (ptrdiff_t)ny * L;
+        for (int t = 0; t * GROUP < ny; t++) {
+            double *tile = field + part * size + ((ptrdiff_t)t * nx + x) * GROUP;
+            double *rows = p + (ptrdiff_t)t * GROUP * L;
+            int cells = ny - t * GROUP < GROUP ? ny - t * GROUP : GROUP;
+            if (m == GROUP && cells == GROUP) {
+                out ? transpose(rows, tile) : transpose(tile, rows);
+                continue;
+            }
+            for (int k = 0; k < cells; k++)
+                for (int j = 0; j < (out ? m : L); j++)
+                    if (out)
+                        tile[j * GROUP + k] = rows[k * L + j];
+                    else
+                        rows[k * L + j] = j < m ? tile[j * GROUP + k] : 0.0;
+        }
     }
 }
 
@@ -296,20 +430,21 @@ void tridiag_solve_lines(int n, int nrhs, ptrdiff_t step, ptrdiff_t ld, const do
  * keep and loss are theirs, and loss may be NULL.  Each group runs from
  * load to store while its planes sit in L2.
  */
-void tridiag_phase(int n, int nrhs, ptrdiff_t step, ptrdiff_t ld, const double *dl,
-                   const double *d, const double *du, const double *du2, const int *ipiv,
-                   const double *low, const double *main, const double *up,
-                   ptrdiff_t n_damped, const ptrdiff_t *at, const double *damp,
-                   const double *keep, double *loss, int solve, int explicit,
-                   double *z, double *w, double *scratch)
+void tridiag_y_phase(int ny, int nx, int lo, int hi, const double *dl, const double *d,
+                     const double *du, const double *du2, const int *ipiv, const double *low,
+                     const double *main, const double *up, ptrdiff_t n_damped,
+                     const ptrdiff_t *at, const double *damp, const double *keep, double *loss,
+                     int solve, int explicit, double *field, double *scratch)
 {
     factors f = {dl, d, du, du2, ipiv};
+    int n = ny;
     ptrdiff_t k = 0, line = 0;
-    for (int j = 0; j < nrhs; j += GROUP) {
-        int m = nrhs - j < GROUP ? nrhs - j : GROUP, L = lanes(m);
-        ptrdiff_t first = 2 * (ptrdiff_t)j * ld;
+    if (!solve && !explicit)
+        return;
+    for (int j = 0; j < hi - lo; j += GROUP) {
+        int m = hi - lo - j < GROUP ? hi - lo - j : GROUP, L = lanes(m);
         double *re = scratch, *im = scratch + (ptrdiff_t)n * L;
-        load(n, m, L, step, ld, z + first, solve ? w + first : NULL, re, im);
+        move_lines(ny, nx, lo + j, m, L, field, scratch, 0);
         if (solve) {
             (L == GROUP ? solve_wide : solve_narrow)(n, &f, re, im);
             for (; k < n_damped && at[k] < (ptrdiff_t)(j + m) * n; k++) {
@@ -322,11 +457,9 @@ void tridiag_phase(int n, int nrhs, ptrdiff_t step, ptrdiff_t ld, const double *
                 re[c] = x * damp[k];
                 im[c] = y * damp[k];
             }
-            store(n, m, L, step, ld, re, im, z + first);
         }
-        if (explicit) {
+        if (explicit)
             (L == GROUP ? explicit_wide : explicit_narrow)(n, low, main, up, re, im);
-            store(n, m, L, step, ld, re, im, w + first);
-        }
+        move_lines(ny, nx, lo + j, m, L, field, scratch, 1);
     }
 }

@@ -1,18 +1,21 @@
 """The grid's line arithmetic on many lines at once: a C kernel, or ``zgttrs`` and numpy.
 
-``LineSolve`` factors one line's matrix with LAPACK's ``zgttrf`` and
-solves with the factors on every line of a view.  ``LinePhase`` is the
-rest of a y phase around such a solve: ``2u - w``, the edge damping and
-its losses, and the next step's explicit half.  Each has two backends
-that give the same bits under one view contract: the C kernel in
-``_tridiag.c``, which copies each group of 16 lines into planar scratch
-and works on all of them at once in vector lanes, and LAPACK's
-``zgttrs`` with numpy on real and imaginary parts, which runs only when
-the kernel cannot be built or loaded.  ``bind`` allocates the kernel's
-scratch, sized by the library's ``tridiag_scratch``, once per bound call,
-so a step allocates nothing.  This is the only module that
-imports SciPy, when the first ``LineSolve`` factors, and the only one
-that knows which backend runs.
+A ``Propagator.run`` call keeps its state in one ``Field``.  ``LineSolve``
+factors one line's matrix with LAPACK's ``zgttrf`` and binds to a range of
+the field's x lines: the x phase, a solve ``u`` of every line and the
+explicit x half ``2u - w`` written back in place.  ``LinePhase`` binds to a
+range of its y lines: the solve, the edge damping and its losses, and the
+next step's explicit half, all in place.  Each has two backends that give
+the same bits under one field contract, and the backend decides the
+field's form: the C kernel in ``_tridiag.c``, on two real planes in tiles
+of 16 x lines that it lays out, converts and works 16 lines at a time in
+vector lanes; LAPACK's ``zgttrs`` with numpy, on a complex ``(nx, ny)``
+array, runs only when the kernel cannot be built or loaded.  ``bind``
+checks the field and the range and allocates the kernel's scratch, sized
+by the library's ``tridiag_scratch``, once per bound call, so a step
+allocates nothing.  This is the only module that imports SciPy, when the
+first ``LineSolve`` factors, and the only one that knows which backend
+runs.
 
 The kernel is compiled by ``kernel()``, on the first call in a process,
 with the C compiler Python was built with (``sysconfig``'s ``CC``).  The
@@ -41,7 +44,6 @@ from .errors import StabilityViolation
 SOURCE = Path(__file__).with_name("_tridiag.c")
 # no fused multiply-add, no reassociation: the kernel rounds as its header states
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-ITEM = np.dtype(complex).itemsize
 # lines per pass of the fallback's explicit half: a group and its
 # temporaries stay in cache, which halved its time on a production run
 FALLBACK_GROUP = 32
@@ -121,16 +123,20 @@ def _load() -> ctypes.CDLL | None:
         warnings.warn(f"povmlab: no C tridiagonal kernel ({error}); the grid steps with zgttrs")
         return None
     pointers = [ctypes.c_void_p] * 5  # a LineSolve's factors
-    view = [ctypes.c_int, ctypes.c_int, ctypes.c_ssize_t, ctypes.c_ssize_t]
-    lib.tridiag_solve_lines.argtypes = view + pointers + [ctypes.c_void_p] * 3
-    lib.tridiag_phase.argtypes = (
-        view + pointers + [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] + [ctypes.c_void_p] * 4
-        + [ctypes.c_int] * 2 + [ctypes.c_void_p] * 3
+    lines = [ctypes.c_int] * 4  # ny, nx and a range of lines
+    lib.tridiag_x_phase.argtypes = lines + pointers + [ctypes.c_int] + [ctypes.c_void_p] * 2
+    lib.tridiag_y_phase.argtypes = (
+        lines + pointers + [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] + [ctypes.c_void_p] * 4
+        + [ctypes.c_int] * 2 + [ctypes.c_void_p] * 2
     )
-    for entry in (lib.tridiag_solve_lines, lib.tridiag_phase):
+    for entry in (lib.tridiag_to_field, lib.tridiag_from_field):
+        entry.argtypes = [ctypes.c_int] * 2 + [ctypes.c_void_p] * 2
+    for entry in (lib.tridiag_x_phase, lib.tridiag_y_phase, lib.tridiag_to_field,
+                  lib.tridiag_from_field):
         entry.restype = None
-    lib.tridiag_scratch.argtypes = [ctypes.c_int] * 2
-    lib.tridiag_scratch.restype = ctypes.c_size_t
+    for entry in (lib.tridiag_field, lib.tridiag_scratch):
+        entry.argtypes = [ctypes.c_int] * 2
+        entry.restype = ctypes.c_size_t
     return lib
 
 
@@ -153,18 +159,17 @@ def _factor_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) 
     return dl, d, du, du2, ipiv
 
 
-def _view(lines: np.ndarray, n: int) -> tuple[int, int]:
-    """``(step, ld)`` of a view that keeps the line contract, counting complex numbers."""
-    rows, m = lines.shape
-    along, across = lines.strides
-    if rows != n or lines.dtype != complex or not lines.flags.writeable:
-        raise ValueError("lines do not fit the factors")
-    step, ld = along // ITEM, across // ITEM
-    if along % ITEM or across % ITEM or not (
-        ld == 1 and step >= m or step == 1 and ld >= n
+def _range(field: Field, lib: ctypes.CDLL | None, lines: slice, count: int) -> tuple[int, int]:
+    """``(start, stop)`` of ``lines``, a unit-step range of ``count`` lines of a field of ``lib``."""
+    if not isinstance(field, Field) or field._lib is not lib:
+        raise ValueError("the field is not in the form this backend steps")
+    start, stop = lines.start, lines.stop
+    if not (
+        lines.step in (None, 1) and isinstance(start, (int, np.integer))
+        and isinstance(stop, (int, np.integer)) and 0 <= start <= stop <= count
     ):
-        raise ValueError("lines need unit stride along or across them, without overlap")
-    return step, ld
+        raise ValueError("lines must be a unit-step range inside the field")
+    return int(start), int(stop)
 
 
 def _scratch(lib: ctypes.CDLL, n: int, lines: int) -> np.ndarray:
@@ -172,31 +177,19 @@ def _scratch(lib: ctypes.CDLL, n: int, lines: int) -> np.ndarray:
     return np.empty(lib.tridiag_scratch(n, lines))
 
 
-def _beside(other: np.ndarray, lines: np.ndarray) -> None:
-    """Checks that ``other`` is laid out like ``lines`` and shares no memory with it."""
-    if other.dtype != complex or other.shape != lines.shape or other.strides != lines.strides:
-        raise ValueError("a second view must have the lines' shape and strides")
-    if np.may_share_memory(other, lines):
-        raise ValueError("a second view must not overlap the lines")
-
-
 class LineSolve:
-    """Solves with one line's tridiagonal matrix on every line of a view.
+    """Solves with one line's tridiagonal matrix on a range of a field's x lines.
 
     The matrix has ``main`` on its diagonal, ``lower[i]`` at (i+1, i) and
-    ``upper[i]`` at (i, i+1); its ``zgttrf`` factors are ``lu``.  ``lines``
-    is a writeable complex view of shape ``(n, n_lines)``, one line per
-    column, with unit stride across the lines (adjacent lines) or along
-    them (contiguous lines), and no two lines overlapping.  The solve
-    writes ``lines``: it solves them in place, or solves ``rhs``, a view of
-    the same shape and strides that does not overlap them.  The C kernel
-    reads and writes the views themselves; ``zgttrs``, where there is no
-    kernel, solves a column-major copy, or ``lines`` itself when it is
-    column-major and solved in place.
-
-    ``bind`` checks the views once and returns the solve as a call without
-    arguments, to repeat on whatever the views hold; calling the instance
-    binds and solves once.
+    ``upper[i]`` at (i, i+1); its ``zgttrf`` factors are ``lu``.  It fits a
+    ``Field`` whose x lines have as many cells.  ``bind(field, lines)``
+    checks the field and the range once and returns the x phase on those
+    lines as a call of ``explicit``, to repeat on whatever the field holds:
+    it solves ``u = A^-1 w`` on every line, ``w`` the line's values, and
+    sets the line to ``2u - w`` (per part ``2.0 * u - w``, the explicit x
+    half of a step) with ``explicit``, to ``u`` without.  It writes no
+    other line.  The C kernel works on the field's tiles; ``zgttrs``, where
+    there is no kernel, solves a column-major copy of the lines.
     """
 
     def __init__(self, lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
@@ -205,57 +198,101 @@ class LineSolve:
         self._at = tuple(array.ctypes.data for array in self.lu)
         self._n = main.size
 
-    def __call__(self, lines: np.ndarray, rhs: np.ndarray | None = None) -> None:
-        self.bind(lines, rhs)()
-
-    def bind(self, lines: np.ndarray, rhs: np.ndarray | None = None):
-        """The solve into ``lines`` (from ``rhs``), its views checked, as a call without arguments."""
-        step, ld = _view(lines, self._n)
-        if rhs is None:
-            rhs = lines
-        else:
-            _beside(rhs, lines)
+    def bind(self, field: Field, lines: slice):
+        """The x phase on ``lines`` of ``field``, checked, as a call of ``explicit``."""
+        ny, nx = field.shape
+        start, stop = _range(field, self._lib, lines, ny)
+        if nx != self._n:
+            raise ValueError("the field's x lines do not fit the factors")
         if self._lib is None:
-            return functools.partial(self._zgttrs, lines, rhs)
-        entry = self._lib.tridiag_solve_lines
-        scratch = _scratch(self._lib, self._n, lines.shape[1])
-        args = (
-            self._n, lines.shape[1], step, ld, *self._at,
-            rhs.ctypes.data, lines.ctypes.data, scratch.ctypes.data,
-        )
+            return functools.partial(self._zgttrs, field.data[:, start:stop])
+        entry = self._lib.tridiag_x_phase
+        scratch = _scratch(self._lib, self._n, stop - start)
+        head = (ny, nx, start, stop, *self._at)
+        tail = (field.data.ctypes.data, scratch.ctypes.data)
 
-        def solve(views=(lines, rhs, scratch)):  # the views outlive the call
-            entry(*args)
+        def phase(explicit: bool, held=(field, scratch)):  # they outlive the call
+            entry(*head, explicit, *tail)
 
-        return solve
+        return phase
 
-    def _zgttrs(self, lines: np.ndarray, rhs: np.ndarray) -> None:
+    def _zgttrs(self, lines: np.ndarray, explicit: bool = False) -> None:
+        """``lines``, a complex ``(n, m)`` view, set to their solve ``u``, or to ``2u - w``."""
         from scipy.linalg import lapack  # loaded by zgttrf
 
-        b = np.asfortranarray(lines) if rhs is lines else np.array(rhs, order="F")
+        b = np.array(lines, order="F") if explicit else np.asfortranarray(lines)
         lapack.zgttrs(*self.lu, b, overwrite_b=1)
+        if explicit:
+            for part, source in ((b.real, lines.real), (b.imag, lines.imag)):
+                part *= 2.0
+                part -= source
         if b is not lines:
             lines[...] = b
 
 
+class Field:
+    """The one work field of a stepper's ``run`` on an ``(ny, nx)`` grid.
+
+    Its x lines are the grid's rows, ``ny`` lines of ``nx`` cells, and its
+    y lines the columns, ``nx`` lines of ``ny`` cells.  The backend of
+    ``solve`` decides its form.  On the C kernel it is two real planes in
+    the tiles of 16 x lines that ``_tridiag.c`` lays out, sized and filled
+    by the library; on ``zgttrs`` it is a complex ``(nx, ny)`` array,
+    C-ordered, so y lines are contiguous and x lines adjacent.  ``write``
+    sets the field from a C-ordered complex ``(ny, nx)`` array and ``read``
+    writes it back into one; ``LineSolve`` and ``LinePhase`` of the same
+    backend bind to ranges of its lines.
+    """
+
+    def __init__(self, solve: LineSolve, ny: int, nx: int):
+        self._lib, self.shape = solve._lib, (ny, nx)
+        if self._lib is None:
+            self.data = np.empty((nx, ny), dtype=complex)
+        else:
+            self.data = np.empty(self._lib.tridiag_field(ny, nx))
+
+    def _check(self, grid: np.ndarray) -> None:
+        if not (grid.dtype == complex and grid.shape == self.shape and grid.flags.c_contiguous):
+            raise ValueError("a grid array must be C-ordered complex of the field's shape")
+
+    def write(self, psi: np.ndarray) -> None:
+        """Sets the field to ``psi``."""
+        self._check(psi)
+        if self._lib is None:
+            self.data[...] = psi.T
+        else:
+            self._lib.tridiag_to_field(*self.shape, psi.ctypes.data, self.data.ctypes.data)
+
+    def read(self, out: np.ndarray) -> None:
+        """Writes the field into ``out``."""
+        self._check(out)
+        if not out.flags.writeable:
+            raise ValueError("the grid array must be writeable")
+        if self._lib is None:
+            out[...] = self.data.T
+        else:
+            self._lib.tridiag_from_field(*self.shape, self.data.ctypes.data, out.ctypes.data)
+
+
 class LinePhase:
-    """A Crank-Nicolson phase on one run of lines: solve, damp, then the explicit half.
+    """The y phase of a Crank-Nicolson step on one run of a field's y lines.
 
-    With ``solve``, the phase sets ``z = A^-1 (2 z - w)`` on every line,
-    ``A`` the matrix of ``solve``, then multiplies each damped cell by its
-    ``damp`` and writes its loss, ``(re*re + im*im) * keep`` of the cell
-    before damping, into ``loss[losses]``.  With ``explicit``, it then sets
-    ``w = E z``, ``E`` the tridiagonal ``(lower, main, upper)`` of
-    ``explicit``, laid out like ``LineSolve``'s and without terms across
-    line ends.  ``z`` and ``w`` are views of ``lines`` lines under
-    ``LineSolve``'s contract, laid out alike and not overlapping.  ``at``
-    lists the damped cells, ascending, as ``j * n + i`` for line j's cell
-    i, and ``loss`` is None or the ``n_losses`` entries that ``losses``
-    slices.  Construction checks the damped cells and the slice, and
-    ``bind`` the views, so the kernel writes only inside them.
+    With ``solve``, the phase sets ``z = A^-1 z`` on every line, ``A`` the
+    matrix of ``solve`` and ``z`` the line's values (the explicit x half,
+    in a step), then multiplies each damped cell by its ``damp`` and
+    writes its loss, ``(re*re + im*im) * keep`` of the cell before
+    damping, into ``loss[losses]``.  With ``explicit``, it then sets ``z =
+    E z``, ``E`` the tridiagonal ``(lower, main, upper)`` of ``explicit``,
+    laid out like ``LineSolve``'s and without terms across line ends.
+    ``at`` lists the damped cells, ascending, as ``j * n + i`` for the
+    run's line j's cell i, and ``loss`` is None or the ``n_losses`` entries
+    that ``losses`` slices.  Construction checks the damped cells and the
+    slice, and ``bind`` the field, the range and ``loss``, so the kernel
+    writes only inside them.
 
-    ``bind(z, w, loss)`` returns the phase as a call of ``(solve,
-    explicit)``, to repeat on whatever the views hold.  The C kernel does
+    ``bind(field, lines, loss)`` returns the phase on ``lines`` of
+    ``field``, a range of ``lines`` y lines, as a call of ``(solve,
+    explicit)``, to repeat on whatever the field holds.  The C kernel does
     it all in one call, line group by line group.  Where there is no
     kernel, numpy does the same arithmetic on real and imaginary parts
     around ``zgttrs``, so both give the same bits.
@@ -285,43 +322,41 @@ class LinePhase:
         self._damping = (at, damp, keep)
         self._at = tuple(d.ctypes.data for d in (*self._explicit, *self._damping))
 
-    def bind(self, z: np.ndarray, w: np.ndarray, loss: np.ndarray | None):
-        """The phase on these views, checked, as a call of ``(solve, explicit)``."""
-        n = self._solve._n
-        step, ld = _view(z, n)
-        _beside(w, z)
-        if z.shape[1] != self._lines or not w.flags.writeable:
-            raise ValueError("z and w must be the run's writeable lines")
+    def bind(self, field: Field, lines: slice, loss: np.ndarray | None):
+        """The phase on ``lines`` of ``field``, checked, as a call of ``(solve, explicit)``."""
+        n, lib = self._solve._n, self._solve._lib
+        ny, nx = field.shape
+        start, stop = _range(field, lib, lines, nx)
+        if ny != n:
+            raise ValueError("the field's y lines do not fit the factors")
+        if stop - start != self._lines:
+            raise ValueError("the range must hold the run's lines")
         if loss is not None and not (
             loss.dtype == float and loss.shape == (self._n_losses,)
             and loss.flags.c_contiguous and loss.flags.writeable
         ):
             raise ValueError("loss must be a writeable float vector of every run's losses")
-        lib = self._solve._lib
         if lib is None:
-            return functools.partial(self._numpy, z, w, loss)
-        entry = lib.tridiag_phase
+            return functools.partial(self._numpy, field.data.T[:, start:stop], loss)
+        entry = lib.tridiag_y_phase
         head = (
-            n, self._lines, step, ld, *self._solve._at, *self._at[:3],
+            ny, nx, start, stop, *self._solve._at, *self._at[:3],
             self._damping[0].size, *self._at[3:],
             None if loss is None else loss.ctypes.data + self._losses.start * loss.itemsize,
         )
         scratch = _scratch(lib, n, self._lines)
-        tail = (z.ctypes.data, w.ctypes.data, scratch.ctypes.data)
+        tail = (field.data.ctypes.data, scratch.ctypes.data)
 
-        def phase(solve: bool, explicit: bool, views=(z, w, loss, scratch)):  # they outlive the call
+        def phase(solve: bool, explicit: bool, held=(field, loss, scratch)):  # they outlive the call
             entry(*head, solve, explicit, *tail)
 
         return phase
 
-    def _numpy(self, z, w, loss, solve: bool, explicit: bool) -> None:
+    def _numpy(self, z, loss, solve: bool, explicit: bool) -> None:
         """The kernel's arithmetic in numpy, on real and imaginary parts, around ``zgttrs``."""
         n = self._solve._n
         if solve:
-            for part, source in ((z.real, w.real), (z.imag, w.imag)):
-                part *= 2.0
-                part -= source
-            self._solve(z)
+            self._solve._zgttrs(z)
             at, damp, keep = self._damping
             if at.size:
                 cells = (at % n, at // n)
@@ -338,13 +373,13 @@ class LinePhase:
             (d.real[:, None], d.imag[:, None]) for d in self._explicit
         )
         for first in range(0, self._lines, FALLBACK_GROUP):
-            group = slice(first, first + FALLBACK_GROUP)
-            zr, zi = z[:, group].real, z[:, group].imag
+            # the group's explicit half is whole before it overwrites the group
+            out = z[:, first : first + FALLBACK_GROUP]
+            zr, zi = out.real, out.imag
             wr = mr * zr - mi * zi
             wi = mr * zi + mi * zr
             wr[:-1] += ur * zr[1:] - ui * zi[1:]
             wi[:-1] += ur * zi[1:] + ui * zr[1:]
             wr[1:] += lr * zr[:-1] - li * zi[:-1]
             wi[1:] += lr * zi[:-1] + li * zr[:-1]
-            out = w[:, group]
             out.real, out.imag = wr, wi

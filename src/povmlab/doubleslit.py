@@ -547,16 +547,18 @@ class Propagator:
     per sweep.  Each pattern is factored once at construction, by its
     ``_tridiag.LineSolve``; reuse the instance for chunked runs.  A run is a
     stretch of consecutive lines of one pattern.  Each phase of a step is
-    one call per run: the x phase a ``LineSolve`` that solves ``w`` into
-    the state, the y phase a ``_tridiag.LinePhase`` that forms ``2u - w``,
-    solves, damps and forms the next explicit y half from the pattern's
-    three diagonals.  Both run through the C kernel, or through ``zgttrs``
-    and numpy with the same bits.
+    one call per run: the x phase a ``LineSolve`` that solves ``w`` and
+    leaves ``2u - w`` in its place, the y phase a ``_tridiag.LinePhase``
+    that solves, damps and forms the next explicit y half from the
+    pattern's three diagonals.  Both run through the C kernel, or through
+    ``zgttrs`` and numpy with the same bits.
 
-    The state stays in one layout, ``(nx, ny)`` C-ordered, for a whole
-    ``run`` call: its y lines are contiguous and its x lines adjacent, the
-    kernel works on both where they lie, and the only transposes are the
-    entry copy and the result.
+    The state lives in one ``_tridiag.Field`` for a whole ``run`` call,
+    in the form its backend steps: on the kernel, real and imaginary
+    planes in tiles of 16 x lines, so that a tile row of an x run is one
+    contiguous block and a y run's lines come in by 16x16 transposes of
+    contiguous tiles.  The only conversions are the entry copy into the
+    field and the field into the result.
 
     This is the arithmetic of one solve of the whole flattened system.
     Its factorization meets zero couplings at every line end, so it never
@@ -652,25 +654,25 @@ class Propagator:
         no-op for packets already produced by a run.
 
         Each step has two phases over the two line blocks, with a join after
-        each, both in the y layout the state keeps for the whole call: the x
-        solve of ``w`` into the state array, then ``2u - w``, the y solve,
-        the edge damping and the next step's explicit y half.  Each run of a
-        block is bound once per call to its lines of the work fields, and a
-        phase is then one kernel call per run, which releases the GIL.
+        each, both on the one work field: the x solve ``u`` of ``w`` and
+        ``2u - w`` in its place, then the y solve, the edge damping and the
+        next step's explicit y half, or the state after the last step.  Each
+        run of a block is bound once per call to its lines of the field, and
+        a phase is then one kernel call per run, which releases the GIL.
         Given ``pool``, an executor with a worker to spare, block 1 of each
         phase runs on it while the calling thread runs block 0; without one
         both run here in turn.  Either way the result is the same to the
         bit.
 
-        Both work fields are flat vectors of the y layout, ``(nx, ny)``
-        C-ordered.  ``z`` starts as ``psi`` transposed into that layout; it
-        holds the state between steps and the x solve ``u`` within one.
-        ``w`` holds the explicit y half.  A call allocates the entry copy,
-        which becomes the result, then ``z``, ``w`` and the damped cells'
-        losses; the entry and the result are the only transposed copies.
-        On the kernel a step allocates nothing and makes no numpy pass over
-        a field.  Runs write disjoint lines of ``z`` and ``w`` and disjoint
-        slices of the losses.
+        The field starts as ``psi`` and holds the explicit y half ``w``
+        between the phases of a step, ``2u - w`` between its x and y phase,
+        and the state after the last step.  A call allocates the entry copy,
+        which becomes the result, then the field, each bound run's scratch
+        and the damped cells' losses: about two fields in all, and the
+        field goes before the closing norm's temporaries are made.  On the
+        kernel a step allocates nothing and makes no numpy pass over a
+        field.  Runs write disjoint lines of the field and disjoint slices
+        of the losses.
         """
         if steps < 0:
             raise ValidationError("steps must be nonnegative")
@@ -693,31 +695,30 @@ class Propagator:
         track_by_norm = self.potential.septum is not None
         if track_by_norm:
             n0 = float(np.sum(np.abs(psi) ** 2))
-        z = np.empty(psi.size, dtype=complex)
-        z.reshape(nx, ny)[...] = psi.T
-        w = np.empty_like(z)
+        # the step's one work field, in the form the kernel or zgttrs steps
+        field = _tridiag.Field(self._x_blocks[0].runs[0].solve, ny, nx)
+        field.write(psi)
         loss = None if track_by_norm or not self._n_damped else np.empty(self._n_damped)
-        # every run's call on its lines of z and w, bound once
-        state, half = z.reshape(nx, ny), w.reshape(nx, ny)
+        # every run's call on its lines of the field, bound once
         x_phase = [
-            [run.solve.bind(state[:, run.lines], half[:, run.lines]) for run in block.runs]
-            for block in self._x_blocks
+            [run.solve.bind(field, run.lines) for run in block.runs] for block in self._x_blocks
         ]
         y_phase = [
-            [run.phase.bind(state.T[:, run.lines], half.T[:, run.lines], loss) for run in block.runs]
-            for block in self._y_blocks
+            [run.phase.bind(field, run.lines, loss) for run in block.runs] for block in self._y_blocks
         ]
         if steps:
             _on_both(pool, _each, y_phase, False, True)
         for step in range(steps):
-            _on_both(pool, _each, x_phase)
+            _on_both(pool, _each, x_phase, True)
             _on_both(pool, _each, y_phase, True, step + 1 < steps)
             if loss is not None:
                 # one sum over both blocks' losses keeps the summation order
                 absorbed += float(np.sum(loss)) * area
-        # the result reuses the entry copy: an array made after the work
-        # arrays and kept would stop the heap shrinking when they are freed
-        psi[...] = z.reshape(nx, ny).T
+        # the result reuses the entry copy: an array made after the field and
+        # kept would stop the heap shrinking when it is freed
+        field.read(psi)
+        # the field, held by the bound calls too, goes before the norm's temporaries
+        del field, x_phase, y_phase
         if track_by_norm:
             absorbed += (n0 - float(np.sum(np.abs(psi) ** 2))) * area
         return WavePacket2D(self.grid, psi, absorbed)

@@ -530,10 +530,11 @@ def _step_fields(pool, props, packets, steps):
     ``pool``, so no pool worker waits on its own pool.  Several fields run
     one per thread of ``pool``, each stepping its blocks inline: on the
     production grid a branch-1 and a branch-2 field stepped one per thread
-    took 2.6-2.8 ms per field-step, against 4.3-4.7 ms when each field's
+    took 1.8-2.7 ms per field-step, against 2.4-2.8 ms when each field's
     line blocks ran on the pool in turn (medians of 6 interleaved rounds
-    of 2x25 steps in each of 3 processes, 2-vCPU Xeon VM).  Either way a
-    field's arithmetic is the same as stepping it alone.
+    of 2x25 steps in each of 3 processes, 2-vCPU Xeon VM; one per thread
+    was faster in each process).  Either way a field's arithmetic is the
+    same as stepping it alone.
     """
     if len(props) == 1:
         return [props[0].run(packets[0], steps, pool=pool)]

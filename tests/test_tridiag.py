@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import as_strided
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 import povmlab
@@ -31,117 +32,206 @@ from povmlab.scenarios import DoubleSlitConfig, run_doubleslit
 from povmlab.serialize import emit
 
 
-def _kernel_and_lapack(solve, rhs):
-    """``rhs`` (n, lines) solved by the kernel in both layouts and by ``zgttrs``, as uint64 bits.
+MARGIN = 1.0 - 1.0j
+# a NaN with a payload that no arithmetic here makes: the cells of a kernel
+# field that still hold it after a write are the padding of its last tile
+PAD = np.uint64(0x7FF4DEADBEEF0001)
 
-    The kernel's views sit inside wider arrays, as runs sit inside the
-    state: adjacent lines with a line step beyond the line count,
-    contiguous lines with a leading dimension beyond the line length.
-    Either has a group of 16 lines on each side, which must keep its value.
+
+def _normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _stepped(solve, psi, call):
+    """``psi`` through a field of ``solve``'s backend and ``call(field)``, read back.
+
+    A kernel field starts with ``PAD`` in every cell; the write must leave
+    exactly its padding, ``nx * (-ny % 16)`` cells per plane, and the call
+    must leave the padding as it was.
     """
-    assert solve._lib is not None, "the C kernel did not build"
-    n, m = rhs.shape
-    lines, margin = slice(16, m + 16), 1.0 - 1.0j
-    adjacent = np.full((n, m + 32), margin)
-    contiguous = np.full((n + 2, m + 32), margin, order="F")
-    results = []
-    for wide, view in ((adjacent, adjacent[:, lines]), (contiguous, contiguous[1 : n + 1, lines])):
-        view[...] = rhs
-        solve(view)
-        results.append(view.copy())
-        view[...] = margin
-        assert (wide == margin).all(), "the solve wrote outside its lines"
-    expected, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
+    field = _tridiag.Field(solve, *psi.shape)
+    bits = field.data.view(np.uint64)
+    bits[...] = PAD
+    field.write(psi)
+    padding = bits == PAD
+    if solve._lib is not None:
+        assert padding.sum() == field.data.size - 2 * psi.size, "a write missed a cell"
+    call(field)
+    assert (bits[padding] == PAD).all(), "the field's padding was written"
+    out = np.empty_like(psi)
+    field.read(out)
+    return out
+
+
+def _bare_phase(solve, lines):
+    """A y phase of ``solve`` on ``lines`` lines with no damped cell: with ``(True, False)``, a solve."""
+    n = solve.lu[1].size
+    none = np.empty(0)
+    return _tridiag.LinePhase(
+        solve, (np.zeros(n - 1), np.ones(n), np.zeros(n - 1)), lines,
+        at=none.astype(np.intp), damp=none, keep=none, losses=slice(0, 0), n_losses=0,
+    )
+
+
+def _on_lines(solve, rhs, shape, lines, axis, explicit=False):
+    """``rhs`` (n, m) as ``lines`` of an otherwise ``MARGIN`` field, stepped, as uint64 bits.
+
+    Axis 0 puts it on x lines, the grid's rows, through the x phase; axis
+    1 on y lines, its columns, through a y phase without damping or its
+    explicit half.  Every other line must keep ``MARGIN``.
+    """
+    psi = np.full(shape, MARGIN)
+    place = (lines, slice(None)) if axis == 0 else (slice(None), lines)
+    psi[place] = rhs.T if axis == 0 else rhs
+    if axis == 0:
+        out = _stepped(solve, psi, lambda field: solve.bind(field, lines)(explicit))
+    else:
+        phase = _bare_phase(solve, rhs.shape[1])
+        out = _stepped(solve, psi, lambda field: phase.bind(field, lines, None)(True, False))
+    result = np.array(out[place].T if axis == 0 else out[place], order="C")
+    out[place] = MARGIN
+    assert (out == MARGIN).all(), "the run wrote outside its lines"
+    return result.view(np.uint64)
+
+
+def _zgttrs(solve, rhs, explicit=False):
+    """``zgttrs``'s solve ``u`` of ``rhs``, or ``2.0 * u - rhs`` per part, as uint64 bits."""
+    u, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
     assert info == 0
-    return [np.ascontiguousarray(a).view(np.uint64) for a in (*results, expected)]
+    if explicit:
+        u.real, u.imag = 2.0 * u.real - rhs.real, 2.0 * u.imag - rhs.imag
+    return np.ascontiguousarray(u).view(np.uint64)
 
 
-def test_kernel_matches_zgttrs_bit_for_bit_on_every_production_run():
+def _production(branch):
     c = DoubleSlitConfig()
     grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
     params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
     geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
+    pot = build_potential(grid, params, branch, geometry)
+    return pot, c.dt
+
+
+def test_kernel_matches_zgttrs_bit_for_bit_on_every_production_run():
+    # each run on its own lines of a production field: x runs through the
+    # x phase, with and without the explicit half, y runs through a y phase
+    # that only solves
+    c = DoubleSlitConfig()
     rng = np.random.default_rng(11)
     checked = 0
     for branch in (1, 2):
-        pot = build_potential(grid, params, branch, geometry)
-        prop = Propagator(pot, c.dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
-        for blocks in (prop._x_blocks, prop._y_blocks):
+        pot, dt = _production(branch)
+        prop = Propagator(pot, dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+        shape = (prop.grid.ny, prop.grid.nx)
+        for axis, blocks in enumerate((prop._x_blocks, prop._y_blocks)):
             for run in blocks[0].runs + blocks[1].runs:
-                n = run.solve.lu[1].size
-                shape = (n, run.lines.stop - run.lines.start)
-                rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                adjacent, contiguous, expected = _kernel_and_lapack(run.solve, rhs)
-                assert np.array_equal(adjacent, expected)
-                assert np.array_equal(contiguous, expected)
+                assert run.solve._lib is not None, "the C kernel did not build"
+                rhs = _normal(rng, run.solve.lu[1].size, run.lines.stop - run.lines.start)
+                for explicit in (False, True) if axis == 0 else (False,):
+                    got = _on_lines(run.solve, rhs, shape, run.lines, axis, explicit)
+                    assert np.array_equal(got, _zgttrs(run.solve, rhs, explicit))
                 checked += 1
     assert checked == 22  # every run of both sweeps of both branches
+
+
+def _pivoting(rng, n):
+    """A tridiagonal matrix whose factorization swaps about half its rows."""
+    phase = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))  # noqa: E731
+    # a sub-diagonal entry larger than the diagonal makes zgttrf swap rows
+    lower = np.where(rng.uniform(size=n - 1) < 0.5, 3.0, 0.05) * phase(n - 1)
+    main = rng.uniform(0.1, 1.0, size=n) * phase(n)
+    upper = rng.uniform(0.5, 2.0, size=n - 1) * phase(n - 1)
+    return lower, main, upper
 
 
 def test_kernel_matches_zgttrs_bit_for_bit_where_the_factorization_pivots():
     rng = np.random.default_rng(12)
     n, m = 64, 37  # 37 lines: two full groups of 16 and a short one
-    phase = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))  # noqa: E731
-    # a sub-diagonal entry larger than the diagonal makes zgttrf swap rows;
-    # about half of them are
-    lower = np.where(rng.uniform(size=n - 1) < 0.5, 3.0, 0.05) * phase(n - 1)
-    main = rng.uniform(0.1, 1.0, size=n) * phase(n)
-    upper = rng.uniform(0.5, 2.0, size=n - 1) * phase(n - 1)
-    solve = _tridiag.LineSolve(lower, main, upper)
+    solve = _tridiag.LineSolve(*_pivoting(rng, n))
+    assert solve._lib is not None, "the C kernel did not build"
     dl, d, du, du2, ipiv = solve.lu
     swapped = ipiv != np.arange(1, n + 1)
     assert 10 < swapped.sum() < n - 1  # both branches of the elimination
     assert np.abs(du2).max() > 0.0
     # both branches of Smith's division
     assert (np.abs(d.real) < np.abs(d.imag)).any() and (np.abs(d.real) > np.abs(d.imag)).any()
-    rhs = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    adjacent, contiguous, expected = _kernel_and_lapack(solve, rhs)
-    assert np.array_equal(adjacent, expected)
-    assert np.array_equal(contiguous, expected)
+    rhs = _normal(rng, n, m)
+    # x lines from a tile edge, and from mid-tile to mid-tile of a field
+    # whose last tile is short; y lines of a field of 50 y lines
+    for axis, shape, lines in (
+        (0, (69, n), slice(16, 53)), (0, (50, n), slice(5, 42)), (1, (n, 50), slice(5, 42)),
+    ):
+        for explicit in (False, True) if axis == 0 else (False,):
+            got = _on_lines(solve, rhs, shape, lines, axis, explicit)
+            assert np.array_equal(got, _zgttrs(solve, rhs, explicit)), (axis, shape, lines)
+
+
+def _both_backends(monkeypatch, lower, main, upper):
+    """The same ``LineSolve`` on the kernel and on ``zgttrs``."""
+    kernel = _tridiag.LineSolve(lower, main, upper)
+    with monkeypatch.context() as patch:
+        patch.setattr(_tridiag, "kernel", lambda: None)
+        fallback = _tridiag.LineSolve(lower, main, upper)
+    assert kernel._lib is not None, "the C kernel did not build"
+    assert fallback._lib is None
+    return kernel, fallback
 
 
 @pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
 def test_both_backends_hold_the_line_solve_to_one_view_contract(backend, monkeypatch):
-    if backend == "zgttrs":
-        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
-    n, m = 24, 5
+    n, m, ny = 24, 5, 21
     lower, main, upper = np.full(n - 1, -1.0 + 0j), np.full(n, 3.0 + 1j), np.full(n - 1, -1.0 + 0j)
-    solve = _tridiag.LineSolve(lower, main, upper)
-    assert (solve._lib is None) == (backend == "zgttrs")
+    solve, other = _both_backends(monkeypatch, lower, main, upper)
+    if backend == "zgttrs":
+        solve, other = other, solve
     rng = np.random.default_rng(13)
-    rhs = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    # both unit-stride layouts, each inside a wider array, are solved in place
-    expected, _ = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
-    adjacent = np.zeros((n, m + 2), dtype=complex)[:, 1 : m + 1]
-    contiguous = np.zeros((n + 3, m), dtype=complex, order="F")[2 : n + 2]
-    for lines in (adjacent, contiguous):
-        lines[...] = rhs
-        solve(lines)
-        assert np.array_equal(lines, expected)
+    rhs = _normal(rng, n, m)
+    # lines at the top, across the edge of the first tile and down to the
+    # end of the short last one
+    for lines in (slice(0, m), slice(14, 14 + m), slice(ny - m, ny)):
+        for explicit in (False, True):
+            got = _on_lines(solve, rhs, (ny, n), lines, 0, explicit)
+            assert np.array_equal(got, _zgttrs(solve, rhs, explicit)), (lines, explicit)
 
-    read_only = np.asfortranarray(rhs)  # a layout zgttrs would solve in place
-    read_only.flags.writeable = False
-    item = rhs.itemsize
-    wide = np.zeros(4 * n * m, dtype=complex)
+    psi = _normal(rng, ny, n)
+    field = _tridiag.Field(solve, ny, n)
+    field.write(psi)
     refused = {
-        "line length": rhs[1:],
-        # strides of whole complex items, so only the dtype is wrong
-        "float view": rhs.real,
-        "read-only view": read_only,
-        "no unit stride, rows": np.zeros((2 * n, 2 * m), dtype=complex)[::2, ::2],
-        "no unit stride, columns": np.zeros((2 * n, 2 * m), dtype=complex, order="F")[::2, ::2],
-        "line step of half an item": as_strided(wide, (n, m), (m * item + item // 2, item)),
-        "leading dimension of half an item": as_strided(wide, (n, m), (item, n * item + item // 2)),
-        # contiguous lines with a leading dimension below the line length,
-        # and adjacent lines with a line step below the line count
-        "overlapping columns": as_strided(rhs, (n, m), (item, (n - 1) * item)),
-        "overlapping rows": as_strided(rhs, (n, m), ((m - 1) * item, item)),
+        "line length": (_tridiag.Field(solve, ny, n + 1), slice(0, m)),
+        "a field of the other backend": (_tridiag.Field(other, ny, n), slice(0, m)),
+        "an array, not a field": (np.zeros((ny, n), dtype=complex), slice(0, m)),
+        "lines past the field": (field, slice(ny - m + 1, ny + 1)),
+        "lines before the field": (field, slice(-1, m - 1)),
+        "a strided range": (field, slice(0, 2 * m, 2)),
+        "an open range": (field, slice(None, m)),
+        "a reversed range": (field, slice(m, 0)),
+        "a range of floats": (field, slice(0.0, float(m))),
     }
-    for name, lines in refused.items():
-        before = lines.copy()
+    for name, (target, lines) in refused.items():
+        data = target.data if isinstance(target, _tridiag.Field) else target
+        before = data.tobytes()
         with pytest.raises(ValueError):
-            solve(lines)
-        assert np.array_equal(lines, before), name
+            solve.bind(target, lines)
+        assert data.tobytes() == before, name
+
+    # grid arrays that do not fit the field are refused both ways
+    read_only = psi.copy()
+    read_only.flags.writeable = False
+    for name, grid in {
+        "shape": psi[1:].copy(), "floats": psi.real.copy(),
+        "Fortran order": np.asfortranarray(psi), "a strided view": np.repeat(psi, 2, axis=1)[:, ::2],
+    }.items():
+        before = field.data.tobytes()
+        with pytest.raises(ValueError):
+            field.write(grid)
+        assert field.data.tobytes() == before, name
+        with pytest.raises(ValueError):
+            field.read(grid)
+    with pytest.raises(ValueError):
+        field.read(read_only)
+    out = np.empty_like(psi)
+    field.read(out)
+    assert np.array_equal(out, psi)  # write and read are inverses
 
     # upper triangular with a zero on the diagonal
     zero = np.zeros(n, dtype=complex)
@@ -151,15 +241,11 @@ def test_both_backends_hold_the_line_solve_to_one_view_contract(backend, monkeyp
 
 def _production_propagators(branch, sponge, monkeypatch):
     """The default run's propagator for ``branch``, on the kernel and on ``zgttrs``."""
-    c = DoubleSlitConfig()
-    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
-    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
-    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
-    pot = build_potential(grid, params, branch, geometry)
-    kernel = Propagator(pot, c.dt, sponge=sponge)
+    pot, dt = _production(branch)
+    kernel = Propagator(pot, dt, sponge=sponge)
     with monkeypatch.context() as patch:
         patch.setattr(_tridiag, "kernel", lambda: None)
-        fallback = Propagator(pot, c.dt, sponge=sponge)
+        fallback = Propagator(pot, dt, sponge=sponge)
     assert kernel._x_blocks[0].runs[0].solve._lib is not None, "the C kernel did not build"
     assert fallback._x_blocks[0].runs[0].solve._lib is None
     return kernel, fallback
@@ -170,42 +256,46 @@ def _production_propagators(branch, sponge, monkeypatch):
 def test_kernel_phases_match_the_numpy_route_bit_for_bit_on_every_production_run(
     branch, sponge, monkeypatch
 ):
-    # every run of both phases, on the state's own layout: x runs solve w
-    # into z, y runs do the first step's explicit half alone, a whole step,
-    # and a last step without the explicit half
+    # every run of both phases on a production field: x runs with and
+    # without the explicit half, y runs the first step's explicit half
+    # alone, a whole step, and a last step without the explicit half
     kernel, fallback = _production_propagators(branch, sponge, monkeypatch)
-    nx, ny = kernel.grid.nx, kernel.grid.ny
+    shape = (kernel.grid.ny, kernel.grid.nx)
     rng = np.random.default_rng(14)
-    field = lambda: rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))  # noqa: E731
     checked = 0
     runs = lambda blocks: blocks[0].runs + blocks[1].runs  # noqa: E731
     for k_run, f_run in zip(runs(kernel._x_blocks), runs(fallback._x_blocks)):
         assert k_run.lines == f_run.lines
-        z, w = field(), field()
-        source = w.copy()
-        results = []
-        for run in (k_run, f_run):
-            out = z.copy()
-            run.solve(out[:, run.lines], w[:, run.lines])
-            results.append(out.view(np.uint64))
-        assert np.array_equal(*results)
-        assert np.array_equal(w, source)  # read, never written
+        psi = _normal(rng, *shape)
+        for explicit in (True, False):
+            results = [
+                _stepped(run.solve, psi, lambda f: run.solve.bind(f, run.lines)(explicit))
+                for run in (k_run, f_run)
+            ]
+            assert np.array_equal(*(r.view(np.uint64) for r in results)), (k_run.lines, explicit)
+            # the run wrote its own lines, and nothing else
+            changed = (results[0] != psi).any(axis=1)
+            assert not changed[: k_run.lines.start].any() and not changed[k_run.lines.stop :].any()
         checked += 1
     for k_run, f_run in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
         assert k_run.lines == f_run.lines
         for solve, explicit in ((False, True), (True, True), (True, False)):
-            z, w, loss = field(), field(), rng.normal(size=kernel._n_damped)
+            psi, loss = _normal(rng, *shape), rng.normal(size=kernel._n_damped)
             results = []
             for run in (k_run, f_run):
-                state, half, losses = z.copy(), w.copy(), loss.copy()
-                run.phase.bind(state.T[:, run.lines], half.T[:, run.lines], losses)(solve, explicit)
-                results.append([a.view(np.uint64) for a in (state, half, losses)])
+                losses = loss.copy()
+                state = _stepped(
+                    run.solve, psi, lambda f: run.phase.bind(f, run.lines, losses)(solve, explicit)
+                )
+                results.append((state, losses))
             for got, want in zip(*results):
-                assert np.array_equal(got, want), (k_run.lines, solve, explicit)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                    k_run.lines, solve, explicit,
+                )
             # the run wrote its own lines and losses, and nothing else
-            changed = (results[0][0] != z.view(np.uint64)).any(axis=1)
+            changed = (results[0][0] != psi).any(axis=0)
             assert not changed[: k_run.lines.start].any() and not changed[k_run.lines.stop :].any()
-            booked = results[0][2] != loss.view(np.uint64)
+            booked = results[0][1] != loss
             at = k_run.phase._losses
             assert not booked[: at.start].any() and not booked[at.stop :].any()
             assert booked[at].all() if solve else not booked[at].any()
@@ -216,15 +306,14 @@ def test_kernel_phases_match_the_numpy_route_bit_for_bit_on_every_production_run
 
 @pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
 def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
-    if backend == "zgttrs":
-        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
-    n, m = 24, 5
+    n, m, nx = 24, 5, 12
     rng = np.random.default_rng(15)
     # a stretched operator: lower and upper differ
     lower, upper = -1.0 + 0.3j * rng.uniform(size=n - 1), -1.0 - 0.2j * rng.uniform(size=n - 1)
     main = 3.0 + 1j * rng.uniform(size=n)
-    solve = _tridiag.LineSolve(lower, main, upper)
-    assert (solve._lib is None) == (backend == "zgttrs")
+    solve, other = _both_backends(monkeypatch, lower, main, upper)
+    if backend == "zgttrs":
+        solve, other = other, solve
     explicit = (-0.5j * lower, 1.0 - 0.5j * main, -0.5j * upper)
     damp = np.array([0.5, 0.7, 0.9])
     good = dict(
@@ -255,41 +344,97 @@ def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
         _tridiag.LinePhase(solve, (explicit[0][1:], *explicit[1:]), m, **good)
 
     phase = _tridiag.LinePhase(solve, explicit, m, **good)
-    # a run's lines inside the state: contiguous, with room on both sides
-    z = rng.normal(size=(m + 2, n)) + 1j * rng.normal(size=(m + 2, n))
-    w = rng.normal(size=(m + 2, n)) + 1j * rng.normal(size=(m + 2, n))
+    # the run's y lines inside a field, with lines on both sides
+    psi = _normal(rng, n, nx)
+    field = _tridiag.Field(solve, n, nx)
+    field.write(psi)
     loss = rng.normal(size=6)
-    read_only = w.copy()
+    read_only = loss.copy()
     read_only.flags.writeable = False
-    item = z.itemsize
+    lines = slice(1, m + 1)
     calls = {
-        "too many lines": (z.T[:, :m + 1], w.T[:, :m + 1], loss),
-        "too few lines": (z.T[:, 1:m], w.T[:, 1:m], loss),
-        "lines of another length": (z.T[1:, 1:m + 1], w.T[1:, 1:m + 1], loss),
-        "w laid out otherwise": (z.T[:, 1:m + 1], np.asfortranarray(w)[1:m + 1].T.copy(order="C"), loss),
-        "w over z": (z.T[:, 1:m + 1], z.T[:, 1:m + 1], loss),
-        "w overlapping z": (z.T[:, 1:m + 1], z.T[:, 2:m + 2], loss),
-        "read-only w": (z.T[:, 1:m + 1], read_only.T[:, 1:m + 1], loss),
-        "z of floats": (z.real.T[:, 1:m + 1], w.T[:, 1:m + 1], loss),
-        "z without unit stride": (
-            as_strided(z, (n, m), (2 * item, n * item)), w.T[:, 1:m + 1], loss),
-        "a short loss": (z.T[:, 1:m + 1], w.T[:, 1:m + 1], loss[:5]),
-        "a strided loss": (z.T[:, 1:m + 1], w.T[:, 1:m + 1], np.zeros(12)[::2]),
-        "a complex loss": (z.T[:, 1:m + 1], w.T[:, 1:m + 1], loss.astype(complex)),
+        "too many lines": (field, slice(1, m + 2), loss),
+        "too few lines": (field, slice(1, m), loss),
+        "lines of another length": (_tridiag.Field(solve, n + 1, nx), lines, loss),
+        "a field of the other backend": (_tridiag.Field(other, n, nx), lines, loss),
+        "an array, not a field": (psi.T.copy(), lines, loss),
+        "lines past the field": (field, slice(nx - m + 1, nx + 1), loss),
+        "lines before the field": (field, slice(-1, m - 1), loss),
+        "a strided range": (field, slice(1, 2 * m + 1, 2), loss),
+        "an open range": (field, slice(None, m), loss),
+        "a short loss": (field, lines, loss[:5]),
+        "a strided loss": (field, lines, np.zeros(12)[::2]),
+        "a complex loss": (field, lines, loss.astype(complex)),
+        "a read-only loss": (field, lines, read_only),
     }
-    before = [a.copy() for a in (z, w, loss)]
-    for name, (zv, wv, lv) in calls.items():
+    before = [a.tobytes() for a in (field.data, loss)]
+    for name, args in calls.items():
         with pytest.raises(ValueError):
-            phase.bind(zv, wv, lv)
-        for got, want in zip((z, w, loss), before):
-            assert np.array_equal(got, want), name
+            phase.bind(*args)
+        assert [a.tobytes() for a in (field.data, loss)] == before, name
 
-    # the same views, rightly laid out, are written where the run's are
-    phase.bind(z.T[:, 1:m + 1], w.T[:, 1:m + 1], loss)(True, True)
-    assert np.array_equal(z[[0, m + 1]], before[0][[0, m + 1]])
-    assert np.array_equal(w[[0, m + 1]], before[1][[0, m + 1]])
-    assert np.array_equal(loss[[0, 1, 5]], before[2][[0, 1, 5]])
-    assert not np.array_equal(loss[2:5], before[2][2:5])
+    # the same field and loss, with the run's range, are written where the run's are
+    phase.bind(field, lines, loss)(True, True)
+    out = np.empty_like(psi)
+    field.read(out)
+    assert np.array_equal(out[:, [0, *range(m + 1, nx)]], psi[:, [0, *range(m + 1, nx)]])
+    assert not np.array_equal(out[:, lines], psi[:, lines])
+    booked = loss != np.frombuffer(before[1])
+    assert booked[2:5].all() and not booked[[0, 1, 5]].any()
+
+
+_MODES = [(False, True), (True, True), (True, False)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
+    # random fields, ranges and factors: line lengths from 3 (SciPy's
+    # zgttrf and zgttrs wrappers refuse shorter lines), fields whose
+    # last tile is short, ranges that start and end mid-tile, line counts
+    # on both sides of the 4- and 16-lane groups, pivoting factors and
+    # random damped cells; the x phase with and without its explicit half,
+    # the y phase as the first call, a whole step and the last step
+    axis = data.draw(st.sampled_from(["x", "y"]), label="axis")
+    n = data.draw(st.integers(3, 40), label="line length")
+    count = data.draw(st.integers(1, 50), label="lines in the field")
+    lo = data.draw(st.integers(0, count - 1), label="first line")
+    hi = data.draw(st.integers(lo + 1, count), label="end")
+    pivots = data.draw(st.booleans(), label="pivots")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if pivots:
+        lower, main, upper = _pivoting(rng, n)
+    else:
+        lower, main, upper = _normal(rng, n - 1), 4.0 + _normal(rng, n), _normal(rng, n - 1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        solves = _both_backends(monkeypatch, lower, main, upper)
+    shape = (count, n) if axis == "x" else (n, count)
+    psi, m = _normal(rng, *shape), hi - lo
+    lines = slice(lo, hi)
+    if axis == "x":
+        explicit = data.draw(st.booleans(), label="explicit")
+        results = [_stepped(s, psi, lambda f: s.bind(f, lines)(explicit)) for s in solves]
+        outside = np.ones(count, dtype=bool)
+        outside[lines] = False
+        assert np.array_equal(results[0][outside], psi[outside])
+        assert np.array_equal(*(r.view(np.uint64) for r in results))
+        return
+    mode = data.draw(st.sampled_from(_MODES), label="(solve, explicit)")
+    at = np.flatnonzero(rng.uniform(size=n * m) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    damp = rng.uniform(0.5, 1.0, size=at.size)
+    diagonals = (_normal(rng, n - 1), _normal(rng, n), _normal(rng, n - 1))
+    losses, loss = slice(2, 2 + at.size), rng.normal(size=at.size + 3)
+    results = []
+    for s in solves:
+        phase = _tridiag.LinePhase(s, diagonals, m, at, damp, 1.0 - damp**2, losses, loss.size)
+        booked = loss.copy()
+        state = _stepped(s, psi, lambda f: phase.bind(f, lines, booked)(*mode))
+        results.append((state, booked))
+    outside = np.ones(count, dtype=bool)
+    outside[lines] = False
+    assert np.array_equal(results[0][0][:, outside], psi[:, outside])
+    for got, want in zip(*results):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # numpy's SIMD dispatch turned down to its baseline loops, as on a host
@@ -352,9 +497,11 @@ def test_the_kernel_compiles_without_a_warning(tmp_path):
 
 
 # runs in a fresh interpreter, where FLAGS plus the arguments build the
-# kernel anew.  On the production propagators of both branches, every run's
-# solve must give zgttrs's bits and every y run's whole phase the numpy
-# route's; so must the pivoting 64x64 matrix on 37 lines, one group short.
+# kernel anew.  On production fields of both branches, every x run's solve
+# and every y run's bare solve must give zgttrs's bits, and every run's
+# whole phase (the x phase with its explicit half, the y phase with damping
+# and its explicit half) the numpy route's; so must the pivoting 64x64
+# matrix on 37 lines that start and end mid-tile, along x and along y.
 # Prints a digest of all those bits
 BUILD_PROBE = """
 import hashlib, sys
@@ -371,16 +518,36 @@ digest = hashlib.sha256()
 rng = np.random.default_rng(18)
 normal = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-def solved(solve, rhs):
+def stepped(solve, psi, call):
+    field = _tridiag.Field(solve, *psi.shape)
+    field.write(psi)
+    call(field)
+    out = np.empty_like(psi)
+    field.read(out)
+    return out
+
+def solved(solve, shape, lines, axis):
     assert solve._lib is not None, "the C kernel did not build"
-    lines = rhs.copy(order="A")
-    solve(lines)
+    psi, n = normal(*shape), solve.lu[1].size
+    if axis == 0:
+        out = stepped(solve, psi, lambda f: solve.bind(f, lines)(False))
+        got, rhs = out[lines].T, psi[lines].T
+    else:
+        none = np.empty(0)
+        phase = _tridiag.LinePhase(
+            solve, (np.zeros(n - 1), np.ones(n), np.zeros(n - 1)), lines.stop - lines.start,
+            none.astype(np.intp), none, none, slice(0, 0), 0,
+        )
+        out = stepped(solve, psi, lambda f: phase.bind(f, lines, None)(True, False))
+        got, rhs = out[:, lines], psi[:, lines]
     expected, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
-    assert info == 0 and lines.tobytes() == expected.tobytes()
-    digest.update(lines.tobytes())
+    bits = np.ascontiguousarray(got).tobytes()
+    assert info == 0 and bits == np.ascontiguousarray(expected).tobytes()
+    digest.update(bits)
 
 c = DoubleSlitConfig()
 grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
+shape = (grid.ny, grid.nx)
 params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
 geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
 sponge = SpongeConfig(c.sponge_width, c.sponge_strength)
@@ -391,18 +558,23 @@ for branch in (1, 2):
     load, _tridiag.kernel = _tridiag.kernel, lambda: None
     fallback = Propagator(pot, c.dt, sponge=sponge)
     _tridiag.kernel = load
-    for run in runs(kernel._x_blocks):  # adjacent lines, as in the state
-        solved(run.solve, normal(run.solve.lu[1].size, run.lines.stop - run.lines.start))
-    for run in runs(kernel._y_blocks):  # contiguous lines
-        lines = normal(run.lines.stop - run.lines.start, run.solve.lu[1].size)
-        solved(run.solve, lines.T)
-    z, w, loss = normal(grid.nx, grid.ny), normal(grid.nx, grid.ny), rng.normal(size=kernel._n_damped)
+    for axis, blocks in enumerate((kernel._x_blocks, kernel._y_blocks)):
+        for run in runs(blocks):
+            solved(run.solve, shape, run.lines, axis)
+    psi, loss = normal(*shape), rng.normal(size=kernel._n_damped)
+    for k_run, f_run in zip(runs(kernel._x_blocks), runs(fallback._x_blocks)):
+        bits = [
+            stepped(run.solve, psi, lambda f: run.solve.bind(f, run.lines)(True)).tobytes()
+            for run in (k_run, f_run)
+        ]
+        assert bits[0] == bits[1], (branch, k_run.lines)
+        digest.update(bits[0])
     for k_run, f_run in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
         bits = []
         for run in (k_run, f_run):
-            state, half, losses = z.copy(), w.copy(), loss.copy()
-            run.phase.bind(state.T[:, run.lines], half.T[:, run.lines], losses)(True, True)
-            bits.append(b"".join(a.tobytes() for a in (state, half, losses)))
+            losses = loss.copy()
+            out = stepped(run.solve, psi, lambda f: run.phase.bind(f, run.lines, losses)(True, True))
+            bits.append(out.tobytes() + losses.tobytes())
         assert bits[0] == bits[1], (branch, k_run.lines)
         digest.update(bits[0])
 n = 64
@@ -412,7 +584,8 @@ main = rng.uniform(0.1, 1.0, size=n) * phase(n)
 upper = rng.uniform(0.5, 2.0, size=n - 1) * phase(n - 1)
 pivoting = _tridiag.LineSolve(lower, main, upper)
 assert (pivoting.lu[4] != np.arange(1, n + 1)).any()
-solved(pivoting, normal(n, 37))
+solved(pivoting, (50, n), slice(5, 42), 0)
+solved(pivoting, (n, 50), slice(5, 42), 1)
 print(digest.hexdigest())
 """
 
