@@ -220,10 +220,12 @@ class LineSolve:
         """``lines``, a complex ``(n, m)`` view, set to their solve ``u``, or to ``2u - w``."""
         from scipy.linalg import lapack  # loaded by zgttrf
 
-        b = np.array(lines, order="F") if explicit else np.asfortranarray(lines)
+        w = np.asfortranarray(lines)
+        b = w.copy(order="F") if explicit else w
         lapack.zgttrs(*self.lu, b, overwrite_b=1)
         if explicit:
-            for part, source in ((b.real, lines.real), (b.imag, lines.imag)):
+            # on the column-major copy of w, not on the strided lines
+            for part, source in ((b.real, w.real), (b.imag, w.imag)):
                 part *= 2.0
                 part -= source
         if b is not lines:
