@@ -383,9 +383,6 @@ def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
     assert booked[2:5].all() and not booked[[0, 1, 5]].any()
 
 
-_MODES = [(False, True), (True, True), (True, False)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
@@ -411,15 +408,16 @@ def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
     shape = (count, n) if axis == "x" else (n, count)
     psi, m = _normal(rng, *shape), hi - lo
     lines = slice(lo, hi)
+    outside = np.ones(count, dtype=bool)
+    outside[lines] = False
     if axis == "x":
         explicit = data.draw(st.booleans(), label="explicit")
         results = [_stepped(s, psi, lambda f: s.bind(f, lines)(explicit)) for s in solves]
-        outside = np.ones(count, dtype=bool)
-        outside[lines] = False
         assert np.array_equal(results[0][outside], psi[outside])
         assert np.array_equal(*(r.view(np.uint64) for r in results))
         return
-    mode = data.draw(st.sampled_from(_MODES), label="(solve, explicit)")
+    modes = [(False, True), (True, True), (True, False)]
+    mode = data.draw(st.sampled_from(modes), label="(solve, explicit)")
     at = np.flatnonzero(rng.uniform(size=n * m) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
     damp = rng.uniform(0.5, 1.0, size=at.size)
     diagonals = (_normal(rng, n - 1), _normal(rng, n), _normal(rng, n - 1))
@@ -430,8 +428,6 @@ def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
         booked = loss.copy()
         state = _stepped(s, psi, lambda f: phase.bind(f, lines, booked)(*mode))
         results.append((state, booked))
-    outside = np.ones(count, dtype=bool)
-    outside[lines] = False
     assert np.array_equal(results[0][0][:, outside], psi[:, outside])
     for got, want in zip(*results):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
