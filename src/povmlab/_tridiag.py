@@ -3,9 +3,10 @@
 A ``Propagator.run`` call keeps its state in one ``Field``.  ``LineSolve``
 factors one line's matrix with LAPACK's ``zgttrf`` and binds to a range of
 the field's x lines: the x phase, a solve ``u`` of every line and the
-explicit x half ``2u - w`` written back in place.  ``LinePhase`` binds to a
-range of its y lines: the solve, the edge damping and its losses, and the
-next step's explicit half, all in place.  Each has two backends that give
+explicit x half ``2u - w`` written back in place.  A ``LinePhase`` is one
+run of y lines, with its share of the field's edge damping, and binds to
+the field: the solve, the damping and its losses, and the next step's
+explicit half, all in place.  Each has two backends that give
 the same bits under one field contract, and the backend decides the
 field's form: the C kernel in ``_tridiag.c``, on two real planes in tiles
 of 16 x lines that it lays out, converts and works 16 lines at a time in
@@ -159,10 +160,8 @@ def _factor_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) 
     return dl, d, du, du2, ipiv
 
 
-def _range(field: Field, lib: ctypes.CDLL | None, lines: slice, count: int) -> tuple[int, int]:
-    """``(start, stop)`` of ``lines``, a unit-step range of ``count`` lines of a field of ``lib``."""
-    if not isinstance(field, Field) or field._lib is not lib:
-        raise ValueError("the field is not in the form this backend steps")
+def _span(lines: slice, count: float) -> tuple[int, int]:
+    """``(start, stop)`` of ``lines``, a unit-step range inside ``count`` lines."""
     start, stop = lines.start, lines.stop
     if not (
         lines.step in (None, 1) and isinstance(start, (int, np.integer))
@@ -170,6 +169,13 @@ def _range(field: Field, lib: ctypes.CDLL | None, lines: slice, count: int) -> t
     ):
         raise ValueError("lines must be a unit-step range inside the field")
     return int(start), int(stop)
+
+
+def _range(field: Field, lib: ctypes.CDLL | None, lines: slice, count: int) -> tuple[int, int]:
+    """``(start, stop)`` of ``lines``, a unit-step range of ``count`` lines of a field of ``lib``."""
+    if not isinstance(field, Field) or field._lib is not lib:
+        raise ValueError("the field is not in the form this backend steps")
+    return _span(lines, count)
 
 
 def _scratch(lib: ctypes.CDLL, n: int, lines: int) -> np.ndarray:
@@ -279,74 +285,70 @@ class Field:
 class LinePhase:
     """The y phase of a Crank-Nicolson step on one run of a field's y lines.
 
-    With ``solve``, the phase sets ``z = A^-1 z`` on every line, ``A`` the
-    matrix of ``solve`` and ``z`` the line's values (the explicit x half,
-    in a step), then multiplies each damped cell by its ``damp`` and
-    writes its loss, ``(re*re + im*im) * keep`` of the cell before
-    damping, into ``loss[losses]``.  With ``explicit``, it then sets ``z =
-    E z``, ``E`` the tridiagonal ``(lower, main, upper)`` of ``explicit``,
-    laid out like ``LineSolve``'s and without terms across line ends.
-    ``at`` lists the damped cells, ascending, as ``j * n + i`` for the
-    run's line j's cell i, and ``loss`` is None or the ``n_losses`` entries
-    that ``losses`` slices.  Construction checks the damped cells and the
-    slice, and ``bind`` the field, the range and ``loss``, so the kernel
-    writes only inside them.
+    With ``solve``, the phase sets ``z = A^-1 z`` on every line of
+    ``lines``, ``A`` the matrix of ``solve`` and ``z`` the line's values
+    (the explicit x half, in a step), then multiplies each damped cell of
+    those lines by its ``damp`` and writes its loss, ``(re*re + im*im) *
+    (1.0 - damp**2)`` of the cell before damping, into its entry of
+    ``loss``.  With ``explicit``, it then sets ``z = E z``, ``E`` the
+    tridiagonal ``(lower, main, upper)`` of ``explicit``, laid out like
+    ``LineSolve``'s and without terms across line ends.  ``damped`` lists
+    the whole field's damped cells, ascending, as ``j * n + i`` for y line
+    j's cell i; construction checks it and takes the run's share.  ``loss``
+    is None or one entry per damped cell, so runs write disjoint slices.
 
-    ``bind(field, lines, loss)`` returns the phase on ``lines`` of
-    ``field``, a range of ``lines`` y lines, as a call of ``(solve,
-    explicit)``, to repeat on whatever the field holds.  The C kernel does
-    it all in one call, line group by line group.  Where there is no
-    kernel, numpy does the same arithmetic on real and imaginary parts
-    around ``zgttrs``, so both give the same bits.
+    ``bind(field, loss)`` checks the field, the range and ``loss``, so the
+    kernel writes only inside them, and returns the phase on ``lines`` of
+    ``field`` as a call of ``(solve, explicit)``, to repeat on whatever the
+    field holds.  The C kernel does it all in one call, line group by line
+    group.  Where there is no kernel, numpy does the same arithmetic on
+    real and imaginary parts around ``zgttrs``, so both give the same bits.
     """
 
     def __init__(
-        self, solve: LineSolve, explicit: tuple, lines: int,
-        at: np.ndarray, damp: np.ndarray, keep: np.ndarray, losses: slice, n_losses: int,
+        self, solve: LineSolve, explicit: tuple, lines: slice, damped: np.ndarray, damp: np.ndarray
     ):
         n = solve._n
         lower, main, upper = (np.ascontiguousarray(d, dtype=complex) for d in explicit)
         if main.shape != (n,) or lower.shape != (n - 1,) or upper.shape != (n - 1,):
             raise ValueError("the explicit diagonals do not fit the factors")
-        at = np.ascontiguousarray(at, dtype=np.intp)
-        damp, keep = (np.ascontiguousarray(f, dtype=float) for f in (damp, keep))
-        if at.ndim != 1 or damp.shape != at.shape or keep.shape != at.shape:
-            raise ValueError("each damped cell needs one damping factor and one keep")
-        if at.size and (at[0] < 0 or at[-1] >= n * lines or (np.diff(at) <= 0).any()):
-            raise ValueError("damped cells must ascend inside the run's cells")
-        if not (
-            losses.step in (None, 1) and 0 <= losses.start <= losses.stop <= n_losses
-            and losses.stop - losses.start == at.size
-        ):
-            raise ValueError("the run's losses do not fit the loss array")
-        self._solve, self._lines, self._n_losses, self._losses = solve, lines, n_losses, losses
+        start, stop = _span(lines, np.inf)
+        damped, damp = np.ascontiguousarray(damped, np.intp), np.ascontiguousarray(damp, float)
+        if damped.ndim != 1 or damp.shape != damped.shape:
+            raise ValueError("each damped cell needs one damping factor")
+        if damped.size and (damped[0] < 0 or (np.diff(damped) <= 0).any()):
+            raise ValueError("damped cells must ascend inside the field")
+        lo, hi = np.searchsorted(damped, (start * n, stop * n))
+        self.solve, self.lines, self._n_losses = solve, lines, damped.size
+        self._losses, self._reach = slice(int(lo), int(hi)), int(damped.max(initial=-1)) + 1
         self._explicit = (lower, main, upper)
-        self._damping = (at, damp, keep)
+        # the run's damped cells count from its first cell
+        self._damping = (damped[lo:hi] - start * n, damp[lo:hi], 1.0 - damp[lo:hi] ** 2)
         self._at = tuple(d.ctypes.data for d in (*self._explicit, *self._damping))
 
-    def bind(self, field: Field, lines: slice, loss: np.ndarray | None):
-        """The phase on ``lines`` of ``field``, checked, as a call of ``(solve, explicit)``."""
-        n, lib = self._solve._n, self._solve._lib
+    def bind(self, field: Field, loss: np.ndarray | None):
+        """The phase on its lines of ``field``, checked, as a call of ``(solve, explicit)``."""
+        n, lib = self.solve._n, self.solve._lib
         ny, nx = field.shape
-        start, stop = _range(field, lib, lines, nx)
+        start, stop = _range(field, lib, self.lines, nx)
         if ny != n:
             raise ValueError("the field's y lines do not fit the factors")
-        if stop - start != self._lines:
-            raise ValueError("the range must hold the run's lines")
+        if self._reach > n * nx:
+            raise ValueError("damped cells must lie inside the field")
         if loss is not None and not (
             loss.dtype == float and loss.shape == (self._n_losses,)
             and loss.flags.c_contiguous and loss.flags.writeable
         ):
-            raise ValueError("loss must be a writeable float vector of every run's losses")
+            raise ValueError("loss must be a writeable float vector of every damped cell's loss")
         if lib is None:
             return functools.partial(self._numpy, field.data.T[:, start:stop], loss)
         entry = lib.tridiag_y_phase
         head = (
-            ny, nx, start, stop, *self._solve._at, *self._at[:3],
+            ny, nx, start, stop, *self.solve._at, *self._at[:3],
             self._damping[0].size, *self._at[3:],
             None if loss is None else loss.ctypes.data + self._losses.start * loss.itemsize,
         )
-        scratch = _scratch(lib, n, self._lines)
+        scratch = _scratch(lib, n, stop - start)
         tail = (field.data.ctypes.data, scratch.ctypes.data)
 
         def phase(solve: bool, explicit: bool, held=(field, loss, scratch)):  # they outlive the call
@@ -356,9 +358,9 @@ class LinePhase:
 
     def _numpy(self, z, loss, solve: bool, explicit: bool) -> None:
         """The kernel's arithmetic in numpy, on real and imaginary parts, around ``zgttrs``."""
-        n = self._solve._n
+        n = self.solve._n
         if solve:
-            self._solve._zgttrs(z)
+            self.solve._zgttrs(z)
             at, damp, keep = self._damping
             if at.size:
                 cells = (at % n, at // n)
@@ -374,7 +376,7 @@ class LinePhase:
         (lr, li), (mr, mi), (ur, ui) = (
             (d.real[:, None], d.imag[:, None]) for d in self._explicit
         )
-        for first in range(0, self._lines, FALLBACK_GROUP):
+        for first in range(0, z.shape[1], FALLBACK_GROUP):
             # the group's explicit half is whole before it overwrites the group
             out = z[:, first : first + FALLBACK_GROUP]
             zr, zi = out.real, out.imag

@@ -226,7 +226,6 @@ class Potential2D:
 
     grid: Grid2D
     blocked: np.ndarray
-    branch: int
     septum: np.ndarray | None = None
 
     def __post_init__(self):
@@ -401,7 +400,7 @@ def build_potential(
         ramp = np.clip(depth / reach, 0.0, 1.0) ** 2
         septum = np.where(along & ~blocked, g.septum_strength * ramp, 0.0)
 
-    return Potential2D(grid, blocked, branch, septum)
+    return Potential2D(grid, blocked, septum)
 
 
 # ------------------------------------------------------------- propagation
@@ -446,23 +445,7 @@ def _line_operator(
     return main, lower, upper
 
 
-@dataclass(frozen=True)
-class _Run:
-    """Consecutive lines of one block that share one line operator.
-
-    ``lines`` is the run's range of its sweep's lines and ``solve`` solves
-    ``(1 + i a H) x = b`` on each of them, ``H`` one line's operator.  A y
-    run also carries its ``_tridiag.LinePhase``: the y phase on its lines,
-    with the explicit y half ``1 - i a H`` and its share of the edge
-    damping.
-    """
-
-    lines: slice
-    solve: _tridiag.LineSolve
-    phase: _tridiag.LinePhase | None = None
-
-
-def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=False):
+def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None):
     """The runs of each half of a sweep whose lines are the rows of ``free``.
 
     The halves are the first ``n_lines // 2`` lines and the rest.  Lines
@@ -470,7 +453,7 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=
     distinct line is built and factored once, at its first line.  A run is
     a maximal stretch of consecutive equal lines, cut at the edge of the
     halves, given as ``(lines, solve, explicit)``: its range, its pattern's
-    ``LineSolve`` and, if asked for, the diagonals of ``1 - i a H``.
+    ``LineSolve`` of ``1 + i a H`` and the diagonals of ``1 - i a H``.
     """
     n_lines, n_points = free.shape
     # each line's pattern, named by the first line that has it
@@ -485,9 +468,7 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=
     for i in firsts.values():
         row_stretch = 0.0 if stretch is None else stretch[i]
         main, lower, upper = _line_operator(1, n_points, free[i], coeff, row_stretch)
-        diagonals = None
-        if explicit:
-            diagonals = (-1j * a * lower, 1.0 - 1j * a * main, -1j * a * upper)
+        diagonals = (-1j * a * lower, 1.0 - 1j * a * main, -1j * a * upper)
         for diagonal in (lower, main, upper):
             diagonal *= 1j * a
         main += 1.0
@@ -505,28 +486,20 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None, explicit=
     return halves
 
 
-@dataclass(frozen=True)
-class _LineBlock:
-    """One of the two independent halves of a sweep's line system: its runs, in order."""
+def _on_both(pool, calls, *args) -> None:
+    """Make block 1's ``calls`` in ``pool`` and block 0's here, or both here, with ``args``."""
 
-    runs: tuple
+    def block(k: int) -> None:
+        for call in calls[k]:
+            call(*args)
 
-
-def _each(k: int, calls: list, *args) -> None:
-    """Make each of block ``k``'s calls with ``args``."""
-    for call in calls[k]:
-        call(*args)
-
-
-def _on_both(pool, sweep, *args) -> None:
-    """Run ``sweep`` on block 1 in ``pool`` and on block 0 here, or both here."""
     if pool is None:
-        sweep(0, *args)
-        sweep(1, *args)
+        block(0)
+        block(1)
         return
-    other = pool.submit(sweep, 1, *args)
+    other = pool.submit(block, 1)
     try:
-        sweep(0, *args)
+        block(0)
     finally:
         other.result()
 
@@ -548,10 +521,12 @@ class Propagator:
     ``_tridiag.LineSolve``; reuse the instance for chunked runs.  A run is a
     stretch of consecutive lines of one pattern.  Each phase of a step is
     one call per run: the x phase a ``LineSolve`` that solves ``w`` and
-    leaves ``2u - w`` in its place, the y phase a ``_tridiag.LinePhase``
-    that solves, damps and forms the next explicit y half from the
-    pattern's three diagonals.  Both run through the C kernel, or through
-    ``zgttrs`` and numpy with the same bits.
+    leaves ``2u - w`` in its place, on an x run's ``(lines, solve)`` pair;
+    the y phase a ``_tridiag.LinePhase``, which is the y run: it holds its
+    lines and its share of the edge damping, and solves, damps and forms
+    the next explicit y half from the pattern's three diagonals.  Both run
+    through the C kernel, or through ``zgttrs`` and numpy with the same
+    bits.
 
     The state lives in one ``_tridiag.Field`` for a whole ``run`` call,
     in the form its backend steps: on the kernel, real and imaginary
@@ -594,17 +569,12 @@ class Propagator:
         free = ~potential.blocked
         a = dt / 2.0
 
-        # x lines are the rows of the (ny, nx) mask; no stretch acts along x
+        # x lines are the rows of the (ny, nx) mask; no stretch acts along x.
+        # A pattern's LineSolve serves each of its runs, so a run is a pair
         cx = 1.0 / (2.0 * grid.dx**2)
         self._x_blocks = tuple(
-            _LineBlock(tuple(_Run(span, solve) for span, solve, _ in runs))
-            for runs in _line_runs(free, cx, a)
+            tuple((lines, solve) for lines, solve, _ in runs) for runs in _line_runs(free, cx, a)
         )
-
-        # y lines are the rows of the transposed mask, the state's layout
-        cy = 1.0 / (2.0 * grid.dy**2)
-        stretch = None if potential.septum is None else potential.septum.T
-        y_halves = _line_runs(free.T, cy, a, stretch, explicit=True)
 
         # ``damped`` lists the damped cells of the flattened (nx, ny) layout
         # the step ends on, ascending, and ``damp`` their factors
@@ -625,22 +595,17 @@ class Propagator:
             damped, damp = margin[damping], damp[damping]
         self._n_damped = damped.size
 
-        # a y run's cells are its lines' rows of the (nx, ny) layout, and its
-        # damped cells count from its first cell
-        y_blocks = []
-        for runs in y_halves:
-            y_runs = []
-            for span, solve, explicit in runs:
-                first = span.start * grid.ny
-                lo, hi = np.searchsorted(damped, (first, span.stop * grid.ny))
-                phase = _tridiag.LinePhase(
-                    solve, explicit, span.stop - span.start,
-                    damped[lo:hi] - first, damp[lo:hi], 1.0 - damp[lo:hi] ** 2,
-                    slice(int(lo), int(hi)), damped.size,
-                )
-                y_runs.append(_Run(span, solve, phase))
-            y_blocks.append(_LineBlock(tuple(y_runs)))
-        self._y_blocks = tuple(y_blocks)
+        # y lines are the rows of the transposed mask, the state's layout; a
+        # y run is its LinePhase, which takes its own share of the damping
+        cy = 1.0 / (2.0 * grid.dy**2)
+        stretch = None if potential.septum is None else potential.septum.T
+        self._y_blocks = tuple(
+            tuple(
+                _tridiag.LinePhase(solve, explicit, lines, damped, damp)
+                for lines, solve, explicit in runs
+            )
+            for runs in _line_runs(free.T, cy, a, stretch)
+        )
 
     def run(
         self, packet: WavePacket2D, steps: int, pool: Executor | None = None
@@ -696,21 +661,17 @@ class Propagator:
         if track_by_norm:
             n0 = float(np.sum(np.abs(psi) ** 2))
         # the step's one work field, in the form the kernel or zgttrs steps
-        field = _tridiag.Field(self._x_blocks[0].runs[0].solve, ny, nx)
+        field = _tridiag.Field(self._x_blocks[0][0][1], ny, nx)
         field.write(psi)
         loss = None if track_by_norm or not self._n_damped else np.empty(self._n_damped)
         # every run's call on its lines of the field, bound once
-        x_phase = [
-            [run.solve.bind(field, run.lines) for run in block.runs] for block in self._x_blocks
-        ]
-        y_phase = [
-            [run.phase.bind(field, run.lines, loss) for run in block.runs] for block in self._y_blocks
-        ]
+        x_phase = [[solve.bind(field, lines) for lines, solve in block] for block in self._x_blocks]
+        y_phase = [[phase.bind(field, loss) for phase in block] for block in self._y_blocks]
         if steps:
-            _on_both(pool, _each, y_phase, False, True)
+            _on_both(pool, y_phase, False, True)
         for step in range(steps):
-            _on_both(pool, _each, x_phase, True)
-            _on_both(pool, _each, y_phase, True, step + 1 < steps)
+            _on_both(pool, x_phase, True)
+            _on_both(pool, y_phase, True, step + 1 < steps)
             if loss is not None:
                 # one sum over both blocks' losses keeps the summation order
                 absorbed += float(np.sum(loss)) * area

@@ -324,8 +324,8 @@ def outcome_pmf(observable: Povm, state: State) -> Pmf:
 
 def sample_pmf(pmf: Pmf, shots: int, seed: int) -> list:
     """Draw outcomes by inverse CDF over the declared order, no-detection last."""
-    if shots < 0:
-        raise ValidationError("shots must be nonnegative")
+    if shots < 0 or seed < 0:
+        raise ValidationError("shots and seed must be nonnegative")
     labels = list(pmf.outcomes) + [NO_DETECTION]
     weights = np.array([pmf[x] for x in pmf.outcomes] + [pmf.no_detection])
     edges = np.cumsum(weights)

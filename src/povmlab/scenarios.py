@@ -505,8 +505,8 @@ class DoubleSlitConfig:
     def __post_init__(self):
         if self.branch not in self.BRANCHES:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
-        if self.shots < 0 or self.max_steps < 1:
-            raise ValidationError("shots must be >= 0 and max_steps >= 1")
+        if self.shots < 0 or self.seed < 0 or self.max_steps < 1:
+            raise ValidationError("shots and seed must be >= 0 and max_steps >= 1")
         if not self.window:
             raise EmptyWindow(
                 f"window {self.window_lo}..{self.window_hi} holds no screen strip"

@@ -170,7 +170,7 @@ def test_free_packet_moves_at_the_group_velocity():
     grid = Grid2D(256, 64, 76.8, 19.2)
     params = PhysicalParams(k0=0.6, sigma=2.0, delta=0.5, b=30.0)
     packet = init_packet(grid, params, center=(-20.0, 0.0))
-    pot = Potential2D(grid, np.zeros((64, 256), dtype=bool), 1)
+    pot = Potential2D(grid, np.zeros((64, 256), dtype=bool))
     steps, dt = 500, 0.01
     out = evolve(packet, pot, dt, steps)
     dens = out.density()
@@ -187,7 +187,7 @@ def test_free_packet_speed_at_the_production_spacing_is_the_lattice_one():
     grid = Grid2D(256, 128, 38.4, 19.2)
     params = PhysicalParams(k0=5.0, sigma=3.0, delta=0.5, b=10.0)
     packet = init_packet(grid, params, center=(-8.0, 0.0))
-    pot = Potential2D(grid, np.zeros((128, 256), dtype=bool), 1)
+    pot = Potential2D(grid, np.zeros((128, 256), dtype=bool))
     steps, dt = 250, 0.004
     out = evolve(packet, pot, dt, steps)
 
@@ -444,11 +444,11 @@ def test_many_line_patterns_step_exactly_like_one_flat_system(branch):
     pot = build_potential(ODD_GRID, PARAMS, branch, WEDGE)
     sponge = SpongeConfig(6, 6.0)
     prop = Propagator(pot, 0.01, sponge=sponge)
-    for blocks in (prop._x_blocks, prop._y_blocks):
-        runs = blocks[0].runs + blocks[1].runs
-        assert len({id(run.solve) for run in runs}) >= 8
+    x_runs, y_runs = (blocks[0] + blocks[1] for blocks in (prop._x_blocks, prop._y_blocks))
+    assert len({id(solve) for _, solve in x_runs}) >= 8
+    assert len({id(phase.solve) for phase in y_runs}) >= 8
     # the run that crosses the block edge is cut there and keeps its factors
-    assert prop._y_blocks[0].runs[-1].solve is prop._y_blocks[1].runs[0].solve
+    assert prop._y_blocks[0][-1].solve is prop._y_blocks[1][0].solve
     packet = init_packet(ODD_GRID, PARAMS, center=(1.0, 0.5))  # over the wedge
     assert np.abs(packet.amplitudes[pot.blocked]).max() > 0.0
 

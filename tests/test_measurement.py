@@ -28,6 +28,7 @@ from povmlab.measurement import (
     outcome_pmf,
     product_observable,
     sample_outcomes,
+    sample_pmf,
     tensor_observable,
 )
 
@@ -183,6 +184,12 @@ def test_sampling_is_deterministic_and_ordered():
     b = sample_outcomes(o, u, 100, seed=5)
     assert a == b
     assert set(a) <= {1, 2}
+
+
+def test_sampling_refuses_a_negative_seed():
+    # numpy's generator refuses one only after the caller's work is done
+    with pytest.raises(ValidationError):
+        sample_pmf(Pmf({1: 0.5, 2: 0.5}), 10, -1)
 
 
 def test_sampling_includes_no_detection_mass():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import povmlab
+from povmlab import scenarios
 from povmlab.cli import main
 from povmlab.doubleslit import (
     DetectorBinning,
@@ -257,6 +258,9 @@ def test_double_slit_config_validation():
         DoubleSlitConfig(shots=-1)
     with pytest.raises(ValidationError):
         DoubleSlitConfig(max_steps=0)
+    # -1 too, although its branch seeds seed + 1 and seed + 2 are valid
+    with pytest.raises(ValidationError):
+        DoubleSlitConfig(seed=-1)
 
 
 def test_double_slit_config_rejects_an_empty_fringe_window():
@@ -442,13 +446,19 @@ def test_cli_eraser_amplitude_flags(tmp_path):
     assert payload["parameters"]["alpha2"] == {"im": 0.8, "re": 0.0}
 
 
-def test_cli_rejects_bad_requests():
+def test_cli_rejects_bad_requests(monkeypatch):
     assert main(["scenario", "umbrella"]) == 2
     assert main(["scenario", "wheeler", "--alpha1", "0.6"]) == 2
     assert main(["scenario", "eraser", "--alpha1", "nope"]) == 2
     assert main(["scenario", "eraser", "--alpha1", "1", "--alpha2", "1"]) == 2
     assert main(["doubleslit", "--branch", "3"]) == 2
     assert main(["doubleslit", "--shots", "-5"]) == 2
+    # refused before any field is stepped, not by the sampler after the run
+    built = []
+    monkeypatch.setattr(scenarios, "Propagator", lambda *a, **k: built.append(a))
+    argv = ["doubleslit", "--branch", "1", "--k0", "4", "--dt", "0.016", "--sigma", "3"]
+    assert main(argv + ["--b", "14", "--shots", "10", "--seed", "-5"]) == 2
+    assert built == []
 
 
 def test_cli_maps_numeric_failures_to_exit_three():
@@ -531,7 +541,7 @@ import numpy as np
 from povmlab.doubleslit import Grid2D, Potential2D, Propagator, WavePacket2D
 
 grid = Grid2D(16, 16, 4.0, 4.0)
-prop = Propagator(Potential2D(grid, np.zeros((16, 16), dtype=bool), 1), 0.01)
+prop = Propagator(Potential2D(grid, np.zeros((16, 16), dtype=bool)), 0.01)
 prop.run(WavePacket2D(grid, np.ones((16, 16))), 1)
 assert "scipy.linalg" in sys.modules, scipy_modules()
 assert [name.split("-")[0] for name in loaded] == ["_tridiag"], loaded
@@ -552,3 +562,31 @@ def test_finite_layer_and_scenario_cli_never_load_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.startswith(b"{")
+
+
+# scripts/byte_oracle.py's finite lines, ``povmlab scenario`` and these
+# arguments: the JSON and the CSV of each scenario
+FINITE_ORACLE = {
+    "eraser": "45a0c50f16652ceb9f364e623307a2af1e4e101b1f70431c192a8e5f65e0fb88",
+    "eraser --csv": "3fa9cb484a55e92fca38a83fafa43ebae5c317f434dea08c070dd2ac42d85489",
+    "wheeler": "99032a5cbe2489d5bcafbb151574c82e84e3507da9beb9cd74b079900f5d494b",
+    "wheeler --csv": "272d925594ca0e64398df5f03dc3faf9ac04f32fd8117a72cb126322312e38ad",
+    "hardy": "e94988002a99833dfc4951fa3fbc389e0a2a32f4bd5d866019507cd638791a39",
+    "hardy --csv": "97739674cbb78aff77c19bbf323455a6509c0324f2a2a28f8e3b3059604921d7",
+    "three-boxes": "d3dd56b2659b81372e39b22d17507da6e32ffef3772b63c4b8fa7b891daf3d0f",
+    "three-boxes --csv": "56fbb5b9a3c5f4d9dd05486a20eb44cf8b3b23bbf453e974a6c96e46dfd3efd3",
+}
+
+
+def test_the_byte_oracle_prints_the_pinned_finite_digests(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "byte_oracle.py"
+    done = subprocess.run(
+        [sys.executable, str(script)], env={**os.environ, "XDG_CACHE_HOME": str(tmp_path)},
+        capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    lines = [line.split("  ", 1) for line in done.stdout.decode().splitlines()]
+    prefix = "povmlab scenario "
+    assert all(command.startswith(prefix) for _, command in lines)
+    assert {command[len(prefix):]: digest for digest, command in lines} == FINITE_ORACLE
+    assert len(lines) == len(FINITE_ORACLE)

@@ -64,13 +64,17 @@ def _stepped(solve, psi, call):
 
 
 def _bare_phase(solve, lines):
-    """A y phase of ``solve`` on ``lines`` lines with no damped cell: with ``(True, False)``, a solve."""
+    """A y phase of ``solve`` on ``lines`` with no damped cell: with ``(True, False)``, a solve."""
     n = solve.lu[1].size
-    none = np.empty(0)
     return _tridiag.LinePhase(
         solve, (np.zeros(n - 1), np.ones(n), np.zeros(n - 1)), lines,
-        at=none.astype(np.intp), damp=none, keep=none, losses=slice(0, 0), n_losses=0,
+        damped=np.empty(0, dtype=np.intp), damp=np.empty(0),
     )
+
+
+def _runs(blocks):
+    """The runs of both blocks of a sweep, in order."""
+    return blocks[0] + blocks[1]
 
 
 def _on_lines(solve, rhs, shape, lines, axis, explicit=False):
@@ -86,8 +90,8 @@ def _on_lines(solve, rhs, shape, lines, axis, explicit=False):
     if axis == 0:
         out = _stepped(solve, psi, lambda field: solve.bind(field, lines)(explicit))
     else:
-        phase = _bare_phase(solve, rhs.shape[1])
-        out = _stepped(solve, psi, lambda field: phase.bind(field, lines, None)(True, False))
+        phase = _bare_phase(solve, lines)
+        out = _stepped(solve, psi, lambda field: phase.bind(field, None)(True, False))
     result = np.array(out[place].T if axis == 0 else out[place], order="C")
     out[place] = MARGIN
     assert (out == MARGIN).all(), "the run wrote outside its lines"
@@ -123,13 +127,14 @@ def test_kernel_matches_zgttrs_bit_for_bit_on_every_production_run():
         pot, dt = _production(branch)
         prop = Propagator(pot, dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
         shape = (prop.grid.ny, prop.grid.nx)
-        for axis, blocks in enumerate((prop._x_blocks, prop._y_blocks)):
-            for run in blocks[0].runs + blocks[1].runs:
-                assert run.solve._lib is not None, "the C kernel did not build"
-                rhs = _normal(rng, run.solve.lu[1].size, run.lines.stop - run.lines.start)
+        y_runs = [(phase.lines, phase.solve) for phase in _runs(prop._y_blocks)]
+        for axis, runs in enumerate((_runs(prop._x_blocks), y_runs)):
+            for lines, solve in runs:
+                assert solve._lib is not None, "the C kernel did not build"
+                rhs = _normal(rng, solve.lu[1].size, lines.stop - lines.start)
                 for explicit in (False, True) if axis == 0 else (False,):
-                    got = _on_lines(run.solve, rhs, shape, run.lines, axis, explicit)
-                    assert np.array_equal(got, _zgttrs(run.solve, rhs, explicit))
+                    got = _on_lines(solve, rhs, shape, lines, axis, explicit)
+                    assert np.array_equal(got, _zgttrs(solve, rhs, explicit))
                 checked += 1
     assert checked == 22  # every run of both sweeps of both branches
 
@@ -246,8 +251,8 @@ def _production_propagators(branch, sponge, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(_tridiag, "kernel", lambda: None)
         fallback = Propagator(pot, dt, sponge=sponge)
-    assert kernel._x_blocks[0].runs[0].solve._lib is not None, "the C kernel did not build"
-    assert fallback._x_blocks[0].runs[0].solve._lib is None
+    assert kernel._x_blocks[0][0][1]._lib is not None, "the C kernel did not build"
+    assert fallback._x_blocks[0][0][1]._lib is None
     return kernel, fallback
 
 
@@ -263,40 +268,41 @@ def test_kernel_phases_match_the_numpy_route_bit_for_bit_on_every_production_run
     shape = (kernel.grid.ny, kernel.grid.nx)
     rng = np.random.default_rng(14)
     checked = 0
-    runs = lambda blocks: blocks[0].runs + blocks[1].runs  # noqa: E731
-    for k_run, f_run in zip(runs(kernel._x_blocks), runs(fallback._x_blocks)):
-        assert k_run.lines == f_run.lines
+    for (lines, k_solve), (f_lines, f_solve) in zip(
+        _runs(kernel._x_blocks), _runs(fallback._x_blocks)
+    ):
+        assert lines == f_lines
         psi = _normal(rng, *shape)
         for explicit in (True, False):
             results = [
-                _stepped(run.solve, psi, lambda f: run.solve.bind(f, run.lines)(explicit))
-                for run in (k_run, f_run)
+                _stepped(s, psi, lambda f: s.bind(f, lines)(explicit)) for s in (k_solve, f_solve)
             ]
-            assert np.array_equal(*(r.view(np.uint64) for r in results)), (k_run.lines, explicit)
+            assert np.array_equal(*(r.view(np.uint64) for r in results)), (lines, explicit)
             # the run wrote its own lines, and nothing else
             changed = (results[0] != psi).any(axis=1)
-            assert not changed[: k_run.lines.start].any() and not changed[k_run.lines.stop :].any()
+            assert not changed[: lines.start].any() and not changed[lines.stop :].any()
         checked += 1
-    for k_run, f_run in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
-        assert k_run.lines == f_run.lines
+    for k_phase, f_phase in zip(_runs(kernel._y_blocks), _runs(fallback._y_blocks)):
+        lines = k_phase.lines
+        assert lines == f_phase.lines
         for solve, explicit in ((False, True), (True, True), (True, False)):
             psi, loss = _normal(rng, *shape), rng.normal(size=kernel._n_damped)
             results = []
-            for run in (k_run, f_run):
+            for phase in (k_phase, f_phase):
                 losses = loss.copy()
                 state = _stepped(
-                    run.solve, psi, lambda f: run.phase.bind(f, run.lines, losses)(solve, explicit)
+                    phase.solve, psi, lambda f: phase.bind(f, losses)(solve, explicit)
                 )
                 results.append((state, losses))
             for got, want in zip(*results):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
-                    k_run.lines, solve, explicit,
+                    lines, solve, explicit,
                 )
             # the run wrote its own lines and losses, and nothing else
             changed = (results[0][0] != psi).any(axis=0)
-            assert not changed[: k_run.lines.start].any() and not changed[k_run.lines.stop :].any()
+            assert not changed[: lines.start].any() and not changed[lines.stop :].any()
             booked = results[0][1] != loss
-            at = k_run.phase._losses
+            at = k_phase._losses
             assert not booked[: at.start].any() and not booked[at.stop :].any()
             assert booked[at].all() if solve else not booked[at].any()
         checked += 1
@@ -315,35 +321,37 @@ def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
     if backend == "zgttrs":
         solve, other = other, solve
     explicit = (-0.5j * lower, 1.0 - 0.5j * main, -0.5j * upper)
-    damp = np.array([0.5, 0.7, 0.9])
+    # the run is y lines 1..m of a field of nx; damped entries 2..4 are its
+    # cells, the first, one inside and the last, and the others flank them
+    lines = slice(1, m + 1)
     good = dict(
-        at=np.array([0, n + 2, n * m - 1]), damp=damp, keep=1.0 - damp**2,
-        losses=slice(2, 5), n_losses=6,
+        damped=np.array([3, n - 1, n, 2 * n + 2, n * (m + 1) - 1, n * (m + 1)]),
+        damp=np.array([0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
     )
 
     refused = {
-        "unsorted cells": dict(at=np.array([n + 2, 0, n * m - 1])),
-        "a repeated cell": dict(at=np.array([0, n + 2, n + 2])),
-        "a cell before the run": dict(at=np.array([-1, n + 2, n * m - 1])),
-        "a cell after the run": dict(at=np.array([0, n + 2, n * m])),
-        "a damping factor short": dict(damp=good["damp"][:2]),
-        "a keep short": dict(keep=good["keep"][:2]),
-        "losses short": dict(losses=slice(2, 4)),
-        "losses past the array": dict(losses=slice(4, 7)),
-        "losses before the array": dict(losses=slice(-1, 2)),
-        "strided losses": dict(losses=slice(0, 6, 2)),
+        "unsorted cells": dict(damped=good["damped"][[0, 1, 3, 2, 4, 5]]),
+        "a repeated cell": dict(damped=good["damped"][[0, 1, 2, 2, 4, 5]]),
+        "a cell before the field": dict(damped=np.r_[-1, good["damped"][1:]]),
+        "a damping factor short": dict(damp=good["damp"][:5]),
+        "lines before the field": dict(lines=slice(-1, m - 1)),
+        "a strided range": dict(lines=slice(1, 2 * m + 1, 2)),
+        "an open range": dict(lines=slice(None, m)),
+        "a reversed range": dict(lines=slice(m, 0)),
+        "a range of floats": dict(lines=slice(1.0, float(m + 1))),
     }
     for name, change in refused.items():
-        arrays = {**good, **change}
+        arrays = {"lines": lines, **good, **change}
         before = {k: v.copy() for k, v in arrays.items() if isinstance(v, np.ndarray)}
         with pytest.raises(ValueError):
-            _tridiag.LinePhase(solve, explicit, m, **arrays)
+            _tridiag.LinePhase(solve, explicit, **arrays)
         for k, v in before.items():
             assert np.array_equal(arrays[k], v), name
     with pytest.raises(ValueError):
-        _tridiag.LinePhase(solve, (explicit[0][1:], *explicit[1:]), m, **good)
+        _tridiag.LinePhase(solve, (explicit[0][1:], *explicit[1:]), lines, **good)
 
-    phase = _tridiag.LinePhase(solve, explicit, m, **good)
+    phase = _tridiag.LinePhase(solve, explicit, lines, **good)
+    assert phase.solve is solve and phase.lines == lines
     # the run's y lines inside a field, with lines on both sides
     psi = _normal(rng, n, nx)
     field = _tridiag.Field(solve, n, nx)
@@ -351,30 +359,29 @@ def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
     loss = rng.normal(size=6)
     read_only = loss.copy()
     read_only.flags.writeable = False
-    lines = slice(1, m + 1)
-    calls = {
-        "too many lines": (field, slice(1, m + 2), loss),
-        "too few lines": (field, slice(1, m), loss),
-        "lines of another length": (_tridiag.Field(solve, n + 1, nx), lines, loss),
-        "a field of the other backend": (_tridiag.Field(other, n, nx), lines, loss),
-        "an array, not a field": (psi.T.copy(), lines, loss),
-        "lines past the field": (field, slice(nx - m + 1, nx + 1), loss),
-        "lines before the field": (field, slice(-1, m - 1), loss),
-        "a strided range": (field, slice(1, 2 * m + 1, 2), loss),
-        "an open range": (field, slice(None, m), loss),
-        "a short loss": (field, lines, loss[:5]),
-        "a strided loss": (field, lines, np.zeros(12)[::2]),
-        "a complex loss": (field, lines, loss.astype(complex)),
-        "a read-only loss": (field, lines, read_only),
+    # a damped field's last cell lies inside it, the cell after it does not
+    last = dict(good, damped=np.r_[good["damped"][:5], n * nx - 1])
+    past = dict(good, damped=np.r_[good["damped"][:5], n * nx])
+    bound = {
+        "lines of another length": (phase, _tridiag.Field(solve, n + 1, nx), loss),
+        "a field of the other backend": (phase, _tridiag.Field(other, n, nx), loss),
+        "an array, not a field": (phase, psi.T.copy(), loss),
+        "lines past the field": (phase, _tridiag.Field(solve, n, m), loss),
+        "a cell past the field": (_tridiag.LinePhase(solve, explicit, lines, **past), field, loss),
+        "a short loss": (phase, field, loss[:5]),
+        "a strided loss": (phase, field, np.zeros(12)[::2]),
+        "a complex loss": (phase, field, loss.astype(complex)),
+        "a read-only loss": (phase, field, read_only),
     }
     before = [a.tobytes() for a in (field.data, loss)]
-    for name, args in calls.items():
+    for name, (refusing, *args) in bound.items():
         with pytest.raises(ValueError):
-            phase.bind(*args)
+            refusing.bind(*args)
         assert [a.tobytes() for a in (field.data, loss)] == before, name
+    _tridiag.LinePhase(solve, explicit, lines, **last).bind(field, loss)
 
-    # the same field and loss, with the run's range, are written where the run's are
-    phase.bind(field, lines, loss)(True, True)
+    # the same field and loss are written where the run's are
+    phase.bind(field, loss)(True, True)
     out = np.empty_like(psi)
     field.read(out)
     assert np.array_equal(out[:, [0, *range(m + 1, nx)]], psi[:, [0, *range(m + 1, nx)]])
@@ -418,17 +425,22 @@ def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
         return
     modes = [(False, True), (True, True), (True, False)]
     mode = data.draw(st.sampled_from(modes), label="(solve, explicit)")
-    at = np.flatnonzero(rng.uniform(size=n * m) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
-    damp = rng.uniform(0.5, 1.0, size=at.size)
+    share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    damped = np.flatnonzero(rng.uniform(size=n * count) < share)  # over the whole field
+    damp = rng.uniform(0.5, 1.0, size=damped.size)
     diagonals = (_normal(rng, n - 1), _normal(rng, n), _normal(rng, n - 1))
-    losses, loss = slice(2, 2 + at.size), rng.normal(size=at.size + 3)
+    loss = rng.normal(size=damped.size)
     results = []
     for s in solves:
-        phase = _tridiag.LinePhase(s, diagonals, m, at, damp, 1.0 - damp**2, losses, loss.size)
+        phase = _tridiag.LinePhase(s, diagonals, lines, damped, damp)
         booked = loss.copy()
-        state = _stepped(s, psi, lambda f: phase.bind(f, lines, booked)(*mode))
+        state = _stepped(s, psi, lambda f: phase.bind(f, booked)(*mode))
         results.append((state, booked))
     assert np.array_equal(results[0][0][:, outside], psi[:, outside])
+    # the losses of the run's damped cells are written on a solve, and no other
+    ours = (damped >= lo * n) & (damped < hi * n)
+    assert np.array_equal(results[0][1][~ours], loss[~ours])
+    assert (results[0][1][ours] != loss[ours]).all() if mode[0] else (results[0][1] == loss).all()
     for got, want in zip(*results):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -529,12 +541,11 @@ def solved(solve, shape, lines, axis):
         out = stepped(solve, psi, lambda f: solve.bind(f, lines)(False))
         got, rhs = out[lines].T, psi[lines].T
     else:
-        none = np.empty(0)
         phase = _tridiag.LinePhase(
-            solve, (np.zeros(n - 1), np.ones(n), np.zeros(n - 1)), lines.stop - lines.start,
-            none.astype(np.intp), none, none, slice(0, 0), 0,
+            solve, (np.zeros(n - 1), np.ones(n), np.zeros(n - 1)), lines,
+            np.empty(0, dtype=np.intp), np.empty(0),
         )
-        out = stepped(solve, psi, lambda f: phase.bind(f, lines, None)(True, False))
+        out = stepped(solve, psi, lambda f: phase.bind(f, None)(True, False))
         got, rhs = out[:, lines], psi[:, lines]
     expected, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
     bits = np.ascontiguousarray(got).tobytes()
@@ -547,31 +558,31 @@ shape = (grid.ny, grid.nx)
 params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
 geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
 sponge = SpongeConfig(c.sponge_width, c.sponge_strength)
-runs = lambda blocks: blocks[0].runs + blocks[1].runs
+runs = lambda blocks: blocks[0] + blocks[1]
 for branch in (1, 2):
     pot = build_potential(grid, params, branch, geometry)
     kernel = Propagator(pot, c.dt, sponge=sponge)
     load, _tridiag.kernel = _tridiag.kernel, lambda: None
     fallback = Propagator(pot, c.dt, sponge=sponge)
     _tridiag.kernel = load
-    for axis, blocks in enumerate((kernel._x_blocks, kernel._y_blocks)):
-        for run in runs(blocks):
-            solved(run.solve, shape, run.lines, axis)
+    y_runs = [(phase.lines, phase.solve) for phase in runs(kernel._y_blocks)]
+    for axis, sweep in enumerate((runs(kernel._x_blocks), y_runs)):
+        for lines, solve in sweep:
+            solved(solve, shape, lines, axis)
     psi, loss = normal(*shape), rng.normal(size=kernel._n_damped)
-    for k_run, f_run in zip(runs(kernel._x_blocks), runs(fallback._x_blocks)):
+    for (lines, k_solve), (_, f_solve) in zip(runs(kernel._x_blocks), runs(fallback._x_blocks)):
         bits = [
-            stepped(run.solve, psi, lambda f: run.solve.bind(f, run.lines)(True)).tobytes()
-            for run in (k_run, f_run)
+            stepped(s, psi, lambda f: s.bind(f, lines)(True)).tobytes() for s in (k_solve, f_solve)
         ]
-        assert bits[0] == bits[1], (branch, k_run.lines)
+        assert bits[0] == bits[1], (branch, lines)
         digest.update(bits[0])
-    for k_run, f_run in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
+    for k_phase, f_phase in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
         bits = []
-        for run in (k_run, f_run):
+        for phase in (k_phase, f_phase):
             losses = loss.copy()
-            out = stepped(run.solve, psi, lambda f: run.phase.bind(f, run.lines, losses)(True, True))
+            out = stepped(phase.solve, psi, lambda f: phase.bind(f, losses)(True, True))
             bits.append(out.tobytes() + losses.tobytes())
-        assert bits[0] == bits[1], (branch, k_run.lines)
+        assert bits[0] == bits[1], (branch, k_phase.lines)
         digest.update(bits[0])
 n = 64
 phase = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))
@@ -664,7 +675,7 @@ def step(_):
     prop = Propagator(potential, 0.01, sponge=SpongeConfig(6, 6.0))
     out = prop.run(packet, 30)
     bits = out.amplitudes.tobytes() + out.absorbed.hex().encode()
-    return prop._x_blocks[0].runs[0].solve._lib is not None, hashlib.sha256(bits).hexdigest()
+    return prop._x_blocks[0][0][1]._lib is not None, hashlib.sha256(bits).hexdigest()
 
 if sys.argv[1] == "threads":
     sys.setswitchinterval(1e-6)
