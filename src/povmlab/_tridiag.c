@@ -21,10 +21,15 @@
  *                       for each listed cell loss = (re*re + im*im) * keep
  *                       and z *= damp; with explicit set, then z = E z for
  *                       the tridiagonal E, without terms across line ends
+ *   tridiag_loss_sum    a loss vector's sum, as np.sum adds it
+ *   tridiag_steps       a chunk of steps on one thread's share of a field's
+ *                       runs, each phase by the two entries above, meeting
+ *                       the other threads at a join after each phase
  *
  * Both phases take a scratch of tridiag_scratch(n, nrhs) doubles, which the
  * caller allocates once and reuses, so an entry allocates nothing; runs on
- * disjoint line ranges of one field may run on different threads.
+ * disjoint line ranges of one field may run on different threads, and runs
+ * on one thread may share a scratch.
  *
  * One stated rounding, the same on every host.  Each line gets exactly the
  * arithmetic of reference LAPACK's zgtts2 with trans = 'N', pivot branch
@@ -67,6 +72,8 @@
  */
 
 #include <limits.h> /* defines __GLIBC__ on glibc */
+#include <sched.h>
+#include <stdatomic.h>
 #include <stddef.h>
 
 /*
@@ -465,5 +472,144 @@ void tridiag_y_phase(int ny, int nx, int lo, int hi, const double *dl, const dou
         if (explicit)
             (L == GROUP ? explicit_wide : explicit_narrow)(n, low, main, up, re, im);
         move_lines(ny, nx, lo + j, m, L, field, scratch, 1);
+    }
+}
+
+/*
+ * sum a[0..n) in numpy's pairwise order for a contiguous float64 vector:
+ * fewer than 8 one by one; up to PAIRWISE in 8 interleaved accumulators,
+ * combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+ * tail one by one; above that, split at n / 2 rounded down to a multiple of
+ * 8.  np.sum adds the result to its identity, 0.0, which only turns -0.0
+ * into 0.0.
+ */
+#define PAIRWISE 128
+
+static double pairwise(const double *a, ptrdiff_t n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (ptrdiff_t i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    if (n <= PAIRWISE) {
+        double r[8];
+        ptrdiff_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    ptrdiff_t half = n / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+double tridiag_loss_sum(ptrdiff_t n, const double *loss)
+{
+    return 0.0 + pairwise(loss, n);
+}
+
+/*
+ * The arguments of one run's tridiag_x_phase and tridiag_y_phase, in their
+ * order, less the grid, the flags and the field.
+ */
+typedef struct {
+    int lo, hi;
+    const double *dl, *d, *du, *du2;
+    const int *ipiv;
+    double *scratch;
+} x_run;
+
+typedef struct {
+    int lo, hi;
+    const double *dl, *d, *du, *du2;
+    const int *ipiv;
+    const double *low, *main, *up;
+    ptrdiff_t n_damped;
+    const ptrdiff_t *at;
+    const double *damp, *keep;
+    double *loss;
+    double *scratch;
+} y_run;
+
+/* spins with a pause hint before a waiting thread yields its core */
+#define SPINS 4096
+
+/*
+ * A sense-reversing barrier of parties threads over join[0], the count of
+ * arrivals, and join[1], the sense of the last completed join; *sense is
+ * the caller's copy of join[1].  The last arrival resets the count and
+ * flips the sense, which releases the rest.  Every write a thread made
+ * before it arrived is visible to every thread after the join.
+ */
+static void join_all(_Atomic int *join, int parties, int *sense)
+{
+    if (parties < 2)
+        return;
+    *sense = !*sense;
+    if (atomic_fetch_add(&join[0], 1) == parties - 1) {
+        atomic_store(&join[0], 0);
+        atomic_store(&join[1], *sense);
+        return;
+    }
+    for (int spin = 0; atomic_load(&join[1]) != *sense; spin++)
+        if (spin < SPINS) {
+#ifdef __x86_64__
+            __builtin_ia32_pause();
+#endif
+        } else {
+            sched_yield();
+        }
+}
+
+/*
+ * steps steps of a field, on this thread's share of its runs: the xs and
+ * ys, while parties - 1 other threads step the rest with the same join.
+ * The field holds psi: first the explicit y half of the thread's y runs;
+ * then each step the x phase, a join, the y phase (its explicit half on
+ * every step but the last) and a join, after which the field holds the
+ * state again.  Given loss, one entry per damped cell of the whole field,
+ * the thread also adds its sum times area to *absorbed after each step's
+ * last join, when every run has written its losses and none writes them
+ * again before the next step's first join.  The caller keeps join, zeroed
+ * before its first use, for all the calls of one set of threads.
+ */
+void tridiag_steps(int ny, int nx, double *field, int steps, int n_x, const x_run *xs, int n_y,
+                   const y_run *ys, ptrdiff_t n_loss, const double *loss, double area,
+                   double *absorbed, _Atomic int *join, int parties)
+{
+    int sense = atomic_load(&join[1]);
+    if (steps <= 0)
+        return;
+    for (int k = 0; k < n_y; k++) {
+        const y_run *r = ys + k;
+        tridiag_y_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, r->low,
+                        r->main, r->up, r->n_damped, r->at, r->damp, r->keep, r->loss, 0, 1,
+                        field, r->scratch);
+    }
+    join_all(join, parties, &sense);
+    for (int step = 0; step < steps; step++) {
+        for (int k = 0; k < n_x; k++) {
+            const x_run *r = xs + k;
+            tridiag_x_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, 1, field,
+                            r->scratch);
+        }
+        join_all(join, parties, &sense);
+        for (int k = 0; k < n_y; k++) {
+            const y_run *r = ys + k;
+            tridiag_y_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, r->low,
+                            r->main, r->up, r->n_damped, r->at, r->damp, r->keep, r->loss, 1,
+                            step + 1 < steps, field, r->scratch);
+        }
+        join_all(join, parties, &sense);
+        if (loss)
+            *absorbed += tridiag_loss_sum(n_loss, loss) * area;
     }
 }

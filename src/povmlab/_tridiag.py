@@ -1,22 +1,24 @@
 """The grid's line arithmetic on many lines at once: a C kernel, or ``zgttrs`` and numpy.
 
-A ``Propagator.run`` call keeps its state in one ``Field``.  ``LineSolve``
-factors one line's matrix with LAPACK's ``zgttrf`` and binds to a range of
-the field's x lines: the x phase, a solve ``u`` of every line and the
-explicit x half ``2u - w`` written back in place.  A ``LinePhase`` is one
-run of y lines, with its share of the field's edge damping, and binds to
-the field: the solve, the damping and its losses, and the next step's
-explicit half, all in place.  Each has two backends that give
-the same bits under one field contract, and the backend decides the
-field's form: the C kernel in ``_tridiag.c``, on two real planes in tiles
-of 16 x lines that it lays out, converts and works 16 lines at a time in
-vector lanes; LAPACK's ``zgttrs`` with numpy, on a complex ``(nx, ny)``
-array, runs only when the kernel cannot be built or loaded.  ``bind``
-checks the field and the range and allocates the kernel's scratch, sized
-by the library's ``tridiag_scratch``, once per bound call, so a step
-allocates nothing.  This is the only module that imports SciPy, when the
-first ``LineSolve`` factors, and the only one that knows which backend
-runs.
+A ``Stepper`` keeps a packet's state in one ``Field`` for as long as it
+is stepped.  ``LineSolve`` factors one line's matrix with LAPACK's
+``zgttrf`` and binds to a range of the field's x lines: the x phase, a
+solve ``u`` of every line and the explicit x half ``2u - w`` written back
+in place.  A ``LinePhase`` is one run of y lines, with its share of the
+field's edge damping, and binds to the field: the solve, the damping and
+its losses, and the next step's explicit half, all in place.  Each has
+two backends that give the same bits under one field contract, and the
+backend decides the field's form: the C kernel in ``_tridiag.c``, on two
+real planes in tiles of 16 x lines that it lays out, converts and works
+16 lines at a time in vector lanes; LAPACK's ``zgttrs`` with numpy, on a
+complex ``(nx, ny)`` array, runs only when the kernel cannot be built or
+loaded.  ``bind`` checks the field and the range and takes the kernel's
+scratch, sized by the library's ``tridiag_scratch``, or allocates it,
+once per bound run, so a step allocates nothing.  On the kernel a
+``Stepper`` makes a whole chunk of steps in one ``tridiag_steps`` call per
+thread, and on ``zgttrs`` each phase in one call per run.  This is the
+only module that imports SciPy, when the first ``LineSolve`` factors, and
+the only one that knows which backend runs.
 
 The kernel is compiled by ``kernel()``, on the first call in a process,
 with the C compiler Python was built with (``sysconfig``'s ``CC``).  The
@@ -36,6 +38,7 @@ import ctypes
 import functools
 import os
 import threading
+from concurrent.futures import Executor
 from pathlib import Path
 
 import numpy as np
@@ -123,21 +126,25 @@ def _load() -> ctypes.CDLL | None:
         # no source, no compiler, a failed build or an unwritable cache
         warnings.warn(f"povmlab: no C tridiagonal kernel ({error}); the grid steps with zgttrs")
         return None
-    pointers = [ctypes.c_void_p] * 5  # a LineSolve's factors
-    lines = [ctypes.c_int] * 4  # ny, nx and a range of lines
-    lib.tridiag_x_phase.argtypes = lines + pointers + [ctypes.c_int] + [ctypes.c_void_p] * 2
-    lib.tridiag_y_phase.argtypes = (
-        lines + pointers + [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] + [ctypes.c_void_p] * 4
-        + [ctypes.c_int] * 2 + [ctypes.c_void_p] * 2
-    )
+    grid, pointer = [ctypes.c_int] * 2, ctypes.c_void_p  # ny, nx
+    # a phase takes a run's arguments but its scratch, then its flags, the field and the scratch
+    for entry, run, flags in ((lib.tridiag_x_phase, _XRun, 1), (lib.tridiag_y_phase, _YRun, 2)):
+        run_args = [kind for _, kind in run._fields_[:-1]]
+        entry.argtypes = grid + run_args + [ctypes.c_int] * flags + [pointer] * 2
+    # the field and the steps; each sweep's run count and runs; the losses, area,
+    # absorbed, the join and the count of threads that meet at it
+    lib.tridiag_steps.argtypes = grid + [pointer, ctypes.c_int] + [ctypes.c_int, pointer] * 2 + [
+        ctypes.c_ssize_t, pointer, ctypes.c_double, pointer, pointer, ctypes.c_int]
     for entry in (lib.tridiag_to_field, lib.tridiag_from_field):
-        entry.argtypes = [ctypes.c_int] * 2 + [ctypes.c_void_p] * 2
-    for entry in (lib.tridiag_x_phase, lib.tridiag_y_phase, lib.tridiag_to_field,
-                  lib.tridiag_from_field):
+        entry.argtypes = grid + [pointer] * 2
+    for entry in (lib.tridiag_x_phase, lib.tridiag_y_phase, lib.tridiag_steps,
+                  lib.tridiag_to_field, lib.tridiag_from_field):
         entry.restype = None
     for entry in (lib.tridiag_field, lib.tridiag_scratch):
         entry.argtypes = [ctypes.c_int] * 2
         entry.restype = ctypes.c_size_t
+    lib.tridiag_loss_sum.argtypes = [ctypes.c_ssize_t, pointer]
+    lib.tridiag_loss_sum.restype = ctypes.c_double
     return lib
 
 
@@ -178,9 +185,53 @@ def _range(field: Field, lib: ctypes.CDLL | None, lines: slice, count: int) -> t
     return _span(lines, count)
 
 
-def _scratch(lib: ctypes.CDLL, n: int, lines: int) -> np.ndarray:
-    """The planes a kernel entry works a group of ``lines`` lines of ``n`` cells in."""
-    return np.empty(lib.tridiag_scratch(n, lines))
+def _scratch(lib: ctypes.CDLL, n: int, lines: int, scratch: np.ndarray | None) -> np.ndarray:
+    """The planes a kernel entry works ``lines`` lines of ``n`` cells in: ``scratch``, or new ones."""
+    size = lib.tridiag_scratch(n, lines)
+    if scratch is None:
+        return np.empty(size)
+    if not (
+        scratch.dtype == float and scratch.ndim == 1 and scratch.flags.c_contiguous
+        and scratch.flags.writeable and scratch.size >= size
+    ):
+        raise ValueError(f"scratch must be a writeable float vector of at least {size} doubles")
+    return scratch
+
+
+_FACTORS = [(name, ctypes.c_void_p) for name in ("dl", "d", "du", "du2", "ipiv")]
+
+
+class _XRun(ctypes.Structure):
+    """An x run's arguments of ``tridiag_x_phase``, as ``_tridiag.c``'s ``x_run``."""
+
+    _fields_ = [("lo", ctypes.c_int), ("hi", ctypes.c_int), *_FACTORS, ("scratch", ctypes.c_void_p)]
+
+
+class _YRun(ctypes.Structure):
+    """A y run's arguments of ``tridiag_y_phase``, as ``_tridiag.c``'s ``y_run``."""
+
+    _fields_ = [
+        ("lo", ctypes.c_int), ("hi", ctypes.c_int), *_FACTORS,
+        *((name, ctypes.c_void_p) for name in ("low", "main", "up")),
+        ("n_damped", ctypes.c_ssize_t),
+        *((name, ctypes.c_void_p) for name in ("at", "damp", "keep", "loss", "scratch")),
+    ]
+
+
+class _Bound:
+    """A run's phase on its lines of a field: a call of the phase's flags.
+
+    ``run`` holds the run's arguments for ``tridiag_steps``; the bound
+    phase keeps the arrays they point into alive.
+    """
+
+    def __init__(self, entry, field: Field, run: ctypes.Structure, held: tuple):
+        values = [getattr(run, name) for name, _ in run._fields_]
+        self.run, self._held, self._entry = run, held, entry
+        self._head, self._tail = (*field.shape, *values[:-1]), (field.data.ctypes.data, values[-1])
+
+    def __call__(self, *flags) -> None:
+        self._entry(*self._head, *flags, *self._tail)
 
 
 class LineSolve:
@@ -199,12 +250,15 @@ class LineSolve:
     """
 
     def __init__(self, lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+        if main.size < 3:
+            # SciPy's zgttrf and zgttrs take du2's n - 2 entries
+            raise ValueError(f"a line needs at least 3 cells to factor, not {main.size}")
         self._lib = kernel()
         self.lu = _factor_tridiagonal(lower, main, upper)  # the kernel reads these
         self._at = tuple(array.ctypes.data for array in self.lu)
         self._n = main.size
 
-    def bind(self, field: Field, lines: slice):
+    def bind(self, field: Field, lines: slice, scratch: np.ndarray | None = None):
         """The x phase on ``lines`` of ``field``, checked, as a call of ``explicit``."""
         ny, nx = field.shape
         start, stop = _range(field, self._lib, lines, ny)
@@ -212,15 +266,9 @@ class LineSolve:
             raise ValueError("the field's x lines do not fit the factors")
         if self._lib is None:
             return functools.partial(self._zgttrs, field.data[:, start:stop])
-        entry = self._lib.tridiag_x_phase
-        scratch = _scratch(self._lib, self._n, stop - start)
-        head = (ny, nx, start, stop, *self._at)
-        tail = (field.data.ctypes.data, scratch.ctypes.data)
-
-        def phase(explicit: bool, held=(field, scratch)):  # they outlive the call
-            entry(*head, explicit, *tail)
-
-        return phase
+        scratch = _scratch(self._lib, self._n, stop - start, scratch)
+        run = _XRun(start, stop, *self._at, scratch.ctypes.data)
+        return _Bound(self._lib.tridiag_x_phase, field, run, (field, scratch))
 
     def _zgttrs(self, lines: np.ndarray, explicit: bool = False) -> None:
         """``lines``, a complex ``(n, m)`` view, set to their solve ``u``, or to ``2u - w``."""
@@ -326,7 +374,7 @@ class LinePhase:
         self._damping = (damped[lo:hi] - start * n, damp[lo:hi], 1.0 - damp[lo:hi] ** 2)
         self._at = tuple(d.ctypes.data for d in (*self._explicit, *self._damping))
 
-    def bind(self, field: Field, loss: np.ndarray | None):
+    def bind(self, field: Field, loss: np.ndarray | None, scratch: np.ndarray | None = None):
         """The phase on its lines of ``field``, checked, as a call of ``(solve, explicit)``."""
         n, lib = self.solve._n, self.solve._lib
         ny, nx = field.shape
@@ -342,19 +390,13 @@ class LinePhase:
             raise ValueError("loss must be a writeable float vector of every damped cell's loss")
         if lib is None:
             return functools.partial(self._numpy, field.data.T[:, start:stop], loss)
-        entry = lib.tridiag_y_phase
-        head = (
-            ny, nx, start, stop, *self.solve._at, *self._at[:3],
-            self._damping[0].size, *self._at[3:],
+        scratch = _scratch(lib, n, stop - start, scratch)
+        run = _YRun(
+            start, stop, *self.solve._at, *self._at[:3], self._damping[0].size, *self._at[3:],
             None if loss is None else loss.ctypes.data + self._losses.start * loss.itemsize,
+            scratch.ctypes.data,
         )
-        scratch = _scratch(lib, n, stop - start)
-        tail = (field.data.ctypes.data, scratch.ctypes.data)
-
-        def phase(solve: bool, explicit: bool, held=(field, loss, scratch)):  # they outlive the call
-            entry(*head, solve, explicit, *tail)
-
-        return phase
+        return _Bound(lib.tridiag_y_phase, field, run, (field, loss, scratch))
 
     def _numpy(self, z, loss, solve: bool, explicit: bool) -> None:
         """The kernel's arithmetic in numpy, on real and imaginary parts, around ``zgttrs``."""
@@ -387,3 +429,117 @@ class LinePhase:
             wr[1:] += lr * zr[:-1] - li * zi[:-1]
             wi[1:] += lr * zi[:-1] + li * zr[:-1]
             out.real, out.imag = wr, wi
+
+
+def _on_both(pool, calls, *args) -> None:
+    """Make block 1's ``calls`` in ``pool`` and block 0's here, or both here, with ``args``."""
+
+    def block(k: int) -> None:
+        for call in calls[k]:
+            call(*args)
+
+    if pool is None:
+        block(0)
+        block(1)
+        return
+    other = pool.submit(block, 1)
+    try:
+        block(0)
+    finally:
+        other.result()
+
+
+class Stepper:
+    """The stepping of one field: the field, its bound runs, the losses and the join.
+
+    ``x_blocks`` and ``y_blocks`` are the two blocks of each sweep's runs,
+    the x runs as ``(lines, LineSolve)`` pairs and the y runs as
+    ``LinePhase``s.  Construction makes the field, sets it to ``psi``,
+    makes the vector of ``n_losses`` losses when there are any, and binds
+    every run to its lines of the field, so every check has run before a
+    step.  ``advance(steps)`` makes that many steps: the explicit y half
+    of the state, then each step the x phase, the y phase with its
+    explicit half on every step but the last, and, with losses, the
+    addition of their sum times ``area`` to ``absorbed``, which starts at
+    ``absorbed``.  The field holds the state after each ``advance``.
+
+    On the C kernel, ``tridiag_steps`` makes a whole ``advance`` in one
+    call per thread: given ``pool``, an executor with a worker to spare,
+    one call for block 1 goes to it and one for block 0 runs here, and the
+    two meet at a join of the kernel's after each phase; without one, a
+    single call here steps both blocks.  Each block's runs are laid out
+    once, as the kernel reads them.  Where there is no kernel, each phase
+    is one call per run from here, block 1's on ``pool``.  Either way the
+    result is the same to the bit.
+    """
+
+    def __init__(self, psi: np.ndarray, x_blocks, y_blocks, n_losses: int, area: float,
+                 absorbed: float):
+        self.field = field = Field(x_blocks[0][0][1], *psi.shape)
+        field.write(psi)
+        self.loss = np.empty(n_losses) if n_losses else None
+        # a block's runs take turns on one thread, so they share its scratch
+        lib, cells = field._lib, max(field.shape)
+        size = None if lib is None else lib.tridiag_scratch(cells, cells)
+        scratch = [None if size is None else np.empty(size) for _ in x_blocks]
+        self._x = [
+            [solve.bind(field, lines, scratch[k]) for lines, solve in block]
+            for k, block in enumerate(x_blocks)
+        ]
+        self._y = [
+            [phase.bind(field, self.loss, scratch[k]) for phase in block]
+            for k, block in enumerate(y_blocks)
+        ]
+        self._area, self._absorbed = area, ctypes.c_double(absorbed)
+        if lib is None:
+            return
+        # both blocks' runs, block 0's first; block 1's start where block 0's end
+        runs = [
+            (kind * sum(map(len, blocks)))(*(bound.run for block in blocks for bound in block))
+            for kind, blocks in ((_XRun, self._x), (_YRun, self._y))
+        ]
+        self._runs, self._join = runs, (ctypes.c_int * 2)()  # the kernel reads both
+        xs, ys = (ctypes.addressof(r) for r in runs)
+        n_x, n_y = (len(r) for r in runs)
+        n_x0, n_y0 = len(self._x[0]), len(self._y[0])
+        loss = (0, None) if self.loss is None else (self.loss.size, self.loss.ctypes.data)
+        tail = (area, ctypes.addressof(self._absorbed), ctypes.addressof(self._join))
+        self._inline = (n_x, xs, n_y, ys, *loss, *tail, 1)
+        # block 0's thread sums the losses
+        self._blocks = (
+            (n_x0, xs, n_y0, ys, *loss, *tail, 2),
+            (n_x - n_x0, xs + n_x0 * ctypes.sizeof(_XRun),
+             n_y - n_y0, ys + n_y0 * ctypes.sizeof(_YRun), 0, None, *tail, 2),
+        )
+
+    @property
+    def absorbed(self) -> float:
+        return self._absorbed.value
+
+    def advance(self, steps: int, pool: Executor | None = None) -> None:
+        """Makes ``steps`` steps, block 1's share on ``pool`` when given."""
+        lib = self.field._lib
+        if lib is None:
+            self._zgttrs(steps, pool)
+            return
+        head = (*self.field.shape, self.field.data.ctypes.data, steps)
+        if pool is None:
+            lib.tridiag_steps(*head, *self._inline)
+            return
+        # submitted before this thread enters the kernel: a pool that takes
+        # no work raises here instead of leaving this thread at the join
+        other = pool.submit(lib.tridiag_steps, *head, *self._blocks[1])
+        try:
+            lib.tridiag_steps(*head, *self._blocks[0])
+        finally:
+            other.result()
+
+    def _zgttrs(self, steps: int, pool: Executor | None) -> None:
+        if steps:
+            _on_both(pool, self._y, False, True)
+        for step in range(steps):
+            _on_both(pool, self._x, True)
+            _on_both(pool, self._y, True, step + 1 < steps)
+            if self.loss is not None:
+                # one sum over both blocks' losses keeps the summation order
+                self._absorbed.value += float(np.sum(self.loss)) * self._area

@@ -486,24 +486,6 @@ def _line_runs(free: np.ndarray, coeff: float, a: float, stretch=None):
     return halves
 
 
-def _on_both(pool, calls, *args) -> None:
-    """Make block 1's ``calls`` in ``pool`` and block 0's here, or both here, with ``args``."""
-
-    def block(k: int) -> None:
-        for call in calls[k]:
-            call(*args)
-
-    if pool is None:
-        block(0)
-        block(1)
-        return
-    other = pool.submit(block, 1)
-    try:
-        block(0)
-    finally:
-        other.result()
-
-
 class Propagator:
     """Alternating-direction Crank-Nicolson stepper for one wall mask.
 
@@ -519,21 +501,22 @@ class Propagator:
     pattern with one operator: the production walls leave 2 or 3 patterns
     per sweep.  Each pattern is factored once at construction, by its
     ``_tridiag.LineSolve``; reuse the instance for chunked runs.  A run is a
-    stretch of consecutive lines of one pattern.  Each phase of a step is
-    one call per run: the x phase a ``LineSolve`` that solves ``w`` and
-    leaves ``2u - w`` in its place, on an x run's ``(lines, solve)`` pair;
-    the y phase a ``_tridiag.LinePhase``, which is the y run: it holds its
-    lines and its share of the edge damping, and solves, damps and forms
-    the next explicit y half from the pattern's three diagonals.  Both run
-    through the C kernel, or through ``zgttrs`` and numpy with the same
-    bits.
+    stretch of consecutive lines of one pattern.  The x phase of a run is
+    its ``LineSolve``, which solves ``w`` and leaves ``2u - w`` in its
+    place, on an x run's ``(lines, solve)`` pair; the y phase is a
+    ``_tridiag.LinePhase``, which is the y run: it holds its lines and its
+    share of the edge damping, and solves, damps and forms the next
+    explicit y half from the pattern's three diagonals.  Both run through
+    the C kernel, or through ``zgttrs`` and numpy with the same bits.
 
-    The state lives in one ``_tridiag.Field`` for a whole ``run`` call,
-    in the form its backend steps: on the kernel, real and imaginary
-    planes in tiles of 16 x lines, so that a tile row of an x run is one
-    contiguous block and a y run's lines come in by 16x16 transposes of
-    contiguous tiles.  The only conversions are the entry copy into the
-    field and the field into the result.
+    ``start`` makes a packet's ``Stepping``, whose state lives in one
+    ``_tridiag.Field`` for as long as it is stepped, in the form its
+    backend steps: on the kernel, real and imaginary planes in tiles of 16
+    x lines, so that a tile row of an x run is one contiguous block and a
+    y run's lines come in by 16x16 transposes of contiguous tiles.  The
+    only conversions are the entry copy into the field and the field into
+    each packet read.  ``run`` is one such stepping, read into the entry
+    copy.
 
     This is the arithmetic of one solve of the whole flattened system.
     Its factorization meets zero couplings at every line end, so it never
@@ -548,9 +531,9 @@ class Propagator:
 
     Runs are cut at the middle line, which splits each sweep into two
     blocks: rows ``[0, ny//2)`` and ``[ny//2, ny)`` for x, columns
-    ``[0, nx//2)`` and ``[nx//2, nx)`` for y.  ``run`` can step the two
+    ``[0, nx//2)`` and ``[nx//2, nx)`` for y.  A stepping can step the two
     blocks on two threads.  An instance holds no per-run state, so several
-    threads may run it at once.
+    threads may run it, or step its steppings, at once.
     """
 
     def __init__(
@@ -607,40 +590,19 @@ class Propagator:
             for runs in _line_runs(free.T, cy, a, stretch)
         )
 
-    def run(
-        self, packet: WavePacket2D, steps: int, pool: Executor | None = None
-    ) -> WavePacket2D:
-        """Advance a packet; returns a new packet, absorbed mass accumulated.
+    def start(self, packet: WavePacket2D) -> Stepping:
+        """A ``Stepping`` of ``packet``, at step 0, to advance and read.
 
         Any amplitude the incoming packet carries on blocked cells is
         removed and the rest rescaled to the incoming norm: the packet is
         projected onto the states compatible with the hard walls.  The
         stepping itself keeps blocked cells at exactly zero, so this is a
         no-op for packets already produced by a run.
-
-        Each step has two phases over the two line blocks, with a join after
-        each, both on the one work field: the x solve ``u`` of ``w`` and
-        ``2u - w`` in its place, then the y solve, the edge damping and the
-        next step's explicit y half, or the state after the last step.  Each
-        run of a block is bound once per call to its lines of the field, and
-        a phase is then one kernel call per run, which releases the GIL.
-        Given ``pool``, an executor with a worker to spare, block 1 of each
-        phase runs on it while the calling thread runs block 0; without one
-        both run here in turn.  Either way the result is the same to the
-        bit.
-
-        The field starts as ``psi`` and holds the explicit y half ``w``
-        between the phases of a step, ``2u - w`` between its x and y phase,
-        and the state after the last step.  A call allocates the entry copy,
-        which becomes the result, then the field, each bound run's scratch
-        and the damped cells' losses: about two fields in all, and the
-        field goes before the closing norm's temporaries are made.  On the
-        kernel a step allocates nothing and makes no numpy pass over a
-        field.  Runs write disjoint lines of the field and disjoint slices
-        of the losses.
         """
-        if steps < 0:
-            raise ValidationError("steps must be nonnegative")
+        return self._start(packet)[1]
+
+    def _start(self, packet: WavePacket2D) -> tuple[np.ndarray, Stepping]:
+        """The projected entry copy of ``packet``'s amplitudes, and its ``Stepping``."""
         if packet.grid != self.grid:
             raise ValidationError("packet grid does not match the propagator grid")
         psi = packet.amplitudes.copy()
@@ -652,37 +614,90 @@ class Propagator:
             if remaining <= 0.0:
                 raise ValidationError("packet has no support outside the walls")
             psi *= np.sqrt((remaining + wall_mass) / remaining)
-        absorbed = packet.absorbed
-        area = self.grid.cell_area
-        ny, nx = self.grid.ny, self.grid.nx
-        # sponge and matched-layer dissipation both show up as norm loss;
-        # the per-step losses telescope, so one norm at each end suffices
-        track_by_norm = self.potential.septum is not None
-        if track_by_norm:
-            n0 = float(np.sum(np.abs(psi) ** 2))
-        # the step's one work field, in the form the kernel or zgttrs steps
-        field = _tridiag.Field(self._x_blocks[0][0][1], ny, nx)
-        field.write(psi)
-        loss = None if track_by_norm or not self._n_damped else np.empty(self._n_damped)
-        # every run's call on its lines of the field, bound once
-        x_phase = [[solve.bind(field, lines) for lines, solve in block] for block in self._x_blocks]
-        y_phase = [[phase.bind(field, loss) for phase in block] for block in self._y_blocks]
-        if steps:
-            _on_both(pool, y_phase, False, True)
-        for step in range(steps):
-            _on_both(pool, x_phase, True)
-            _on_both(pool, y_phase, True, step + 1 < steps)
-            if loss is not None:
-                # one sum over both blocks' losses keeps the summation order
-                absorbed += float(np.sum(loss)) * area
-        # the result reuses the entry copy: an array made after the field and
-        # kept would stop the heap shrinking when it is freed
-        field.read(psi)
-        # the field, held by the bound calls too, goes before the norm's temporaries
-        del field, x_phase, y_phase
-        if track_by_norm:
-            absorbed += (n0 - float(np.sum(np.abs(psi) ** 2))) * area
-        return WavePacket2D(self.grid, psi, absorbed)
+        return psi, Stepping(self, psi, packet.absorbed)
+
+    def run(
+        self, packet: WavePacket2D, steps: int, pool: Executor | None = None
+    ) -> WavePacket2D:
+        """Advance a packet; returns a new packet, absorbed mass accumulated.
+
+        ``start``, then ``advance(steps, pool)``, then the state read back
+        into the entry copy, which becomes the result.  A call allocates the
+        entry copy, then the field, a scratch per line block and the damped
+        cells' losses: about two fields in all, and the field goes before
+        the closing norm's temporaries are made, so an array made after the
+        field is not kept and the heap can shrink when it is freed.
+        """
+        if steps < 0:
+            raise ValidationError("steps must be nonnegative")
+        psi, stepping = self._start(packet)
+        stepping.advance(steps, pool)
+        return stepping.close(psi)
+
+
+class Stepping:
+    """A packet being stepped by one ``Propagator``: its work field and absorbed mass.
+
+    ``advance`` makes steps, and ``read`` returns the packet stepped so
+    far, so the field and its bound runs outlive a chunk of steps.  Each
+    step has two phases over the two line blocks, with a join after each,
+    both on the one work field: the x solve ``u`` of ``w`` and ``2u - w``
+    in its place, then the y solve, the edge damping and the next step's
+    explicit y half, or the state after the last step of an ``advance``.
+    A ``_tridiag.Stepper`` makes them: on the kernel an ``advance`` is one
+    kernel call per thread, which releases the GIL for all of its steps,
+    joins the threads in C, makes no numpy pass over a field and allocates
+    nothing.  Given ``pool``, an executor with a worker to spare, block 1
+    runs on it while the calling thread runs block 0; without one both run
+    here.  Either way the result is the same to the bit.
+
+    The field starts as the projected packet and holds the explicit y half
+    ``w`` between the phases of a step, ``2u - w`` between its x and y
+    phase, and the state after each ``advance``.  Without a septum the
+    damped cells' losses are summed into ``absorbed`` every step; with
+    one, sponge and matched-layer dissipation both show up as norm loss,
+    and since the per-step losses telescope, each read books the fall of
+    the norm since the last one.  ``absorbed`` is the absorbed mass of the
+    last packet read.
+    """
+
+    def __init__(self, prop: Propagator, psi: np.ndarray, absorbed: float):
+        self.grid, self.absorbed = prop.grid, absorbed
+        self._area = self.grid.cell_area
+        # the norm at the last read, when the norm books the losses
+        self._norm2 = None if prop.potential.septum is None else float(np.sum(np.abs(psi) ** 2))
+        n_losses = 0 if self._norm2 is not None else prop._n_damped
+        self._stepper = _tridiag.Stepper(
+            psi, prop._x_blocks, prop._y_blocks, n_losses, self._area, absorbed
+        )
+
+    def advance(self, steps: int, pool: Executor | None = None) -> None:
+        """Makes ``steps`` more steps, block 1's share on ``pool`` when given."""
+        if steps < 0:
+            raise ValidationError("steps must be nonnegative")
+        self._stepper.advance(steps, pool)
+
+    def read(self) -> WavePacket2D:
+        """The packet stepped so far, in a new array."""
+        return self._book(np.empty((self.grid.ny, self.grid.nx), dtype=complex))
+
+    def close(self, out: np.ndarray) -> WavePacket2D:
+        """The packet stepped so far, in ``out``, after which the stepping is over."""
+        return self._book(out, release=True)
+
+    def _book(self, psi: np.ndarray, release: bool = False) -> WavePacket2D:
+        """``psi`` set to the state, its absorbed mass booked, as a packet."""
+        self._stepper.field.read(psi)
+        if self._norm2 is None:
+            self.absorbed = self._stepper.absorbed
+        if release:
+            # the field goes before the norm's temporaries are made
+            self._stepper = None
+        if self._norm2 is not None:
+            norm2 = float(np.sum(np.abs(psi) ** 2))
+            self.absorbed += (self._norm2 - norm2) * self._area
+            self._norm2 = norm2
+        return WavePacket2D(self.grid, psi, self.absorbed)
 
 
 def evolve(

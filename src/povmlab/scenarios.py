@@ -523,8 +523,8 @@ def _propagator(config, potential) -> Propagator:
     return Propagator(potential, config.dt, sponge=sponge)
 
 
-def _step_fields(pool, props, packets, steps):
-    """Advance each packet ``steps`` steps under its propagator, in order.
+def _on_fields(pool, work, fields):
+    """``work(field, pool)`` on a lone field, ``work(field, None)`` on each of several.
 
     A lone field runs from this thread and steps its two line blocks on
     ``pool``, so no pool worker waits on its own pool.  Several fields run
@@ -536,31 +536,45 @@ def _step_fields(pool, props, packets, steps):
     was faster in each process).  Either way a field's arithmetic is the
     same as stepping it alone.
     """
-    if len(props) == 1:
-        return [props[0].run(packets[0], steps, pool=pool)]
-    return list(pool.map(lambda prop, p: prop.run(p, steps), props, packets))
+    if len(fields) == 1:
+        return [work(fields[0], pool)]
+    return list(pool.map(lambda field: work(field, None), fields))
+
+
+def _step_fields(pool, props, packets, steps):
+    """Advance each packet ``steps`` steps under its propagator, in order, by ``_on_fields``."""
+    return _on_fields(
+        pool, lambda pair, on: pair[0].run(pair[1], steps, pool=on), list(zip(props, packets))
+    )
 
 
 def _propagate_lockstep(config, pool, potentials, packet):
     """Step fields in lockstep chunks; stop at the first field's screen-mass peak.
 
-    Every field starts from ``packet`` and is stepped by ``_step_fields``.
-    Mass beyond the screen of the first field rises while the transmitted
-    packet arrives and falls once its front reaches the edge absorber, so
-    its peak is the moment the pattern is fully formed.  The peak is seen
-    one chunk late; every field keeps its previous chunk and rolls back
-    with the first.  Reaching ``MASS_TARGET`` outright also stops;
-    ``max_steps`` always caps the run.  Returns (packets, steps, stop
-    reason).
+    Every field starts from ``packet`` once and its ``Stepping`` advances
+    chunk by chunk under ``_on_fields``; each chunk's packet is read on the
+    thread that stepped it.  Mass beyond the screen of the first field
+    rises while the transmitted packet arrives and falls once its front
+    reaches the edge absorber, so its peak is the moment the pattern is
+    fully formed.  The peak is seen one chunk late; every field keeps its
+    previous chunk and rolls back with the first.  Reaching
+    ``MASS_TARGET`` outright also stops; ``max_steps`` always caps the
+    run.  Returns (packets, steps, stop reason).
     """
     props = [_propagator(config, potential) for potential in potentials]
+    fields = [prop.start(packet) for prop in props]
     packets = [packet] * len(props)
     done = 0
     reason = "step-cap"
     mass = packet.mass_beyond(config.b)
+
+    def step(field, on):
+        field.advance(chunk, on)
+        return field.read()
+
     while done < config.max_steps:
         chunk = min(CHECK_INTERVAL, config.max_steps - done)
-        stepped = _step_fields(pool, props, packets, chunk)
+        stepped = _on_fields(pool, step, fields)
         stepped_mass = stepped[0].mass_beyond(config.b)
         if stepped_mass >= MASS_TARGET:
             packets, done = stepped, done + chunk
@@ -649,10 +663,11 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     visibly striped only in branch 1, and that seeded shot histograms track
     the pmfs.
 
-    The run uses a pool of two threads.  ``_step_fields`` steps the branch
-    fields, then the two single-opening fields, then the two orders of the
-    ordering check.  Each field's arithmetic is the same as stepping it
-    alone and inline, so the result does not depend on scheduling.
+    The run uses a pool of two threads.  ``_on_fields`` steps the branch
+    fields chunk by chunk, then, through ``_step_fields``, the two
+    single-opening fields and the two orders of the ordering check.  Each
+    field's arithmetic is the same as stepping it alone and inline, so the
+    result does not depend on scheduling.
     """
     config = config if config is not None else DoubleSlitConfig()
     grid = Grid2D(config.nx, config.ny, config.lx, config.ly)

@@ -516,7 +516,9 @@ def test_production_steps_allocate_no_field_sized_array():
 
 def test_one_propagator_runs_on_many_threads_at_once():
     # more threads than cores, each with its own packet, all on one
-    # instance: per-run work arrays keep the runs from mixing
+    # instance: per-run work arrays keep the runs from mixing.  Every
+    # other run steps its blocks on a pool of its own, so pairs of threads
+    # meet at the kernel's joins while the rest compete for the cores
     pot = build_potential(GRID, PARAMS, 1, GEOMETRY)
     prop = Propagator(pot, 0.01, sponge=SpongeConfig(10, 6.0))
     packets = [small_packet(center=(-7.0 + i, 0.4 * i - 1.0)) for i in range(4)]
@@ -526,7 +528,11 @@ def test_one_propagator_runs_on_many_threads_at_once():
 
     def worker(i):
         start.wait(timeout=60)
-        results[i] = prop.run(packets[i], 60)
+        if i % 2:
+            with ThreadPoolExecutor(1) as pool:
+                results[i] = prop.run(packets[i], 60, pool=pool)
+        else:
+            results[i] = prop.run(packets[i], 60)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

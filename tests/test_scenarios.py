@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -249,6 +251,34 @@ def test_lockstep_fields_match_single_branch_runs(walls, stop, stop_steps):
     packet = prop.run(init_packet(grid, params, center=(-12.0, 1.3)), steps)
     separate = detector_pmf(packet, DetectorBinning(8.0, 0.6))
     assert both.pmf_named("branch-2").probabilities == separate.probabilities
+
+
+def test_lockstep_chunks_keep_one_work_field_per_field():
+    # three 25-step chunks on the production grid.  Each field's stepping
+    # holds its work field, its runs' scratch and its losses across the
+    # chunks; with the previous chunk's packets and the new ones the
+    # traced peak stays under 8 production fields for both branches and
+    # under 4 for branch 1 alone.  A second scratch set per field, or a
+    # work field rebuilt beside the kept one, takes it past them
+    c = DoubleSlitConfig(max_steps=75)
+    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
+    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
+    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
+    potentials = [build_potential(grid, params, branch, geometry) for branch in (1, 2)]
+    packet = init_packet(grid, params, center=(c.source_x, c.source_y))
+    field = grid.nx * grid.ny * np.dtype(complex).itemsize
+    scenarios._propagator(c, potentials[0])  # SciPy's LAPACK and the kernel load here, untraced
+    with ThreadPoolExecutor(2) as pool:
+        for chosen, bound in ((potentials, 8), (potentials[:1], 4)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                packets, steps, reason = scenarios._propagate_lockstep(c, pool, chosen, packet)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (len(packets), steps, reason) == (len(chosen), 75, "step-cap")
+            assert peak - before < bound * field, (len(chosen), (peak - before) / field)
 
 
 def test_double_slit_config_validation():

@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from povmlab.doubleslit import (
     Propagator,
     SlitGeometry,
     SpongeConfig,
+    WavePacket2D,
     build_potential,
     init_packet,
 )
@@ -244,6 +247,29 @@ def test_both_backends_hold_the_line_solve_to_one_view_contract(backend, monkeyp
         _tridiag.LineSolve(zero[1:], zero, upper)
 
 
+def test_a_bound_run_refuses_a_scratch_it_could_overrun():
+    # a stepper's runs share their thread's scratch; each bind checks it
+    n, m = 24, 5
+    lower, main, upper = np.full(n - 1, -1.0 + 0j), np.full(n, 3.0 + 1j), np.full(n - 1, -1.0 + 0j)
+    solve = _tridiag.LineSolve(lower, main, upper)
+    assert solve._lib is not None, "the C kernel did not build"
+    need = solve._lib.tridiag_scratch(n, m)
+    read_only = np.empty(need)
+    read_only.flags.writeable = False
+    x_field, y_field = _tridiag.Field(solve, 21, n), _tridiag.Field(solve, n, 21)
+    phase = _bare_phase(solve, slice(0, m))
+    for name, scratch in {
+        "short": np.empty(need - 1), "float32": np.empty(need, dtype=np.float32),
+        "2-d": np.empty((need, 1)), "strided": np.empty(2 * need)[::2], "read-only": read_only,
+    }.items():
+        with pytest.raises(ValueError):
+            solve.bind(x_field, slice(0, m), scratch)
+        with pytest.raises(ValueError):
+            phase.bind(y_field, None, scratch)
+    solve.bind(x_field, slice(0, m), np.empty(need))(True)
+    phase.bind(y_field, None, np.empty(need))(True, True)
+
+
 def _production_propagators(branch, sponge, monkeypatch):
     """The default run's propagator for ``branch``, on the kernel and on ``zgttrs``."""
     pot, dt = _production(branch)
@@ -390,11 +416,103 @@ def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
     assert booked[2:5].all() and not booked[[0, 1, 5]].any()
 
 
+@pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
+def test_lines_of_fewer_than_3_cells_are_refused(backend, monkeypatch):
+    # SciPy's zgttrf and zgttrs wrappers fail on them with f2py's
+    # "unexpected array size"; the refusal comes first and says why
+    if backend == "zgttrs":
+        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
+    def line(n):
+        return np.full(n - 1, -1.0 + 0j), np.full(n, 3.0 + 1j), np.full(n - 1, -1.0 + 0j)
+
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="at least 3 cells"):
+            _tridiag.LineSolve(*line(n))
+    assert _tridiag.LineSolve(*line(3)).lu[1].size == 3
+
+
+def test_the_kernels_loss_sum_is_numpys_bit_for_bit():
+    # the step loop books a step's losses in numpy's pairwise order, which
+    # the recorded bytes rest on (numpy 2.4.6); were numpy's reduction
+    # order to change, this test would be the first to say so
+    lib = _tridiag.kernel()
+    assert lib is not None, "the C kernel did not build"
+    rng = np.random.default_rng(19)
+
+    def check(a):
+        got = lib.tridiag_loss_sum(a.size, a.ctypes.data)
+        assert got.hex() == float(np.sum(a)).hex(), a.size
+
+    for n in range(1101):
+        check(rng.normal(size=n))
+        check(10.0 ** rng.uniform(-30, 2, size=n))  # entries from 1e-30 to 1e2
+    # the production sponge's losses, each y run's share booked by its phase
+    c = DoubleSlitConfig()
+    pot, dt = _production(1)
+    prop = Propagator(pot, dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+    field = _tridiag.Field(prop._x_blocks[0][0][1], prop.grid.ny, prop.grid.nx)
+    field.write(_normal(rng, prop.grid.ny, prop.grid.nx))
+    loss = np.full(prop._n_damped, np.nan)
+    for phase in _runs(prop._y_blocks):
+        phase.bind(field, loss)(True, False)
+    assert loss.size == 47040 and (loss > 0.0).all()
+    check(loss)
+
+
+def _production_propagator(branch):
+    c = DoubleSlitConfig()
+    pot, dt = _production(branch)
+    return Propagator(pot, dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+def test_a_production_chunk_on_two_threads_steps_like_the_inline_one(branch):
+    # the kernel's join between the threads' phases: a random packet
+    # reaches the sponge, so branch 1 books its losses every step
+    prop = _production_propagator(branch)
+    rng = np.random.default_rng(20 + branch)
+    packet = WavePacket2D(prop.grid, _normal(rng, prop.grid.ny, prop.grid.nx))
+    inline = prop.run(packet, 25)
+    with ThreadPoolExecutor(1) as pool:
+        pooled = prop.run(packet, 25, pool=pool)
+    assert np.array_equal(pooled.amplitudes.view(np.uint64), inline.amplitudes.view(np.uint64))
+    assert pooled.absorbed.hex() == inline.absorbed.hex()
+    assert inline.absorbed > packet.absorbed
+
+
+@pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
+def test_a_run_on_a_shut_down_pool_raises_instead_of_hanging(backend, monkeypatch):
+    # the pool's share is submitted before this thread enters the kernel,
+    # so a pool that takes no work cannot leave it waiting at the join
+    if backend == "zgttrs":
+        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
+    grid = Grid2D(64, 48, 19.2, 14.4)
+    params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=4.0)
+    geometry = SlitGeometry(hole_center=2.0, hole_width=1.6, septum_half_width=1.1)
+    prop = Propagator(build_potential(grid, params, 1, geometry), 0.01, sponge=SpongeConfig(6, 6.0))
+    assert (prop._x_blocks[0][0][1]._lib is None) == (backend == "zgttrs")
+    packet = init_packet(grid, params, center=(-3.0, 0.5))
+    pool = ThreadPoolExecutor(1)
+    pool.shutdown()
+    raised = []
+
+    def attempt():
+        try:
+            prop.run(packet, 5, pool=pool)
+        except RuntimeError as error:
+            raised.append(error)
+
+    thread = threading.Thread(target=attempt, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(raised) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
-    # random fields, ranges and factors: line lengths from 3 (SciPy's
-    # zgttrf and zgttrs wrappers refuse shorter lines), fields whose
+    # random fields, ranges and factors: line lengths from 3 (LineSolve
+    # refuses shorter lines, test_lines_of_fewer_than_3_cells_are_refused), fields whose
     # last tile is short, ranges that start and end mid-tile, line counts
     # on both sides of the 4- and 16-lane groups, pivoting factors and
     # random damped cells; the x phase with and without its explicit half,
@@ -508,16 +626,18 @@ def test_the_kernel_compiles_without_a_warning(tmp_path):
 # kernel anew.  On production fields of both branches, every x run's solve
 # and every y run's bare solve must give zgttrs's bits, and every run's
 # whole phase (the x phase with its explicit half, the y phase with damping
-# and its explicit half) the numpy route's; so must the pivoting 64x64
-# matrix on 37 lines that start and end mid-tile, along x and along y.
-# Prints a digest of all those bits
+# and its explicit half) the numpy route's, and so must a 25-step chunk of
+# a random packet through the kernel's step loop, on one thread and on
+# two; so must the pivoting 64x64 matrix on 37 lines that start and end
+# mid-tile, along x and along y.  Prints a digest of all those bits
 BUILD_PROBE = """
 import hashlib, sys
+from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.linalg import lapack
 from povmlab import _tridiag
 from povmlab.doubleslit import (
-    Grid2D, PhysicalParams, Propagator, SlitGeometry, SpongeConfig, build_potential,
+    Grid2D, PhysicalParams, Propagator, SlitGeometry, SpongeConfig, WavePacket2D, build_potential,
 )
 from povmlab.scenarios import DoubleSlitConfig
 
@@ -584,6 +704,15 @@ for branch in (1, 2):
             bits.append(out.tobytes() + losses.tobytes())
         assert bits[0] == bits[1], (branch, k_phase.lines)
         digest.update(bits[0])
+    # a 25-step chunk through the kernel's step loop, on one thread and on two
+    packet = WavePacket2D(grid, normal(*shape))
+    chunk = lambda prop, on: prop.run(packet, 25, pool=on)
+    result = lambda out: out.amplitudes.tobytes() + out.absorbed.hex().encode()
+    want = result(chunk(fallback, None))
+    with ThreadPoolExecutor(1) as pool:
+        for on in (None, pool):
+            assert result(chunk(kernel, on)) == want, (branch, on)
+    digest.update(want)
 n = 64
 phase = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))
 lower = np.where(rng.uniform(size=n - 1) < 0.5, 3.0, 0.05) * phase(n - 1)
