@@ -530,11 +530,11 @@ def _on_fields(pool, work, fields):
     ``pool``, so no pool worker waits on its own pool.  Several fields run
     one per thread of ``pool``, each stepping its blocks inline: on the
     production grid a branch-1 and a branch-2 field stepped one per thread
-    took 1.8-2.7 ms per field-step, against 2.4-2.8 ms when each field's
-    line blocks ran on the pool in turn (medians of 6 interleaved rounds
-    of 2x25 steps in each of 3 processes, 2-vCPU Xeon VM; one per thread
-    was faster in each process).  Either way a field's arithmetic is the
-    same as stepping it alone.
+    took 2.2-2.6 ms per pair-step, against 2.3-2.8 ms when each field's
+    line blocks ran on the pool in turn (medians of 5 rounds of 100 steps
+    in each of 3 processes, 2-vCPU Xeon VM; one per thread was faster in
+    each process).  Either way a field's arithmetic is the same as
+    stepping it alone.
     """
     if len(fields) == 1:
         return [work(fields[0], pool)]

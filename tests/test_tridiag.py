@@ -258,10 +258,11 @@ def test_a_bound_run_refuses_a_scratch_it_could_overrun():
     read_only.flags.writeable = False
     x_field, y_field = _tridiag.Field(solve, 21, n), _tridiag.Field(solve, n, 21)
     phase = _bare_phase(solve, slice(0, m))
-    for name, scratch in {
-        "short": np.empty(need - 1), "float32": np.empty(need, dtype=np.float32),
-        "2-d": np.empty((need, 1)), "strided": np.empty(2 * need)[::2], "read-only": read_only,
-    }.items():
+    # short, of float32, 2-d, strided, read-only
+    for scratch in (
+        np.empty(need - 1), np.empty(need, dtype=np.float32), np.empty((need, 1)),
+        np.empty(2 * need)[::2], read_only,
+    ):
         with pytest.raises(ValueError):
             solve.bind(x_field, slice(0, m), scratch)
         with pytest.raises(ValueError):
@@ -422,6 +423,7 @@ def test_lines_of_fewer_than_3_cells_are_refused(backend, monkeypatch):
     # "unexpected array size"; the refusal comes first and says why
     if backend == "zgttrs":
         monkeypatch.setattr(_tridiag, "kernel", lambda: None)
+
     def line(n):
         return np.full(n - 1, -1.0 + 0j), np.full(n, 3.0 + 1j), np.full(n - 1, -1.0 + 0j)
 
@@ -512,11 +514,12 @@ def test_a_run_on_a_shut_down_pool_raises_instead_of_hanging(backend, monkeypatc
 @given(data=st.data())
 def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
     # random fields, ranges and factors: line lengths from 3 (LineSolve
-    # refuses shorter lines, test_lines_of_fewer_than_3_cells_are_refused), fields whose
-    # last tile is short, ranges that start and end mid-tile, line counts
-    # on both sides of the 4- and 16-lane groups, pivoting factors and
-    # random damped cells; the x phase with and without its explicit half,
-    # the y phase as the first call, a whole step and the last step
+    # refuses shorter lines: test_lines_of_fewer_than_3_cells_are_refused),
+    # fields whose last tile is short, ranges that start and end mid-tile,
+    # line counts on both sides of the 4- and 16-lane groups, pivoting
+    # factors and random damped cells; the x phase with and without its
+    # explicit half, the y phase as the first call, a whole step and the
+    # last step
     axis = data.draw(st.sampled_from(["x", "y"]), label="axis")
     n = data.draw(st.integers(3, 40), label="line length")
     count = data.draw(st.integers(1, 50), label="lines in the field")
@@ -629,7 +632,8 @@ def test_the_kernel_compiles_without_a_warning(tmp_path):
 # and its explicit half) the numpy route's, and so must a 25-step chunk of
 # a random packet through the kernel's step loop, on one thread and on
 # two; so must the pivoting 64x64 matrix on 37 lines that start and end
-# mid-tile, along x and along y.  Prints a digest of all those bits
+# mid-tile, along x and along y, and the loss sum must be np.sum's on
+# vectors of every length up to 300.  Prints a digest of all those bits
 BUILD_PROBE = """
 import hashlib, sys
 from concurrent.futures import ThreadPoolExecutor
@@ -722,6 +726,10 @@ pivoting = _tridiag.LineSolve(lower, main, upper)
 assert (pivoting.lu[4] != np.arange(1, n + 1)).any()
 solved(pivoting, (50, n), slice(5, 42), 0)
 solved(pivoting, (n, 50), slice(5, 42), 1)
+lib = _tridiag.kernel()
+for n in range(300):
+    a = 10.0 ** rng.uniform(-30, 2, size=n)
+    assert lib.tridiag_loss_sum(n, a.ctypes.data).hex() == float(np.sum(a)).hex(), n
 print(digest.hexdigest())
 """
 
