@@ -526,9 +526,20 @@ class Stepper:
         if pool is None:
             lib.tridiag_steps(*head, *self._inline)
             return
-        # submitted before this thread enters the kernel: a pool that takes
-        # no work raises here instead of leaving this thread at the join
-        other = pool.submit(lib.tridiag_steps, *head, *self._blocks[1])
+        started = threading.Event()
+
+        def share() -> None:
+            started.set()
+            lib.tridiag_steps(*head, *self._blocks[1])
+
+        # this thread enters the kernel only once block 1's call has begun:
+        # a pool that refuses, drops or fails the work raises here instead
+        # of leaving this thread at the join
+        other = pool.submit(share)
+        while not started.wait(0.01):
+            if other.done():
+                other.result()
+                raise RuntimeError("the pool finished block 1's share without running it")
         try:
             lib.tridiag_steps(*head, *self._blocks[0])
         finally:

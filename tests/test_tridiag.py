@@ -9,7 +9,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -482,10 +482,20 @@ def test_a_production_chunk_on_two_threads_steps_like_the_inline_one(branch):
     assert inline.absorbed > packet.absorbed
 
 
+class _Dropping(Executor):
+    """An executor that cancels whatever it is given."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.cancel()
+        return future
+
+
 @pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
-def test_a_run_on_a_shut_down_pool_raises_instead_of_hanging(backend, monkeypatch):
-    # the pool's share is submitted before this thread enters the kernel,
-    # so a pool that takes no work cannot leave it waiting at the join
+def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, monkeypatch):
+    # this thread enters the kernel only once the pool has begun its
+    # share, so a pool that refuses or drops the work cannot leave it
+    # waiting at the join
     if backend == "zgttrs":
         monkeypatch.setattr(_tridiag, "kernel", lambda: None)
     grid = Grid2D(64, 48, 19.2, 14.4)
@@ -494,20 +504,21 @@ def test_a_run_on_a_shut_down_pool_raises_instead_of_hanging(backend, monkeypatc
     prop = Propagator(build_potential(grid, params, 1, geometry), 0.01, sponge=SpongeConfig(6, 6.0))
     assert (prop._x_blocks[0][0][1]._lib is None) == (backend == "zgttrs")
     packet = init_packet(grid, params, center=(-3.0, 0.5))
-    pool = ThreadPoolExecutor(1)
-    pool.shutdown()
-    raised = []
+    shut = ThreadPoolExecutor(1)
+    shut.shutdown()
+    for pool, error in ((shut, RuntimeError), (_Dropping(), CancelledError)):
+        raised = []
 
-    def attempt():
-        try:
-            prop.run(packet, 5, pool=pool)
-        except RuntimeError as error:
-            raised.append(error)
+        def attempt():
+            try:
+                prop.run(packet, 5, pool=pool)
+            except error as caught:
+                raised.append(caught)
 
-    thread = threading.Thread(target=attempt, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and len(raised) == 1
+        thread = threading.Thread(target=attempt, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(raised) == 1, pool
 
 
 @settings(max_examples=200, deadline=None)
