@@ -465,9 +465,9 @@ class Stepper:
 
     On the C kernel, ``tridiag_steps`` makes a whole ``advance`` in one
     call per thread: given ``pool``, an executor with a worker to spare,
-    one call for block 1 goes to it and one for block 0 runs here, and the
-    two meet at a join of the kernel's after each phase; without one, a
-    single call here steps both blocks.  Each block's runs are laid out
+    one call for block 1 goes to it and, once that call has begun, one for
+    block 0 runs here, and the two meet at a join of the kernel's after
+    each phase; without one, a single call here steps both blocks.  Each block's runs are laid out
     once, as the kernel reads them.  Where there is no kernel, each phase
     is one call per run from here, block 1's on ``pool``.  Either way the
     result is the same to the bit.
