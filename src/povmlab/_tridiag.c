@@ -11,6 +11,7 @@
  * tile are contiguous too.  When ny % GROUP != 0 the last tile is short; its
  * padding lanes belong to no line and are never loaded or stored.
  *
+ *   tridiag_group       GROUP, the lanes of a damping table's rows
  *   tridiag_field       the field's size in doubles
  *   tridiag_to_field    psi, C-ordered complex (ny, nx), into the field
  *   tridiag_from_field  the field back into such a psi
@@ -18,9 +19,10 @@
  *                       field's lines, then the field is 2 u - w with
  *                       explicit set, u without
  *   tridiag_y_phase     on y lines lo..hi: with solve set, z = A^-1 z, then
- *                       for each listed cell loss = (re*re + im*im) * keep
- *                       and z *= damp; with explicit set, then z = E z for
- *                       the tridiagonal E, without terms across line ends
+ *                       for each damped cell of the run's damping table
+ *                       loss = (re*re + im*im) * keep and z *= damp; with
+ *                       explicit set, then z = E z for the tridiagonal E,
+ *                       without terms across line ends
  *   tridiag_loss_sum    a loss vector's sum, as np.sum adds it
  *   tridiag_steps       a chunk of steps on one thread's share of a field's
  *                       runs, each phase by the two entries above, meeting
@@ -49,15 +51,28 @@
  * Smith divisors, so each step of zgtts2 is one IEEE operation with the
  * same scalar on every lane, and a vector add, multiply or divide rounds
  * each lane as the scalar one does: the lanes give each line its exact
- * bits.  A whole tile row of an x run is already such a group: the forward
- * sweep reads it as it goes, the back sweep stays in scratch, and the
- * store combines the result with the tile.  An x run that starts or ends
- * mid-tile copies its lanes of the tile in and writes only those back.  A y
- * group of GROUP lines comes in and goes out by GROUP x GROUP transposes of
- * contiguous tiles; they only move data, so no rounding question arises.
- * A group of at most NARROW lines, such as the one-line runs beside the
- * walls, runs on NARROW lanes in a scratch to match; lanes past a group's
- * last line hold zeros and are never stored.
+ * bits.  A group of at most NARROW lines, such as the one-line runs beside
+ * the walls, runs on NARROW lanes; lanes past a group's last line hold
+ * zeros and are never stored, and a group reads and writes only its own
+ * lines of the field, since another thread may own the lines beside them.
+ *
+ * Two sweeps per group.  Each group makes one forward and one back sweep
+ * over its planes, and everything else rides in them, so each cell gets
+ * the same operations in the same order as in separate passes.  A whole
+ * tile row of an x run is already a group: the forward sweep reads it as
+ * it goes, and the back sweep stores each row's 2 u - w, or u, into the
+ * tile as soon as it has solved the row; an x run that starts or ends
+ * mid-tile copies its lanes of the tile in first and stores only those.
+ * A y group of GROUP lines comes in by a GROUP x GROUP transpose of each
+ * contiguous tile block as the forward sweep reaches it.  The back sweep
+ * damps row i + 2 once row i is solved, as that was its last use; forms
+ * row i + 3's explicit half from the damped rows i + 2..i + 4 into
+ * GROUP staging rows; and transposes each finished block of GROUP rows
+ * out.  The transposes only move data, so no rounding question arises; a
+ * group of fewer lines moves them through a block-sized buffer.  The
+ * damping is a table of rows, each with GROUP lanes of damp, keep and loss
+ * slot, so it runs in lane loops too: a lane the row does not damp is
+ * multiplied by exactly 1.0 and books no loss.
  *
  * The clone and its FMA rule.  Where gcc's target_clones exists on x86-64
  * with glibc, the workers are built twice, for the baseline and for AVX2,
@@ -78,7 +93,7 @@
 
 /*
  * Lines worked together, and the tile height: a production group's planes
- * (16 lines of 512 cells, 128 KiB) stay in L2 from load to store.  On
+ * (16 lines of 512 cells, 128 KiB) stay in L2 through both sweeps.  On
  * production runs, groups of 8 lines made the x phase 15% slower and groups
  * of 32 the y phase 45% slower.
  */
@@ -153,19 +168,15 @@ PLANAR void divide(int L, double *restrict xr, double *restrict xi, const diviso
 }
 
 /*
- * zgtts2's forward sweep on every lane: x = L^-1 P x in place, or, with
- * from set, x = L^-1 P b with b's rows of L lanes read as the sweep
- * reaches them
+ * zgtts2's forward steps lo..hi on every lane, step i eliminating row i
+ * from row i + 1: x = L^-1 P x in place, or, with from set, x = L^-1 P b
+ * with b's row i + 1 of L lanes read from b + (i + 1) L as the sweep
+ * reaches it
  */
-PLANAR void forward(int L, int n, const factors *f, int from, const double *restrict br,
+PLANAR void forward(int L, int lo, int hi, const factors *f, int from, const double *restrict br,
                     const double *restrict bi, double *restrict re, double *restrict im)
 {
-    if (from)
-        LANES {
-            re[j] = br[j];
-            im[j] = bi[j];
-        }
-    for (int i = 0; i < n - 1; i++) {
+    for (int i = lo; i < hi; i++) {
         double lr = f->dl[2 * i], li = f->dl[2 * i + 1];
         double *xr = re + i * L, *xi = im + i * L, *yr = xr + L, *yi = xi + L;
         const double *sr = from ? br + (i + 1) * L : yr, *si = from ? bi + (i + 1) * L : yi;
@@ -185,115 +196,78 @@ PLANAR void forward(int L, int n, const factors *f, int from, const double *rest
     }
 }
 
-/* zgtts2's back sweep on every lane: x = U^-1 x */
-PLANAR void backward(int L, int n, const factors *f, double *restrict re, double *restrict im)
+/*
+ * zgtts2's back step i on every lane: row i of x = U^-1 x, rows past i
+ * solved; terms is 2 below row n - 2, 1 at it and 0 at row n - 1
+ */
+PLANAR void back(int L, int terms, const factors *f, int i, double *restrict re,
+                 double *restrict im)
 {
-    divisor s = smith(f->d + 2 * (n - 1));
-    divide(L, re + (n - 1) * L, im + (n - 1) * L, &s);
-    if (n > 1) {
-        int i = n - 2;
-        double ur = f->du[2 * i], ui = f->du[2 * i + 1];
-        double *xr = re + i * L, *xi = im + i * L, *yr = xr + L, *yi = xi + L;
-        LANES {
-            xr[j] = xr[j] - (ur * yr[j] - ui * yi[j]);
-            xi[j] = xi[j] - (ur * yi[j] + ui * yr[j]);
-        }
-        s = smith(f->d + 2 * i);
-        divide(L, xr, xi, &s);
-    }
-    for (int i = n - 3; i >= 0; i--) {
+    double *xr = re + i * L, *xi = im + i * L, *yr = xr + L, *yi = xi + L;
+    double *zr = yr + L, *zi = yi + L;
+    if (terms == 2) {
         double ur = f->du[2 * i], ui = f->du[2 * i + 1];
         double vr = f->du2[2 * i], vi = f->du2[2 * i + 1];
-        double *xr = re + i * L, *xi = im + i * L, *yr = xr + L, *yi = xi + L;
-        double *zr = yr + L, *zi = yi + L;
         LANES {
             double r = xr[j] - (ur * yr[j] - ui * yi[j]);
             double t = xi[j] - (ur * yi[j] + ui * yr[j]);
             xr[j] = r - (vr * zr[j] - vi * zi[j]);
             xi[j] = t - (vr * zi[j] + vi * zr[j]);
         }
-        s = smith(f->d + 2 * i);
-        divide(L, xr, xi, &s);
+    } else if (terms == 1) {
+        double ur = f->du[2 * i], ui = f->du[2 * i + 1];
+        LANES {
+            xr[j] = xr[j] - (ur * yr[j] - ui * yi[j]);
+            xi[j] = xi[j] - (ur * yi[j] + ui * yr[j]);
+        }
+    }
+    divisor s = smith(f->d + 2 * i);
+    divide(L, xr, xi, &s);
+}
+
+/*
+ * One row's entry of a damping table on every lane: each lane with a loss
+ * slot books (re*re + im*im) * keep there, then every lane is multiplied
+ * by its damp, which is exactly 1.0 on the lanes the entry does not damp
+ */
+PLANAR void damp_row(int L, const double *damp, const double *keep, const int *slot,
+                     double *loss, double *restrict xr, double *restrict xi)
+{
+    if (loss)
+        for (int j = 0; j < L; j++)
+            if (slot[j] >= 0)
+                loss[slot[j]] = (xr[j] * xr[j] + xi[j] * xi[j]) * keep[j];
+    LANES {
+        xr[j] = xr[j] * damp[j];
+        xi[j] = xi[j] * damp[j];
     }
 }
 
-/* x = E x on every lane, in place, E's off-diagonals stopping at line ends */
-PLANAR void explicit_planes(int L, int n, const double *low, const double *main,
-                            const double *up, double *restrict re, double *restrict im)
+/* row i of E x on every lane into out, E's off-diagonals stopping at line ends */
+PLANAR void explicit_row(int L, int n, int i, const double *low, const double *main,
+                         const double *up, const double *restrict re, const double *restrict im,
+                         double *restrict outr, double *restrict outi)
 {
-    double pr[GROUP], pi[GROUP], tr[GROUP], ti[GROUP]; /* x[i - 1], the new x[i] */
-    for (int i = 0; i < n; i++) {
-        double *xr = re + i * L, *xi = im + i * L;
-        double ar = main[2 * i], ai = main[2 * i + 1];
+    const double *xr = re + i * L, *xi = im + i * L;
+    double ar = main[2 * i], ai = main[2 * i + 1];
+    LANES {
+        outr[j] = ar * xr[j] - ai * xi[j];
+        outi[j] = ar * xi[j] + ai * xr[j];
+    }
+    if (i + 1 < n) {
+        double ur = up[2 * i], ui = up[2 * i + 1];
         LANES {
-            tr[j] = ar * xr[j] - ai * xi[j];
-            ti[j] = ar * xi[j] + ai * xr[j];
-        }
-        if (i + 1 < n) {
-            double ur = up[2 * i], ui = up[2 * i + 1];
-            LANES {
-                tr[j] = tr[j] + (ur * xr[j + L] - ui * xi[j + L]);
-                ti[j] = ti[j] + (ur * xi[j + L] + ui * xr[j + L]);
-            }
-        }
-        if (i > 0) {
-            double lr = low[2 * (i - 1)], li = low[2 * (i - 1) + 1];
-            LANES {
-                tr[j] = tr[j] + (lr * pr[j] - li * pi[j]);
-                ti[j] = ti[j] + (lr * pi[j] + li * pr[j]);
-            }
-        }
-        LANES {
-            pr[j] = xr[j];
-            pi[j] = xi[j];
-            xr[j] = tr[j];
-            xi[j] = ti[j];
+            outr[j] = outr[j] + (ur * xr[j + L] - ui * xi[j + L]);
+            outi[j] = outi[j] + (ur * xi[j + L] + ui * xr[j + L]);
         }
     }
-}
-
-CLONES static void solve_wide(int n, const factors *f, double *restrict re, double *restrict im)
-{
-    forward(GROUP, n, f, 0, NULL, NULL, re, im);
-    backward(GROUP, n, f, re, im);
-}
-
-CLONES static void solve_narrow(int n, const factors *f, double *restrict re, double *restrict im)
-{
-    forward(NARROW, n, f, 0, NULL, NULL, re, im);
-    backward(NARROW, n, f, re, im);
-}
-
-CLONES static void explicit_wide(int n, const double *low, const double *main, const double *up,
-                                 double *restrict re, double *restrict im)
-{
-    explicit_planes(GROUP, n, low, main, up, re, im);
-}
-
-CLONES static void explicit_narrow(int n, const double *low, const double *main,
-                                   const double *up, double *restrict re, double *restrict im)
-{
-    explicit_planes(NARROW, n, low, main, up, re, im);
-}
-
-/* a whole tile row of n cells: solved from the tile into the planes, then 2 u - w or u back */
-CLONES static void solve_tile(int n, const factors *f, int explicit, double *restrict tr,
-                              double *restrict ti, double *restrict re, double *restrict im)
-{
-    const int L = GROUP;
-    forward(L, n, f, 1, tr, ti, re, im);
-    backward(L, n, f, re, im);
-    for (int i = 0; i < n; i++, tr += L, ti += L, re += L, im += L)
-        if (explicit)
-            LANES {
-                tr[j] = 2.0 * re[j] - tr[j];
-                ti[j] = 2.0 * im[j] - ti[j];
-            }
-        else
-            LANES {
-                tr[j] = re[j];
-                ti[j] = im[j];
-            }
+    if (i > 0) {
+        double lr = low[2 * (i - 1)], li = low[2 * (i - 1) + 1];
+        LANES {
+            outr[j] = outr[j] + (lr * xr[j - L] - li * xi[j - L]);
+            outi[j] = outi[j] + (lr * xi[j - L] + li * xr[j - L]);
+        }
+    }
 }
 
 /* b = a^T for row-major GROUP x GROUP blocks, by 4 x 4 blocks of quads */
@@ -321,6 +295,198 @@ PLANAR void transpose(const double *restrict a, double *restrict b)
         }
 }
 
+/*
+ * A tile block of a y group, the first `cells` cells of each of its m
+ * lines, into rows of L lanes with zeros past m (load), or the rows' first
+ * m lanes back into it (store).  A group's lines are consecutive in the
+ * block, GROUP doubles each, so a whole block is one transpose, and a part
+ * of one moves its m lines through a block-sized buffer; neither touches
+ * another line.
+ */
+PLANAR void load_block(int L, int m, int cells, const double *restrict tile,
+                       double *restrict rows)
+{
+    if (L == GROUP && cells == GROUP && m == GROUP) {
+        transpose(tile, rows);
+    } else if (L == GROUP && cells == GROUP) {
+        double part[GROUP * GROUP] = {0};
+        __builtin_memcpy(part, tile, sizeof(double) * GROUP * m);
+        transpose(part, rows);
+    } else {
+        for (int k = 0; k < cells; k++)
+            for (int j = 0; j < L; j++)
+                rows[k * L + j] = j < m ? tile[j * GROUP + k] : 0.0;
+    }
+}
+
+PLANAR void store_block(int L, int m, int cells, const double *restrict rows,
+                        double *restrict tile)
+{
+    if (L == GROUP && cells == GROUP && m == GROUP) {
+        transpose(rows, tile);
+    } else if (L == GROUP && cells == GROUP) {
+        double part[GROUP * GROUP];
+        transpose(rows, part);
+        __builtin_memcpy(tile, part, sizeof(double) * GROUP * m);
+    } else {
+        for (int k = 0; k < cells; k++)
+            for (int j = 0; j < m; j++)
+                tile[j * GROUP + k] = rows[k * L + j];
+    }
+}
+
+/*
+ * An x group: lanes a..a+m of a tile row of n cells, solved on L lanes of
+ * the planes and stored back row by row as the back sweep solves it, as
+ * 2 u - w with explicit set, u without.  A whole tile row, a constant
+ * here, is read as the forward sweep reaches it; a part of one is copied
+ * in first.
+ */
+PLANAR void x_group(int L, int whole, int n, int a, int m, const factors *f, int explicit,
+                    double *restrict tr, double *restrict ti, double *restrict re,
+                    double *restrict im)
+{
+    if (whole)
+        LANES {
+            re[j] = tr[j];
+            im[j] = ti[j];
+        }
+    else
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < L; j++) {
+                re[i * L + j] = j < m ? tr[i * GROUP + a + j] : 0.0;
+                im[i * L + j] = j < m ? ti[i * GROUP + a + j] : 0.0;
+            }
+    forward(L, 0, n - 1, f, whole, tr, ti, re, im);
+    for (int i = n - 1; i >= 0; i--) {
+        if (i + 2 < n)
+            back(L, 2, f, i, re, im);
+        else
+            back(L, n - 1 - i, f, i, re, im);
+        double *xr = tr + i * GROUP + a, *xi = ti + i * GROUP + a;
+        const double *ur = re + i * L, *ui = im + i * L;
+        if (whole && explicit)
+            LANES {
+                xr[j] = 2.0 * ur[j] - xr[j];
+                xi[j] = 2.0 * ui[j] - xi[j];
+            }
+        else if (whole)
+            LANES {
+                xr[j] = ur[j];
+                xi[j] = ui[j];
+            }
+        else
+            for (int j = 0; j < m; j++) {
+                xr[j] = explicit ? 2.0 * ur[j] - xr[j] : ur[j];
+                xi[j] = explicit ? 2.0 * ui[j] - xi[j] : ui[j];
+            }
+    }
+}
+
+/* the x group's three builds: a whole tile row, and a part of one on 16 or 4 lanes */
+CLONES static void x_tile(int n, int a, int m, const factors *f, int explicit,
+                          double *restrict tr, double *restrict ti, double *restrict re,
+                          double *restrict im)
+{
+    x_group(GROUP, 1, n, a, m, f, explicit, tr, ti, re, im);
+}
+
+CLONES static void x_wide(int n, int a, int m, const factors *f, int explicit,
+                          double *restrict tr, double *restrict ti, double *restrict re,
+                          double *restrict im)
+{
+    x_group(GROUP, 0, n, a, m, f, explicit, tr, ti, re, im);
+}
+
+CLONES static void x_narrow(int n, int a, int m, const factors *f, int explicit,
+                            double *restrict tr, double *restrict ti, double *restrict re,
+                            double *restrict im)
+{
+    x_group(NARROW, 0, n, a, m, f, explicit, tr, ti, re, im);
+}
+
+/*
+ * A y run's damping table: its damped rows, each as row g n + i for cell i
+ * of the lines of its group g (lines 16 g.. of the run), ascending, with
+ * GROUP lanes each of damp (1.0 where the lane is not damped), keep and
+ * the loss slot (-1 for none), the k-th of the run's damped cells in slot
+ * k.  A group's rows are passed from its first, with base g n.
+ */
+typedef struct {
+    ptrdiff_t n, base;
+    const int *row;
+    const double *damp, *keep;
+    const int *slot;
+} table;
+
+/*
+ * A y group: m lines of n cells, whose tile blocks start at tr and ti and
+ * lie stride apart, in two sweeps over L lanes of the planes.  The forward
+ * sweep transposes each tile block in as it reaches it.  The back sweep,
+ * once row s is solved, damps row s + 2, which that solve used last; forms
+ * row s + 3's explicit half from the damped rows s + 2..s + 4 into the
+ * staging rows sr and si; and transposes each finished block of GROUP rows
+ * out, from the staging rows or, without explicit, from the planes.  With
+ * solve clear, the first sweep only moves and the second only forms the
+ * explicit half.
+ */
+PLANAR void y_group(int L, int n, ptrdiff_t stride, int m, const factors *f, const double *low,
+                    const double *main, const double *up, const table *damping, double *loss,
+                    int solve, int explicit, double *restrict tr, double *restrict ti,
+                    double *restrict re, double *restrict im, double *restrict sr,
+                    double *restrict si)
+{
+    for (int i = 0; i < n; i += GROUP) {
+        int cells = n - i < GROUP ? n - i : GROUP;
+        load_block(L, m, cells, tr + i / GROUP * stride, re + i * L);
+        load_block(L, m, cells, ti + i / GROUP * stride, im + i * L);
+        if (solve)
+            forward(L, i ? i - 1 : 0, i + cells - 1, f, 0, NULL, NULL, re, im);
+    }
+    ptrdiff_t k = damping->n;
+    for (int s = n - 1; s >= -3; s--) {
+        int r = s + 2, e = s + 3;
+        if (solve && s >= 0 && s + 2 < n)
+            back(L, 2, f, s, re, im);
+        else if (solve && s >= 0)
+            back(L, n - 1 - s, f, s, re, im); /* the last two rows */
+        if (solve && r >= 0 && r < n && k > 0 && damping->row[k - 1] == damping->base + r) {
+            k--;
+            damp_row(L, damping->damp + k * GROUP, damping->keep + k * GROUP,
+                     damping->slot + k * GROUP, loss, re + r * L, im + r * L);
+        }
+        if (e < 0 || e >= n)
+            continue;
+        if (explicit)
+            explicit_row(L, n, e, low, main, up, re, im, sr + e % GROUP * L, si + e % GROUP * L);
+        if (e % GROUP == 0) {
+            int cells = n - e < GROUP ? n - e : GROUP;
+            store_block(L, m, cells, explicit ? sr : re + e * L, tr + e / GROUP * stride);
+            store_block(L, m, cells, explicit ? si : im + e * L, ti + e / GROUP * stride);
+        }
+    }
+}
+
+CLONES static void y_wide(int n, ptrdiff_t stride, int m, const factors *f, const double *low,
+                          const double *main, const double *up, const table *damping,
+                          double *loss, int solve, int explicit, double *restrict tr,
+                          double *restrict ti, double *restrict re, double *restrict im,
+                          double *restrict sr, double *restrict si)
+{
+    y_group(GROUP, n, stride, m, f, low, main, up, damping, loss, solve, explicit, tr, ti, re, im,
+            sr, si);
+}
+
+CLONES static void y_narrow(int n, ptrdiff_t stride, int m, const factors *f, const double *low,
+                            const double *main, const double *up, const table *damping,
+                            double *loss, int solve, int explicit, double *restrict tr,
+                            double *restrict ti, double *restrict re, double *restrict im,
+                            double *restrict sr, double *restrict si)
+{
+    y_group(NARROW, n, stride, m, f, low, main, up, damping, loss, solve, explicit, tr, ti, re,
+            im, sr, si);
+}
+
 /* the doubles in one plane of an (ny, nx) field */
 static ptrdiff_t plane(int ny, int nx)
 {
@@ -333,14 +499,21 @@ static int lanes(int m)
     return m > NARROW ? GROUP : NARROW;
 }
 
+/* the lines a group works at once, and a damping table's lanes */
+int tridiag_group(void)
+{
+    return GROUP;
+}
+
 size_t tridiag_field(int ny, int nx)
 {
     return 2 * (size_t)plane(ny, nx);
 }
 
+/* two planes of n rows and two staging rows of GROUP, on a group's lanes */
 size_t tridiag_scratch(int n, int nrhs)
 {
-    return 2 * (size_t)n * lanes(nrhs < GROUP ? nrhs : GROUP);
+    return 2 * ((size_t)n + GROUP) * lanes(nrhs < GROUP ? nrhs : GROUP);
 }
 
 /*
@@ -386,92 +559,39 @@ void tridiag_x_phase(int ny, int nx, int lo, int hi, const double *dl, const dou
         int tile = y / GROUP, a = y % GROUP;
         int b = hi - tile * GROUP < GROUP ? hi - tile * GROUP : GROUP, m = b - a, L = lanes(m);
         double *tr = field + (ptrdiff_t)tile * nx * GROUP, *ti = tr + plane(ny, nx);
-        double *re = scratch, *im = scratch + (ptrdiff_t)n * L;
         y += m;
-        if (m == GROUP) {
-            solve_tile(n, &f, explicit, tr, ti, re, im);
-            continue;
-        }
-        /* lanes a..b of the tile row through the first m lanes of the planes */
-        for (int i = 0; i < n; i++)
-            for (int j = 0; j < L; j++) {
-                re[i * L + j] = j < m ? tr[i * GROUP + a + j] : 0.0;
-                im[i * L + j] = j < m ? ti[i * GROUP + a + j] : 0.0;
-            }
-        (L == GROUP ? solve_wide : solve_narrow)(n, &f, re, im);
-        for (int i = 0; i < n; i++)
-            for (int j = 0; j < m; j++) {
-                double *xr = tr + i * GROUP + a + j, *xi = ti + i * GROUP + a + j;
-                *xr = explicit ? 2.0 * re[i * L + j] - *xr : re[i * L + j];
-                *xi = explicit ? 2.0 * im[i * L + j] - *xi : im[i * L + j];
-            }
+        (m == GROUP ? x_tile : L == GROUP ? x_wide : x_narrow)(n, a, m, &f, explicit, tr, ti,
+                                                                scratch, scratch + (ptrdiff_t)n * L);
     }
 }
 
 /*
- * y lines x..x+m of a field into L lanes of the planes (out = 0), or back
- * (out = 1); lanes past m are zeroed on the way in
- */
-CLONES static void move_lines(int ny, int nx, int x, int m, int L, double *field, double *planes,
-                              int out)
-{
-    ptrdiff_t size = plane(ny, nx);
-    for (int part = 0; part < 2; part++) {
-        double *p = planes + part * (ptrdiff_t)ny * L;
-        for (int t = 0; t * GROUP < ny; t++) {
-            double *tile = field + part * size + ((ptrdiff_t)t * nx + x) * GROUP;
-            double *rows = p + (ptrdiff_t)t * GROUP * L;
-            int cells = ny - t * GROUP < GROUP ? ny - t * GROUP : GROUP;
-            if (m == GROUP && cells == GROUP) {
-                out ? transpose(rows, tile) : transpose(tile, rows);
-                continue;
-            }
-            for (int k = 0; k < cells; k++)
-                for (int j = 0; j < (out ? m : L); j++)
-                    if (out)
-                        tile[j * GROUP + k] = rows[k * L + j];
-                    else
-                        rows[k * L + j] = j < m ? tile[j * GROUP + k] : 0.0;
-        }
-    }
-}
-
-/*
- * at lists n_damped cells as j * n + i, line j's cell i, ascending; damp,
- * keep and loss are theirs, and loss may be NULL.  Each group runs from
- * load to store while its planes sit in L2.
+ * The run's damping table has n_rows rows (see table above); loss may be
+ * NULL.  Each group of GROUP lines, or the run's last m, makes the two
+ * sweeps of y_group.
  */
 void tridiag_y_phase(int ny, int nx, int lo, int hi, const double *dl, const double *d,
                      const double *du, const double *du2, const int *ipiv, const double *low,
-                     const double *main, const double *up, ptrdiff_t n_damped,
-                     const ptrdiff_t *at, const double *damp, const double *keep, double *loss,
+                     const double *main, const double *up, ptrdiff_t n_rows, const int *rows,
+                     const double *damp, const double *keep, const int *slot, double *loss,
                      int solve, int explicit, double *field, double *scratch)
 {
     factors f = {dl, d, du, du2, ipiv};
     int n = ny;
-    ptrdiff_t k = 0, line = 0;
+    ptrdiff_t k = 0;
     if (!solve && !explicit)
         return;
     for (int j = 0; j < hi - lo; j += GROUP) {
         int m = hi - lo - j < GROUP ? hi - lo - j : GROUP, L = lanes(m);
-        double *re = scratch, *im = scratch + (ptrdiff_t)n * L;
-        move_lines(ny, nx, lo + j, m, L, field, scratch, 0);
-        if (solve) {
-            (L == GROUP ? solve_wide : solve_narrow)(n, &f, re, im);
-            for (; k < n_damped && at[k] < (ptrdiff_t)(j + m) * n; k++) {
-                while (at[k] >= (line + 1) * n)
-                    line++;
-                ptrdiff_t c = (at[k] - line * n) * L + (line - j);
-                double x = re[c], y = im[c];
-                if (loss)
-                    loss[k] = (x * x + y * y) * keep[k];
-                re[c] = x * damp[k];
-                im[c] = y * damp[k];
-            }
-        }
-        if (explicit)
-            (L == GROUP ? explicit_wide : explicit_narrow)(n, low, main, up, re, im);
-        move_lines(ny, nx, lo + j, m, L, field, scratch, 1);
+        table damping = {0, (ptrdiff_t)(j / GROUP) * n, rows + k, damp + k * GROUP,
+                         keep + k * GROUP, slot + k * GROUP};
+        while (k < n_rows && rows[k] < damping.base + n)
+            k++, damping.n++;
+        double *re = scratch, *im = re + (ptrdiff_t)n * L, *sr = im + (ptrdiff_t)n * L;
+        double *tr = field + (ptrdiff_t)(lo + j) * GROUP, *ti = tr + plane(ny, nx);
+        (L == GROUP ? y_wide : y_narrow)(n, (ptrdiff_t)nx * GROUP, m, &f, low, main, up, &damping,
+                                          loss, solve, explicit, tr, ti, re, im, sr,
+                                          sr + GROUP * L);
     }
 }
 
@@ -532,9 +652,10 @@ typedef struct {
     const double *dl, *d, *du, *du2;
     const int *ipiv;
     const double *low, *main, *up;
-    ptrdiff_t n_damped;
-    const ptrdiff_t *at;
+    ptrdiff_t n_rows;
+    const int *rows;
     const double *damp, *keep;
+    const int *slot;
     double *loss;
     double *scratch;
 } y_run;
@@ -591,8 +712,8 @@ void tridiag_steps(int ny, int nx, double *field, int steps, int n_x, const x_ru
     for (int k = 0; k < n_y; k++) {
         const y_run *r = ys + k;
         tridiag_y_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, r->low,
-                        r->main, r->up, r->n_damped, r->at, r->damp, r->keep, r->loss, 0, 1,
-                        field, r->scratch);
+                        r->main, r->up, r->n_rows, r->rows, r->damp, r->keep, r->slot, r->loss,
+                        0, 1, field, r->scratch);
     }
     join_all(join, parties, &sense);
     for (int step = 0; step < steps; step++) {
@@ -605,8 +726,8 @@ void tridiag_steps(int ny, int nx, double *field, int steps, int n_x, const x_ru
         for (int k = 0; k < n_y; k++) {
             const y_run *r = ys + k;
             tridiag_y_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, r->low,
-                            r->main, r->up, r->n_damped, r->at, r->damp, r->keep, r->loss, 1,
-                            step + 1 < steps, field, r->scratch);
+                            r->main, r->up, r->n_rows, r->rows, r->damp, r->keep, r->slot,
+                            r->loss, 1, step + 1 < steps, field, r->scratch);
         }
         join_all(join, parties, &sense);
         if (loss)

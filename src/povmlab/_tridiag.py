@@ -143,6 +143,7 @@ def _load() -> ctypes.CDLL | None:
     for entry in (lib.tridiag_field, lib.tridiag_scratch):
         entry.argtypes = [ctypes.c_int] * 2
         entry.restype = ctypes.c_size_t
+    lib.tridiag_group.argtypes, lib.tridiag_group.restype = [], ctypes.c_int
     lib.tridiag_loss_sum.argtypes = [ctypes.c_ssize_t, pointer]
     lib.tridiag_loss_sum.restype = ctypes.c_double
     return lib
@@ -213,8 +214,8 @@ class _YRun(ctypes.Structure):
     _fields_ = [
         ("lo", ctypes.c_int), ("hi", ctypes.c_int), *_FACTORS,
         *((name, ctypes.c_void_p) for name in ("low", "main", "up")),
-        ("n_damped", ctypes.c_ssize_t),
-        *((name, ctypes.c_void_p) for name in ("at", "damp", "keep", "loss", "scratch")),
+        ("n_rows", ctypes.c_ssize_t),
+        *((name, ctypes.c_void_p) for name in ("rows", "damp", "keep", "slot", "loss", "scratch")),
     ]
 
 
@@ -222,7 +223,8 @@ class _Bound:
     """A run's phase on its lines of a field: a call of the phase's flags.
 
     ``run`` holds the run's arguments for ``tridiag_steps``; the bound
-    phase keeps the arrays they point into alive.
+    phase keeps the arrays they point into alive, its ``LineSolve`` or
+    ``LinePhase`` among them.
     """
 
     def __init__(self, entry, field: Field, run: ctypes.Structure, held: tuple):
@@ -268,7 +270,7 @@ class LineSolve:
             return functools.partial(self._zgttrs, field.data[:, start:stop])
         scratch = _scratch(self._lib, self._n, stop - start, scratch)
         run = _XRun(start, stop, *self._at, scratch.ctypes.data)
-        return _Bound(self._lib.tridiag_x_phase, field, run, (field, scratch))
+        return _Bound(self._lib.tridiag_x_phase, field, run, (self, field, scratch))
 
     def _zgttrs(self, lines: np.ndarray, explicit: bool = False) -> None:
         """``lines``, a complex ``(n, m)`` view, set to their solve ``u``, or to ``2u - w``."""
@@ -342,15 +344,18 @@ class LinePhase:
     tridiagonal ``(lower, main, upper)`` of ``explicit``, laid out like
     ``LineSolve``'s and without terms across line ends.  ``damped`` lists
     the whole field's damped cells, ascending, as ``j * n + i`` for y line
-    j's cell i; construction checks it and takes the run's share.  ``loss``
-    is None or one entry per damped cell, so runs write disjoint slices.
+    j's cell i; construction checks it and takes the run's share, which it
+    keeps in the form its backend reads.  ``loss`` is None or one entry
+    per damped cell, so runs write disjoint slices.
 
     ``bind(field, loss)`` checks the field, the range and ``loss``, so the
     kernel writes only inside them, and returns the phase on ``lines`` of
     ``field`` as a call of ``(solve, explicit)``, to repeat on whatever the
-    field holds.  The C kernel does it all in one call, line group by line
-    group.  Where there is no kernel, numpy does the same arithmetic on
-    real and imaginary parts around ``zgttrs``, so both give the same bits.
+    field holds.  The C kernel does it all in one call, in two sweeps of
+    each group of 16 lines, and reads the share as a table of damped rows
+    (``_damping_table``).  Where there is no kernel, numpy does the same
+    arithmetic on real and imaginary parts around ``zgttrs``, on the
+    share's list of cells, so both give the same bits.
     """
 
     def __init__(
@@ -366,12 +371,18 @@ class LinePhase:
             raise ValueError("each damped cell needs one damping factor")
         if damped.size and (damped[0] < 0 or (np.diff(damped) <= 0).any()):
             raise ValueError("damped cells must ascend inside the field")
+        if n * (stop - start) > np.iinfo(np.int32).max:
+            raise ValueError("a run's cells must be numbered in 32 bits")
         lo, hi = np.searchsorted(damped, (start * n, stop * n))
         self.solve, self.lines, self._n_losses = solve, lines, damped.size
         self._losses, self._reach = slice(int(lo), int(hi)), int(damped.max(initial=-1)) + 1
         self._explicit = (lower, main, upper)
         # the run's damped cells count from its first cell
-        self._damping = (damped[lo:hi] - start * n, damp[lo:hi], 1.0 - damp[lo:hi] ** 2)
+        at, damp = damped[lo:hi] - start * n, damp[lo:hi]
+        if solve._lib is None:
+            self._damping = (at, damp, 1.0 - damp**2)
+        else:
+            self._damping = _damping_table(at, damp, n, solve._lib.tridiag_group())
         self._at = tuple(d.ctypes.data for d in (*self._explicit, *self._damping))
 
     def bind(self, field: Field, loss: np.ndarray | None, scratch: np.ndarray | None = None):
@@ -396,7 +407,7 @@ class LinePhase:
             None if loss is None else loss.ctypes.data + self._losses.start * loss.itemsize,
             scratch.ctypes.data,
         )
-        return _Bound(lib.tridiag_y_phase, field, run, (field, loss, scratch))
+        return _Bound(lib.tridiag_y_phase, field, run, (self, field, loss, scratch))
 
     def _numpy(self, z, loss, solve: bool, explicit: bool) -> None:
         """The kernel's arithmetic in numpy, on real and imaginary parts, around ``zgttrs``."""
@@ -429,6 +440,47 @@ class LinePhase:
             wr[1:] += lr * zr[:-1] - li * zi[:-1]
             wi[1:] += lr * zi[:-1] + li * zr[:-1]
             out.real, out.imag = wr, wi
+
+
+def _damping_table(at: np.ndarray, damp: np.ndarray, n: int, group: int) -> tuple:
+    """A y run's damped cells ``at``, ascending, as ``_tridiag.c``'s damping table.
+
+    ``at`` numbers line j's cell i as ``j * n + i`` from the run's first
+    cell, and ``damp`` holds their factors; the kernel works ``group``
+    lines at a time.  The table has one entry per row of a group that
+    holds a damped cell, ascending by ``g * n + i`` for group g's cell i:
+    on each of its ``group`` lanes a damp, 1.0 where the lane's cell is not
+    damped, a keep ``1.0 - damp**2``, 0.0 there, and the loss slot, -1
+    there, else k for the k-th cell of ``at``.  Each array is of the run's
+    damped cells, not of its field.
+    """
+    # in 32 bits, which number a run's cells, and in place: the temporaries
+    # are a few of the run's damped cells' size
+    line, row = np.divmod(at.astype(np.int32), np.int32(n))
+    lane = line % group
+    line //= group
+    line *= n
+    row += line  # group g's cell i is row g n + i
+    del line
+    listed = np.zeros(int(row.max(initial=-1)) + 1, dtype=bool)  # 1/16 of the run's cells
+    listed[row] = True
+    place = np.cumsum(listed, dtype=np.int32)[row]
+    del row
+    place -= 1
+    place *= group
+    place += lane  # each cell's lane of the table
+    del lane
+    rows = np.flatnonzero(listed)
+    keep = np.zeros((rows.size, group))
+    kept = damp**2
+    np.subtract(1.0, kept, out=kept)  # 1.0 - damp**2
+    keep.ravel()[place] = kept
+    del kept
+    factors = np.ones((rows.size, group))
+    factors.ravel()[place] = damp
+    slots = np.full((rows.size, group), -1, dtype=np.int32)
+    slots.ravel()[place] = np.arange(at.size, dtype=np.int32)
+    return rows.astype(np.int32), factors, keep, slots
 
 
 def _on_both(pool, calls, *args) -> None:

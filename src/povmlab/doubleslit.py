@@ -507,16 +507,17 @@ class Propagator:
     ``_tridiag.LinePhase``, which is the y run: it holds its lines and its
     share of the edge damping, and solves, damps and forms the next
     explicit y half from the pattern's three diagonals.  Both run through
-    the C kernel, or through ``zgttrs`` and numpy with the same bits.
+    the C kernel, one forward and one back sweep per group of 16 lines, or
+    through ``zgttrs`` and numpy with the same bits.
 
     ``start`` makes a packet's ``Stepping``, whose state lives in one
     ``_tridiag.Field`` for as long as it is stepped, in the form its
     backend steps: on the kernel, real and imaginary planes in tiles of 16
     x lines, so that a tile row of an x run is one contiguous block and a
-    y run's lines come in by 16x16 transposes of contiguous tiles.  The
-    only conversions are the entry copy into the field and the field into
-    each packet read.  ``run`` is one such stepping, read into the entry
-    copy.
+    y run's lines come in and go out by 16x16 transposes of contiguous
+    tiles, as its sweeps reach them.  The only conversions are the entry
+    copy into the field and the field into each packet read.  ``run`` is
+    one such stepping, read into the entry copy.
 
     This is the arithmetic of one solve of the whole flattened system.
     Its factorization meets zero couplings at every line end, so it never
@@ -647,9 +648,12 @@ class Stepping:
     A ``_tridiag.Stepper`` makes them: on the kernel an ``advance`` is one
     kernel call per thread, which releases the GIL for all of its steps,
     joins the threads in C, makes no numpy pass over a field and allocates
-    nothing.  Given ``pool``, an executor with a worker to spare, block 1
-    runs on it while the calling thread runs block 0; without one both run
-    here.  Either way the result is the same to the bit.
+    nothing, and each phase sweeps each group of 16 lines twice, forward
+    and back, with the damping and the explicit half in the back sweep.
+    Given ``pool``, an executor with a worker to spare, block 1 runs on it
+    while the calling thread runs block 0; without one both run here.
+    Either way the result is the same to the bit.  The bound runs hold the
+    propagator's operators, so a stepping may outlive its ``Propagator``.
 
     The field starts as the projected packet and holds the explicit y half
     ``w`` between the phases of a step, ``2u - w`` between its x and y

@@ -1,6 +1,8 @@
+import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -512,6 +514,26 @@ def test_production_steps_allocate_no_field_sized_array():
                 finally:
                     tracemalloc.stop()
                 assert peak - before < 3 * field, (branch, on, (peak - before) / field)
+
+
+def test_a_stepping_outlives_its_propagator():
+    # a stepping's bound runs point into its propagator's factors, explicit
+    # diagonals and damping table, so they hold them: a stepping started
+    # from a propagator that is then dropped steps as if it were kept
+    pot = build_potential(GRID, PARAMS, 1, GEOMETRY)
+    packet = small_packet()
+    prop = Propagator(pot, 0.01, sponge=SpongeConfig(10, 6.0))
+    want = prop.run(packet, 20)
+    held = [weakref.ref(solve) for block in prop._x_blocks for _, solve in block]
+    held += [weakref.ref(phase) for block in prop._y_blocks for phase in block]
+    stepping = prop.start(packet)
+    del prop
+    gc.collect()
+    assert all(ref() is not None for ref in held)
+    stepping.advance(20)
+    got = stepping.read()
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert got.absorbed == want.absorbed > packet.absorbed
 
 
 def test_one_propagator_runs_on_many_threads_at_once():

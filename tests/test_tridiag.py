@@ -1,5 +1,6 @@
 """The C tridiagonal kernel against LAPACK's ``zgttrs``, and how it is built."""
 
+import functools
 import hashlib
 import os
 import platform
@@ -366,6 +367,8 @@ def test_line_phase_refuses_to_write_outside_its_run(backend, monkeypatch):
         "an open range": dict(lines=slice(None, m)),
         "a reversed range": dict(lines=slice(m, 0)),
         "a range of floats": dict(lines=slice(1.0, float(m + 1))),
+        # the kernel numbers a run's cells and its losses in 32 bits
+        "a run of more cells than 32 bits number": dict(lines=slice(0, 2**31 // n + 1)),
     }
     for name, change in refused.items():
         arrays = {"lines": lines, **good, **change}
@@ -521,60 +524,114 @@ def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, m
         assert not thread.is_alive() and len(raised) == 1, pool
 
 
+def _side_by_side(rng, axis, n, count, cuts, pivots, mode, share):
+    """Adjacent runs of one field, each with its own factors, on both backends.
+
+    ``cuts`` split lines ``cuts[0]..cuts[-1]`` of a field of ``count``
+    lines of ``n`` cells into runs, each called once, in order, with
+    ``mode``: ``(explicit,)`` for x runs, ``(solve, explicit)`` for y runs,
+    whose damped cells, a ``share`` of the field's, lie anywhere in it.
+    After each call every line but the run's, and every loss but its
+    share's, must hold the bits it held before.  Both backends must end on
+    the same bits, and the losses of the runs' cells must be written on a
+    solve and not otherwise.
+    """
+    runs = []  # each run's lines and its (kernel, zgttrs) calls of a field
+    damped = np.flatnonzero(rng.uniform(size=n * count) < share)  # over the whole field
+    damp = rng.uniform(0.5, 1.0, size=damped.size)
+    loss = rng.normal(size=damped.size)
+    losses = [loss.copy(), loss.copy()]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if pivots:
+            lower, main, upper = _pivoting(rng, n)
+        else:
+            lower, main, upper = _normal(rng, n - 1), 4.0 + _normal(rng, n), _normal(rng, n - 1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            solves = _both_backends(monkeypatch, lower, main, upper)
+        lines = slice(lo, hi)
+        if axis == "x":
+            calls = [functools.partial(s.bind, lines=lines) for s in solves]
+        else:
+            diagonals = (_normal(rng, n - 1), _normal(rng, n), _normal(rng, n - 1))
+            calls = [
+                functools.partial(_tridiag.LinePhase(s, diagonals, lines, damped, damp).bind,
+                                  loss=booked)
+                for s, booked in zip(solves, losses)
+            ]
+        runs.append((lines, solves, calls))
+    shape = (count, n) if axis == "x" else (n, count)
+    psi = _normal(rng, *shape)
+
+    def step(backend, field):
+        for lines, _, calls in runs:
+            before, booked = np.empty_like(psi), losses[backend].copy()
+            field.read(before)
+            calls[backend](field)(*mode)
+            after = np.empty_like(psi)
+            field.read(after)
+            others = np.ones(count, dtype=bool)
+            others[lines] = False
+            if axis == "y":
+                before, after = before.T, after.T
+            assert np.array_equal(after[others].view(np.uint64), before[others].view(np.uint64))
+            ours = (damped >= lines.start * n) & (damped < lines.stop * n)
+            assert np.array_equal(losses[backend][~ours].view(np.uint64),
+                                  booked[~ours].view(np.uint64))
+
+    states = [
+        _stepped(runs[0][1][backend], psi, functools.partial(step, backend)) for backend in (0, 1)
+    ]
+    assert np.array_equal(*(state.view(np.uint64) for state in states))
+    assert np.array_equal(*(booked.view(np.uint64) for booked in losses))
+    if axis == "y":
+        ours = (damped >= cuts[0] * n) & (damped < cuts[-1] * n)
+        assert (losses[0][ours] != loss[ours]).all() if mode[0] else (losses[0] == loss).all()
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_both_tiled_entries_match_the_fallback_to_the_bit(data):
-    # random fields, ranges and factors: line lengths from 3 (LineSolve
-    # refuses shorter lines: test_lines_of_fewer_than_3_cells_are_refused),
-    # fields whose last tile is short, ranges that start and end mid-tile,
-    # line counts on both sides of the 4- and 16-lane groups, pivoting
-    # factors and random damped cells; the x phase with and without its
-    # explicit half, the y phase as the first call, a whole step and the
-    # last step
+    # random fields, adjacent runs and factors: line lengths from 3
+    # (LineSolve refuses shorter lines:
+    # test_lines_of_fewer_than_3_cells_are_refused), fields whose last tile
+    # is short, runs that start and end mid-tile beside other runs, line
+    # counts on both sides of the 4- and 16-lane groups, pivoting factors
+    # and random damped cells; the x phase with and without its explicit
+    # half, the y phase as the first call, a whole step and the last step
     axis = data.draw(st.sampled_from(["x", "y"]), label="axis")
     n = data.draw(st.integers(3, 40), label="line length")
     count = data.draw(st.integers(1, 50), label="lines in the field")
-    lo = data.draw(st.integers(0, count - 1), label="first line")
-    hi = data.draw(st.integers(lo + 1, count), label="end")
+    cuts = sorted(data.draw(
+        st.sets(st.integers(0, count), min_size=2, max_size=4), label="run edges"
+    ))
     pivots = data.draw(st.booleans(), label="pivots")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    if pivots:
-        lower, main, upper = _pivoting(rng, n)
-    else:
-        lower, main, upper = _normal(rng, n - 1), 4.0 + _normal(rng, n), _normal(rng, n - 1)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        solves = _both_backends(monkeypatch, lower, main, upper)
-    shape = (count, n) if axis == "x" else (n, count)
-    psi, m = _normal(rng, *shape), hi - lo
-    lines = slice(lo, hi)
-    outside = np.ones(count, dtype=bool)
-    outside[lines] = False
     if axis == "x":
-        explicit = data.draw(st.booleans(), label="explicit")
-        results = [_stepped(s, psi, lambda f: s.bind(f, lines)(explicit)) for s in solves]
-        assert np.array_equal(results[0][outside], psi[outside])
-        assert np.array_equal(*(r.view(np.uint64) for r in results))
-        return
-    modes = [(False, True), (True, True), (True, False)]
-    mode = data.draw(st.sampled_from(modes), label="(solve, explicit)")
-    share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-    damped = np.flatnonzero(rng.uniform(size=n * count) < share)  # over the whole field
-    damp = rng.uniform(0.5, 1.0, size=damped.size)
-    diagonals = (_normal(rng, n - 1), _normal(rng, n), _normal(rng, n - 1))
-    loss = rng.normal(size=damped.size)
-    results = []
-    for s in solves:
-        phase = _tridiag.LinePhase(s, diagonals, lines, damped, damp)
-        booked = loss.copy()
-        state = _stepped(s, psi, lambda f: phase.bind(f, booked)(*mode))
-        results.append((state, booked))
-    assert np.array_equal(results[0][0][:, outside], psi[:, outside])
-    # the losses of the run's damped cells are written on a solve, and no other
-    ours = (damped >= lo * n) & (damped < hi * n)
-    assert np.array_equal(results[0][1][~ours], loss[~ours])
-    assert (results[0][1][ours] != loss[ours]).all() if mode[0] else (results[0][1] == loss).all()
-    for got, want in zip(*results):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        mode = (data.draw(st.booleans(), label="explicit"),)
+    else:
+        modes = [(False, True), (True, True), (True, False)]
+        mode = data.draw(st.sampled_from(modes), label="(solve, explicit)")
+    share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="damped share")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    _side_by_side(rng, axis, n, count, cuts, pivots, mode, share)
+
+
+@pytest.mark.parametrize("mode", [(False, True), (True, True), (True, False)])
+@pytest.mark.parametrize(
+    "n, count, cuts",
+    [
+        (40, 48, [5, 21, 27, 43]),  # runs that meet mid-group, 16-lane and partial groups
+        (37, 40, [0, 16, 19, 40]),  # ny % 16 != 0, and a narrow run between two others
+        (24, 21, [0, 1, 4, 21]),  # narrow runs of 1 and 3 lines, and one of 17
+        (48, 34, [2, 18, 29, 34]),  # whole blocks, and groups of 11 and 5 lines through a buffer
+    ],
+    ids=["mid-group", "short-tile", "narrow", "whole-blocks"],
+)
+def test_the_y_group_worker_keeps_to_its_lines_at_every_edge(n, count, cuts, mode):
+    # each case through the kernel's one y worker against zgttrs, with
+    # every damped cell's damping and loss; each run's call leaves every
+    # other run's lines and losses bit-untouched
+    rng = np.random.default_rng(sum(cuts) + 100 * n)
+    _side_by_side(rng, "y", n, count, cuts, True, mode, 0.5)
 
 
 # numpy's SIMD dispatch turned down to its baseline loops, as on a host
