@@ -62,7 +62,8 @@
  * tile row of an x run is already a group: the forward sweep reads it as
  * it goes, and the back sweep stores each row's 2 u - w, or u, into the
  * tile as soon as it has solved the row; an x run that starts or ends
- * mid-tile copies its lanes of the tile in first and stores only those.
+ * mid-tile reads its lanes of each row, zeros past them, and stores only
+ * those.
  * A y group of GROUP lines comes in by a GROUP x GROUP transpose of each
  * contiguous tile block as the forward sweep reaches it.  The back sweep
  * damps row i + 2 once row i is solved, as that was its last use; forms
@@ -170,26 +171,29 @@ PLANAR void divide(int L, double *restrict xr, double *restrict xi, const diviso
 /*
  * zgtts2's forward steps lo..hi on every lane, step i eliminating row i
  * from row i + 1: x = L^-1 P x in place, or, with from set, x = L^-1 P b
- * with b's row i + 1 of L lanes read from b + (i + 1) L as the sweep
- * reaches it
+ * with b's row i + 1 read from b + (i + 1) GROUP as the sweep reaches it,
+ * its first m lanes and zeros past them
  */
-PLANAR void forward(int L, int lo, int hi, const factors *f, int from, const double *restrict br,
-                    const double *restrict bi, double *restrict re, double *restrict im)
+PLANAR void forward(int L, int lo, int hi, const factors *f, int from, int m,
+                    const double *restrict br, const double *restrict bi, double *restrict re,
+                    double *restrict im)
 {
     for (int i = lo; i < hi; i++) {
         double lr = f->dl[2 * i], li = f->dl[2 * i + 1];
         double *xr = re + i * L, *xi = im + i * L, *yr = xr + L, *yi = xi + L;
-        const double *sr = from ? br + (i + 1) * L : yr, *si = from ? bi + (i + 1) * L : yi;
+        const double *sr = from ? br + (i + 1) * GROUP : yr;
+        const double *si = from ? bi + (i + 1) * GROUP : yi;
         if (f->ipiv[i] == i + 1)
             LANES {
-                yr[j] = sr[j] - (lr * xr[j] - li * xi[j]);
-                yi[j] = si[j] - (lr * xi[j] + li * xr[j]);
+                double b = j < m ? sr[j] : 0.0, c = j < m ? si[j] : 0.0;
+                yr[j] = b - (lr * xr[j] - li * xi[j]);
+                yi[j] = c - (lr * xi[j] + li * xr[j]);
             }
         else
             LANES {
                 double r = xr[j], s = xi[j];
-                xr[j] = sr[j];
-                xi[j] = si[j];
+                xr[j] = j < m ? sr[j] : 0.0;
+                xi[j] = j < m ? si[j] : 0.0;
                 yr[j] = r - (lr * xr[j] - li * xi[j]);
                 yi[j] = s - (lr * xi[j] + li * xr[j]);
             }
@@ -336,28 +340,22 @@ PLANAR void store_block(int L, int m, int cells, const double *restrict rows,
 }
 
 /*
- * An x group: lanes a..a+m of a tile row of n cells, solved on L lanes of
- * the planes and stored back row by row as the back sweep solves it, as
- * 2 u - w with explicit set, u without.  A whole tile row, a constant
- * here, is read as the forward sweep reaches it; a part of one is copied
- * in first.
+ * An x group: lanes a..a+m of a tile row of n cells, read as the forward
+ * sweep reaches each row, solved on L lanes of the planes and stored back
+ * row by row as the back sweep solves it, as 2 u - w with explicit set, u
+ * without.  whole, a constant here, marks a whole tile row.
  */
 PLANAR void x_group(int L, int whole, int n, int a, int m, const factors *f, int explicit,
                     double *restrict tr, double *restrict ti, double *restrict re,
                     double *restrict im)
 {
     if (whole)
-        LANES {
-            re[j] = tr[j];
-            im[j] = ti[j];
-        }
-    else
-        for (int i = 0; i < n; i++)
-            for (int j = 0; j < L; j++) {
-                re[i * L + j] = j < m ? tr[i * GROUP + a + j] : 0.0;
-                im[i * L + j] = j < m ? ti[i * GROUP + a + j] : 0.0;
-            }
-    forward(L, 0, n - 1, f, whole, tr, ti, re, im);
+        m = GROUP;
+    LANES {
+        re[j] = j < m ? tr[a + j] : 0.0;
+        im[j] = j < m ? ti[a + j] : 0.0;
+    }
+    forward(L, 0, n - 1, f, 1, m, tr + a, ti + a, re, im);
     for (int i = n - 1; i >= 0; i--) {
         if (i + 2 < n)
             back(L, 2, f, i, re, im);
@@ -424,8 +422,8 @@ typedef struct {
  * lie stride apart, in two sweeps over L lanes of the planes.  The forward
  * sweep transposes each tile block in as it reaches it.  The back sweep,
  * once row s is solved, damps row s + 2, which that solve used last; forms
- * row s + 3's explicit half from the damped rows s + 2..s + 4 into the
- * staging rows sr and si; and transposes each finished block of GROUP rows
+ * row s + 3's explicit half from the damped rows s + 2..s + 4 into GROUP
+ * staging rows, sr and si; and transposes each finished block of GROUP rows
  * out, from the staging rows or, without explicit, from the planes.  With
  * solve clear, the first sweep only moves and the second only forms the
  * explicit half.
@@ -433,15 +431,15 @@ typedef struct {
 PLANAR void y_group(int L, int n, ptrdiff_t stride, int m, const factors *f, const double *low,
                     const double *main, const double *up, const table *damping, double *loss,
                     int solve, int explicit, double *restrict tr, double *restrict ti,
-                    double *restrict re, double *restrict im, double *restrict sr,
-                    double *restrict si)
+                    double *restrict re, double *restrict im)
 {
+    double sr[GROUP * GROUP], si[GROUP * GROUP];
     for (int i = 0; i < n; i += GROUP) {
         int cells = n - i < GROUP ? n - i : GROUP;
         load_block(L, m, cells, tr + i / GROUP * stride, re + i * L);
         load_block(L, m, cells, ti + i / GROUP * stride, im + i * L);
         if (solve)
-            forward(L, i ? i - 1 : 0, i + cells - 1, f, 0, NULL, NULL, re, im);
+            forward(L, i ? i - 1 : 0, i + cells - 1, f, 0, L, NULL, NULL, re, im);
     }
     ptrdiff_t k = damping->n;
     for (int s = n - 1; s >= -3; s--) {
@@ -470,21 +468,18 @@ PLANAR void y_group(int L, int n, ptrdiff_t stride, int m, const factors *f, con
 CLONES static void y_wide(int n, ptrdiff_t stride, int m, const factors *f, const double *low,
                           const double *main, const double *up, const table *damping,
                           double *loss, int solve, int explicit, double *restrict tr,
-                          double *restrict ti, double *restrict re, double *restrict im,
-                          double *restrict sr, double *restrict si)
+                          double *restrict ti, double *restrict re, double *restrict im)
 {
-    y_group(GROUP, n, stride, m, f, low, main, up, damping, loss, solve, explicit, tr, ti, re, im,
-            sr, si);
+    y_group(GROUP, n, stride, m, f, low, main, up, damping, loss, solve, explicit, tr, ti, re, im);
 }
 
 CLONES static void y_narrow(int n, ptrdiff_t stride, int m, const factors *f, const double *low,
                             const double *main, const double *up, const table *damping,
                             double *loss, int solve, int explicit, double *restrict tr,
-                            double *restrict ti, double *restrict re, double *restrict im,
-                            double *restrict sr, double *restrict si)
+                            double *restrict ti, double *restrict re, double *restrict im)
 {
     y_group(NARROW, n, stride, m, f, low, main, up, damping, loss, solve, explicit, tr, ti, re,
-            im, sr, si);
+            im);
 }
 
 /* the doubles in one plane of an (ny, nx) field */
@@ -510,10 +505,9 @@ size_t tridiag_field(int ny, int nx)
     return 2 * (size_t)plane(ny, nx);
 }
 
-/* two planes of n rows and two staging rows of GROUP, on a group's lanes */
 size_t tridiag_scratch(int n, int nrhs)
 {
-    return 2 * ((size_t)n + GROUP) * lanes(nrhs < GROUP ? nrhs : GROUP);
+    return 2 * (size_t)n * lanes(nrhs < GROUP ? nrhs : GROUP);
 }
 
 /*
@@ -559,9 +553,10 @@ void tridiag_x_phase(int ny, int nx, int lo, int hi, const double *dl, const dou
         int tile = y / GROUP, a = y % GROUP;
         int b = hi - tile * GROUP < GROUP ? hi - tile * GROUP : GROUP, m = b - a, L = lanes(m);
         double *tr = field + (ptrdiff_t)tile * nx * GROUP, *ti = tr + plane(ny, nx);
+        double *re = scratch, *im = scratch + (ptrdiff_t)n * L;
         y += m;
-        (m == GROUP ? x_tile : L == GROUP ? x_wide : x_narrow)(n, a, m, &f, explicit, tr, ti,
-                                                                scratch, scratch + (ptrdiff_t)n * L);
+        (m == GROUP ? x_tile : L == GROUP ? x_wide : x_narrow)(n, a, m, &f, explicit, tr, ti, re,
+                                                                im);
     }
 }
 
@@ -587,11 +582,10 @@ void tridiag_y_phase(int ny, int nx, int lo, int hi, const double *dl, const dou
                          keep + k * GROUP, slot + k * GROUP};
         while (k < n_rows && rows[k] < damping.base + n)
             k++, damping.n++;
-        double *re = scratch, *im = re + (ptrdiff_t)n * L, *sr = im + (ptrdiff_t)n * L;
+        double *re = scratch, *im = re + (ptrdiff_t)n * L;
         double *tr = field + (ptrdiff_t)(lo + j) * GROUP, *ti = tr + plane(ny, nx);
         (L == GROUP ? y_wide : y_narrow)(n, (ptrdiff_t)nx * GROUP, m, &f, low, main, up, &damping,
-                                          loss, solve, explicit, tr, ti, re, im, sr,
-                                          sr + GROUP * L);
+                                          loss, solve, explicit, tr, ti, re, im);
     }
 }
 

@@ -378,11 +378,12 @@ class LinePhase:
         self._losses, self._reach = slice(int(lo), int(hi)), int(damped.max(initial=-1)) + 1
         self._explicit = (lower, main, upper)
         # the run's damped cells count from its first cell
-        at, damp = damped[lo:hi] - start * n, damp[lo:hi]
         if solve._lib is None:
+            at, damp = damped[lo:hi] - start * n, damp[lo:hi]
             self._damping = (at, damp, 1.0 - damp**2)
         else:
-            self._damping = _damping_table(at, damp, n, solve._lib.tridiag_group())
+            at = np.subtract(damped[lo:hi], start * n, dtype=np.int32, casting="unsafe")
+            self._damping = _damping_table(at, damp[lo:hi], n, solve._lib.tridiag_group())
         self._at = tuple(d.ctypes.data for d in (*self._explicit, *self._damping))
 
     def bind(self, field: Field, loss: np.ndarray | None, scratch: np.ndarray | None = None):
@@ -445,8 +446,8 @@ class LinePhase:
 def _damping_table(at: np.ndarray, damp: np.ndarray, n: int, group: int) -> tuple:
     """A y run's damped cells ``at``, ascending, as ``_tridiag.c``'s damping table.
 
-    ``at`` numbers line j's cell i as ``j * n + i`` from the run's first
-    cell, and ``damp`` holds their factors; the kernel works ``group``
+    ``at``, int32, numbers line j's cell i as ``j * n + i`` from the run's
+    first cell, and ``damp`` holds their factors; the kernel works ``group``
     lines at a time.  The table has one entry per row of a group that
     holds a damped cell, ascending by ``g * n + i`` for group g's cell i:
     on each of its ``group`` lanes a damp, 1.0 where the lane's cell is not
@@ -455,8 +456,8 @@ def _damping_table(at: np.ndarray, damp: np.ndarray, n: int, group: int) -> tupl
     damped cells, not of its field.
     """
     # in 32 bits, which number a run's cells, and in place: the temporaries
-    # are a few of the run's damped cells' size
-    line, row = np.divmod(at.astype(np.int32), np.int32(n))
+    # are a few int32 vectors of the run's damped cells
+    line, row = np.divmod(at, np.int32(n))
     lane = line % group
     line //= group
     line *= n
@@ -471,13 +472,10 @@ def _damping_table(at: np.ndarray, damp: np.ndarray, n: int, group: int) -> tupl
     place += lane  # each cell's lane of the table
     del lane
     rows = np.flatnonzero(listed)
-    keep = np.zeros((rows.size, group))
-    kept = damp**2
-    np.subtract(1.0, kept, out=kept)  # 1.0 - damp**2
-    keep.ravel()[place] = kept
-    del kept
     factors = np.ones((rows.size, group))
     factors.ravel()[place] = damp
+    keep = factors**2
+    np.subtract(1.0, keep, out=keep)  # 1.0 - damp**2, and 0.0 where damp is 1.0
     slots = np.full((rows.size, group), -1, dtype=np.int32)
     slots.ravel()[place] = np.arange(at.size, dtype=np.int32)
     return rows.astype(np.int32), factors, keep, slots
