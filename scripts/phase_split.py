@@ -55,7 +55,9 @@ def split(prop: Propagator, psi: np.ndarray, calls: int) -> dict[str, float]:
     lib = first._lib
     scratch = None if lib is None else np.empty(lib.tridiag_scratch(cells, cells))
     runs = {
-        "x": [solve.bind(field, lines, scratch) for block in prop._x_blocks for lines, solve in block],
+        "x": [
+            solve.bind(field, lines, scratch) for block in prop._x_blocks for lines, solve in block
+        ],
         "y": [phase.bind(field, loss, scratch) for block in prop._y_blocks for phase in block],
     }
     figures = {}
@@ -86,10 +88,12 @@ def main(argv=None) -> None:
     psi = rng.normal(size=(grid.ny, grid.nx)) + 1j * rng.normal(size=(grid.ny, grid.nx))
     psi[potential.blocked] = 0.0
     columns = {}
-    for label, sponge in (("no sponge", None), ("sponge", SpongeConfig(c.sponge_width, c.sponge_strength))):
+    sponges = {"no sponge": None, "sponge": SpongeConfig(c.sponge_width, c.sponge_strength)}
+    for label, sponge in sponges.items():
         columns[label] = split(Propagator(potential, c.dt, sponge=sponge), psi, args.calls)
     backend = "C kernel" if _tridiag.kernel() is not None else "zgttrs"
-    print(f"branch {args.branch}, {grid.nx}x{grid.ny}, {backend}, least of {args.calls} calls, ns per cell")
+    print(f"branch {args.branch}, {grid.nx}x{grid.ny}, {backend}, "
+          f"least of {args.calls} calls, ns per cell")
     print(f"{'piece':<18}" + "".join(f"{label:>12}" for label in columns))
     for name in PIECES:
         print(f"{name:<18}" + "".join(f"{columns[label][name]:>12.2f}" for label in columns))

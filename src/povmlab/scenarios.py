@@ -530,7 +530,7 @@ def _on_fields(pool, work, fields):
     ``pool``, so no pool worker waits on its own pool.  Several fields run
     one per thread of ``pool``, each stepping its blocks inline: on the
     production grid a branch-1 and a branch-2 field stepped one per thread
-    took 2.2-2.6 ms per pair-step, against 2.3-2.8 ms when each field's
+    took 2.44-2.48 ms per pair-step, against 2.51-2.53 ms when each field's
     line blocks ran on the pool in turn (medians of 5 rounds of 100 steps
     in each of 3 processes, 2-vCPU Xeon VM; one per thread was faster in
     each process).  Either way a field's arithmetic is the same as
