@@ -74,10 +74,17 @@ def split(prop: Propagator, psi: np.ndarray, calls: int) -> dict[str, float]:
     return figures
 
 
+def positive_int(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
+    return count
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--branch", type=int, choices=(1, 2), default=1)
-    parser.add_argument("--calls", type=int, default=125)
+    parser.add_argument("--calls", type=positive_int, default=125)
     args = parser.parse_args(argv)
     c = DoubleSlitConfig()
     grid = Grid2D(c.nx, c.ny, c.lx, c.ly)

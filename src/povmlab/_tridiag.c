@@ -15,23 +15,23 @@
  *   tridiag_field       the field's size in doubles
  *   tridiag_to_field    psi, C-ordered complex (ny, nx), into the field
  *   tridiag_from_field  the field back into such a psi
- *   tridiag_x_phase     on x lines lo..hi: u = A^-1 w on every line, w the
- *                       field's lines, then the field is 2 u - w with
- *                       explicit set, u without
- *   tridiag_y_phase     on y lines lo..hi: with solve set, z = A^-1 z, then
- *                       for each damped cell of the run's damping table
- *                       loss = (re*re + im*im) * keep and z *= damp; with
- *                       explicit set, then z = E z for the tridiagonal E,
- *                       without terms across line ends
+ *   tridiag_x_phase     (field, run, explicit) on the run's x lines lo..hi:
+ *                       u = A^-1 w on every line, w the field's lines, then
+ *                       the field is 2 u - w with explicit set, u without
+ *   tridiag_y_phase     (field, run, solve, explicit) on its y lines lo..hi:
+ *                       with solve set, z = A^-1 z, then for each damped cell
+ *                       of its damping table loss = (re*re + im*im) * keep
+ *                       and z *= damp; with explicit set, then z = E z for
+ *                       the tridiagonal E, without terms across line ends
  *   tridiag_loss_sum    a loss vector's sum, as np.sum adds it
  *   tridiag_steps       a chunk of steps on one thread's share of a field's
  *                       runs, each phase by the two entries above, meeting
  *                       the other threads at a join after each phase
  *
- * Both phases take a scratch of tridiag_scratch(n, nrhs) doubles, which the
- * caller allocates once and reuses, so an entry allocates nothing; runs on
- * disjoint line ranges of one field may run on different threads, and runs
- * on one thread may share a scratch.
+ * A run reaches the kernel only as its record, x_run or y_run, whose scratch
+ * of tridiag_scratch(n, nrhs) doubles the caller allocates once and reuses,
+ * so an entry allocates nothing; runs on disjoint line ranges of one field
+ * may run on different threads, and runs on one thread may share a scratch.
  *
  * One stated rounding, the same on every host.  Each line gets exactly the
  * arithmetic of reference LAPACK's zgtts2 with trans = 'N', pivot branch
@@ -482,6 +482,29 @@ CLONES static void y_narrow(int n, ptrdiff_t stride, int m, const factors *f, co
             im);
 }
 
+/*
+ * A run of lines lo..hi: the factors of its lines' A and its scratch; a y
+ * run also has its explicit half's E (low, main, up), its damping table of
+ * n_rows rows (see table above) and the losses its slots index, or NULL.
+ */
+typedef struct {
+    int lo, hi;
+    factors f;
+    double *scratch;
+} x_run;
+
+typedef struct {
+    int lo, hi;
+    factors f;
+    const double *low, *main, *up;
+    ptrdiff_t n_rows;
+    const int *rows;
+    const double *damp, *keep;
+    const int *slot;
+    double *loss;
+    double *scratch;
+} y_run;
+
 /* the doubles in one plane of an (ny, nx) field */
 static ptrdiff_t plane(int ny, int nx)
 {
@@ -543,49 +566,36 @@ void tridiag_from_field(int ny, int nx, const double *field, double *psi)
     }
 }
 
-void tridiag_x_phase(int ny, int nx, int lo, int hi, const double *dl, const double *d,
-                     const double *du, const double *du2, const int *ipiv, int explicit,
-                     double *field, double *scratch)
+void tridiag_x_phase(int ny, int nx, double *field, const x_run *r, int explicit)
 {
-    factors f = {dl, d, du, du2, ipiv};
-    int n = nx;
-    for (int y = lo; y < hi;) {
-        int tile = y / GROUP, a = y % GROUP;
-        int b = hi - tile * GROUP < GROUP ? hi - tile * GROUP : GROUP, m = b - a, L = lanes(m);
+    for (int y = r->lo; y < r->hi;) {
+        int tile = y / GROUP, a = y % GROUP, b = r->hi - tile * GROUP;
+        int m = (b < GROUP ? b : GROUP) - a, L = lanes(m);
         double *tr = field + (ptrdiff_t)tile * nx * GROUP, *ti = tr + plane(ny, nx);
-        double *re = scratch, *im = scratch + (ptrdiff_t)n * L;
+        double *re = r->scratch, *im = re + (ptrdiff_t)nx * L;
         y += m;
-        (m == GROUP ? x_tile : L == GROUP ? x_wide : x_narrow)(n, a, m, &f, explicit, tr, ti, re,
-                                                                im);
+        (m == GROUP ? x_tile : L == GROUP ? x_wide : x_narrow)(nx, a, m, &r->f, explicit, tr, ti,
+                                                                re, im);
     }
 }
 
-/*
- * The run's damping table has n_rows rows (see table above); loss may be
- * NULL.  Each group of GROUP lines, or the run's last m, makes the two
- * sweeps of y_group.
- */
-void tridiag_y_phase(int ny, int nx, int lo, int hi, const double *dl, const double *d,
-                     const double *du, const double *du2, const int *ipiv, const double *low,
-                     const double *main, const double *up, ptrdiff_t n_rows, const int *rows,
-                     const double *damp, const double *keep, const int *slot, double *loss,
-                     int solve, int explicit, double *field, double *scratch)
+/* each group of GROUP lines, or the run's last m, makes the two sweeps of y_group */
+void tridiag_y_phase(int ny, int nx, double *field, const y_run *r, int solve, int explicit)
 {
-    factors f = {dl, d, du, du2, ipiv};
-    int n = ny;
     ptrdiff_t k = 0;
     if (!solve && !explicit)
         return;
-    for (int j = 0; j < hi - lo; j += GROUP) {
-        int m = hi - lo - j < GROUP ? hi - lo - j : GROUP, L = lanes(m);
-        table damping = {0, (ptrdiff_t)(j / GROUP) * n, rows + k, damp + k * GROUP,
-                         keep + k * GROUP, slot + k * GROUP};
-        while (k < n_rows && rows[k] < damping.base + n)
+    for (int j = 0; j < r->hi - r->lo; j += GROUP) {
+        int m = r->hi - r->lo - j < GROUP ? r->hi - r->lo - j : GROUP, L = lanes(m);
+        table damping = {0, (ptrdiff_t)(j / GROUP) * ny, r->rows + k, r->damp + k * GROUP,
+                         r->keep + k * GROUP, r->slot + k * GROUP};
+        while (k < r->n_rows && r->rows[k] < damping.base + ny)
             k++, damping.n++;
-        double *re = scratch, *im = re + (ptrdiff_t)n * L;
-        double *tr = field + (ptrdiff_t)(lo + j) * GROUP, *ti = tr + plane(ny, nx);
-        (L == GROUP ? y_wide : y_narrow)(n, (ptrdiff_t)nx * GROUP, m, &f, low, main, up, &damping,
-                                          loss, solve, explicit, tr, ti, re, im);
+        double *re = r->scratch, *im = re + (ptrdiff_t)ny * L;
+        double *tr = field + (ptrdiff_t)(r->lo + j) * GROUP, *ti = tr + plane(ny, nx);
+        (L == GROUP ? y_wide : y_narrow)(ny, (ptrdiff_t)nx * GROUP, m, &r->f, r->low, r->main,
+                                          r->up, &damping, r->loss, solve, explicit, tr, ti, re,
+                                          im);
     }
 }
 
@@ -629,30 +639,6 @@ double tridiag_loss_sum(ptrdiff_t n, const double *loss)
 {
     return 0.0 + pairwise(loss, n);
 }
-
-/*
- * The arguments of one run's tridiag_x_phase and tridiag_y_phase, in their
- * order, less the grid, the flags and the field.
- */
-typedef struct {
-    int lo, hi;
-    const double *dl, *d, *du, *du2;
-    const int *ipiv;
-    double *scratch;
-} x_run;
-
-typedef struct {
-    int lo, hi;
-    const double *dl, *d, *du, *du2;
-    const int *ipiv;
-    const double *low, *main, *up;
-    ptrdiff_t n_rows;
-    const int *rows;
-    const double *damp, *keep;
-    const int *slot;
-    double *loss;
-    double *scratch;
-} y_run;
 
 /* spins with a pause hint before a waiting thread yields its core */
 #define SPINS 4096
@@ -703,26 +689,15 @@ void tridiag_steps(int ny, int nx, double *field, int steps, int n_x, const x_ru
     int sense = atomic_load(&join[1]);
     if (steps <= 0)
         return;
-    for (int k = 0; k < n_y; k++) {
-        const y_run *r = ys + k;
-        tridiag_y_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, r->low,
-                        r->main, r->up, r->n_rows, r->rows, r->damp, r->keep, r->slot, r->loss,
-                        0, 1, field, r->scratch);
-    }
+    for (int k = 0; k < n_y; k++)
+        tridiag_y_phase(ny, nx, field, ys + k, 0, 1);
     join_all(join, parties, &sense);
     for (int step = 0; step < steps; step++) {
-        for (int k = 0; k < n_x; k++) {
-            const x_run *r = xs + k;
-            tridiag_x_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, 1, field,
-                            r->scratch);
-        }
+        for (int k = 0; k < n_x; k++)
+            tridiag_x_phase(ny, nx, field, xs + k, 1);
         join_all(join, parties, &sense);
-        for (int k = 0; k < n_y; k++) {
-            const y_run *r = ys + k;
-            tridiag_y_phase(ny, nx, r->lo, r->hi, r->dl, r->d, r->du, r->du2, r->ipiv, r->low,
-                            r->main, r->up, r->n_rows, r->rows, r->damp, r->keep, r->slot,
-                            r->loss, 1, step + 1 < steps, field, r->scratch);
-        }
+        for (int k = 0; k < n_y; k++)
+            tridiag_y_phase(ny, nx, field, ys + k, 1, step + 1 < steps);
         join_all(join, parties, &sense);
         if (loss)
             *absorbed += tridiag_loss_sum(n_loss, loss) * area;

@@ -51,6 +51,8 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # lines per pass of the fallback's explicit half: a group and its
 # temporaries stay in cache, which halved its time on a production run
 FALLBACK_GROUP = 32
+# the most steps of one advance: tridiag_steps counts them in a C int, which ctypes wraps
+MAX_STEPS = 2**31 - 1
 
 _lock = threading.Lock()
 
@@ -127,19 +129,16 @@ def _load() -> ctypes.CDLL | None:
         warnings.warn(f"povmlab: no C tridiagonal kernel ({error}); the grid steps with zgttrs")
         return None
     grid, pointer = [ctypes.c_int] * 2, ctypes.c_void_p  # ny, nx
-    # a phase takes a run's arguments but its scratch, then its flags, the field and the scratch
-    for entry, run, flags in ((lib.tridiag_x_phase, _XRun, 1), (lib.tridiag_y_phase, _YRun, 2)):
-        run_args = [kind for _, kind in run._fields_[:-1]]
-        entry.argtypes = grid + run_args + [ctypes.c_int] * flags + [pointer] * 2
+    # a phase takes the field and its run's record, then explicit, or solve and explicit
+    for entry, flags in ((lib.tridiag_x_phase, 1), (lib.tridiag_y_phase, 2)):
+        entry.argtypes, entry.restype = grid + [pointer] * 2 + [ctypes.c_int] * flags, None
     # the field and the steps; each sweep's run count and runs; the losses, area,
     # absorbed, the join and the count of threads that meet at it
     lib.tridiag_steps.argtypes = grid + [pointer, ctypes.c_int] + [ctypes.c_int, pointer] * 2 + [
         ctypes.c_ssize_t, pointer, ctypes.c_double, pointer, pointer, ctypes.c_int]
+    lib.tridiag_steps.restype = None
     for entry in (lib.tridiag_to_field, lib.tridiag_from_field):
-        entry.argtypes = grid + [pointer] * 2
-    for entry in (lib.tridiag_x_phase, lib.tridiag_y_phase, lib.tridiag_steps,
-                  lib.tridiag_to_field, lib.tridiag_from_field):
-        entry.restype = None
+        entry.argtypes, entry.restype = grid + [pointer] * 2, None
     for entry in (lib.tridiag_field, lib.tridiag_scratch):
         entry.argtypes = [ctypes.c_int] * 2
         entry.restype = ctypes.c_size_t
@@ -199,21 +198,26 @@ def _scratch(lib: ctypes.CDLL, n: int, lines: int, scratch: np.ndarray | None) -
     return scratch
 
 
-_FACTORS = [(name, ctypes.c_void_p) for name in ("dl", "d", "du", "du2", "ipiv")]
+class _Factors(ctypes.Structure):
+    """A ``LineSolve``'s ``lu``, in ``zgttrf``'s order: ``_tridiag.c``'s ``factors``."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in ("dl", "d", "du", "du2", "ipiv")]
+
+
+_HEAD = [("lo", ctypes.c_int), ("hi", ctypes.c_int), ("f", _Factors)]  # a run's lines, factors
 
 
 class _XRun(ctypes.Structure):
-    """An x run's arguments of ``tridiag_x_phase``, as ``_tridiag.c``'s ``x_run``."""
+    """An x run's record, built by field name, as the kernel reads ``_tridiag.c``'s ``x_run``."""
 
-    _fields_ = [("lo", ctypes.c_int), ("hi", ctypes.c_int), *_FACTORS, ("scratch", ctypes.c_void_p)]
+    _fields_ = [*_HEAD, ("scratch", ctypes.c_void_p)]
 
 
 class _YRun(ctypes.Structure):
-    """A y run's arguments of ``tridiag_y_phase``, as ``_tridiag.c``'s ``y_run``."""
+    """A y run's record, built by field name, as the kernel reads ``_tridiag.c``'s ``y_run``."""
 
     _fields_ = [
-        ("lo", ctypes.c_int), ("hi", ctypes.c_int), *_FACTORS,
-        *((name, ctypes.c_void_p) for name in ("low", "main", "up")),
+        *_HEAD, *((name, ctypes.c_void_p) for name in ("low", "main", "up")),
         ("n_rows", ctypes.c_ssize_t),
         *((name, ctypes.c_void_p) for name in ("rows", "damp", "keep", "slot", "loss", "scratch")),
     ]
@@ -222,18 +226,17 @@ class _YRun(ctypes.Structure):
 class _Bound:
     """A run's phase on its lines of a field: a call of the phase's flags.
 
-    ``run`` holds the run's arguments for ``tridiag_steps``; the bound
-    phase keeps the arrays they point into alive, its ``LineSolve`` or
-    ``LinePhase`` among them.
+    ``run`` is the run's record, which the phase's entry reads and
+    ``tridiag_steps`` reads a copy of; the bound phase keeps the arrays it
+    points into alive, its ``LineSolve`` or ``LinePhase`` among them.
     """
 
     def __init__(self, entry, field: Field, run: ctypes.Structure, held: tuple):
-        values = [getattr(run, name) for name, _ in run._fields_]
         self.run, self._held, self._entry = run, held, entry
-        self._head, self._tail = (*field.shape, *values[:-1]), (field.data.ctypes.data, values[-1])
+        self._head = (*field.shape, field.data.ctypes.data, ctypes.addressof(run))
 
     def __call__(self, *flags) -> None:
-        self._entry(*self._head, *flags, *self._tail)
+        self._entry(*self._head, *flags)
 
 
 class LineSolve:
@@ -257,7 +260,7 @@ class LineSolve:
             raise ValueError(f"a line needs at least 3 cells to factor, not {main.size}")
         self._lib = kernel()
         self.lu = _factor_tridiagonal(lower, main, upper)  # the kernel reads these
-        self._at = tuple(array.ctypes.data for array in self.lu)
+        self._factors = _Factors(*(array.ctypes.data for array in self.lu))
         self._n = main.size
 
     def bind(self, field: Field, lines: slice, scratch: np.ndarray | None = None):
@@ -269,7 +272,7 @@ class LineSolve:
         if self._lib is None:
             return functools.partial(self._zgttrs, field.data[:, start:stop])
         scratch = _scratch(self._lib, self._n, stop - start, scratch)
-        run = _XRun(start, stop, *self._at, scratch.ctypes.data)
+        run = _XRun(lo=start, hi=stop, f=self._factors, scratch=scratch.ctypes.data)
         return _Bound(self._lib.tridiag_x_phase, field, run, (self, field, scratch))
 
     def _zgttrs(self, lines: np.ndarray, explicit: bool = False) -> None:
@@ -384,7 +387,8 @@ class LinePhase:
         else:
             at = np.subtract(damped[lo:hi], start * n, dtype=np.int32, casting="unsafe")
             self._damping = _damping_table(at, damp[lo:hi], n, solve._lib.tridiag_group())
-        self._at = tuple(d.ctypes.data for d in (*self._explicit, *self._damping))
+            names = ("low", "main", "up", "rows", "damp", "keep", "slot")
+            self._at = {k: d.ctypes.data for k, d in zip(names, (*self._explicit, *self._damping))}
 
     def bind(self, field: Field, loss: np.ndarray | None, scratch: np.ndarray | None = None):
         """The phase on its lines of ``field``, checked, as a call of ``(solve, explicit)``."""
@@ -404,9 +408,9 @@ class LinePhase:
             return functools.partial(self._numpy, field.data.T[:, start:stop], loss)
         scratch = _scratch(lib, n, stop - start, scratch)
         run = _YRun(
-            start, stop, *self.solve._at, *self._at[:3], self._damping[0].size, *self._at[3:],
-            None if loss is None else loss.ctypes.data + self._losses.start * loss.itemsize,
-            scratch.ctypes.data,
+            lo=start, hi=stop, f=self.solve._factors, n_rows=self._damping[0].size,
+            loss=None if loss is None else loss.ctypes.data + self._losses.start * loss.itemsize,
+            scratch=scratch.ctypes.data, **self._at,
         )
         return _Bound(lib.tridiag_y_phase, field, run, (self, field, loss, scratch))
 

@@ -629,11 +629,17 @@ class Propagator:
         the closing norm's temporaries are made, so an array made after the
         field is not kept and the heap can shrink when it is freed.
         """
-        if steps < 0:
-            raise ValidationError("steps must be nonnegative")
+        _check_steps(steps)  # before the entry copy
         psi, stepping = self._start(packet)
         stepping.advance(steps, pool)
         return stepping.close(psi)
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValidationError("steps must be nonnegative")
+    if steps > _tridiag.MAX_STEPS:
+        raise ValidationError(f"steps must be at most {_tridiag.MAX_STEPS} in one call")
 
 
 class Stepping:
@@ -677,8 +683,7 @@ class Stepping:
 
     def advance(self, steps: int, pool: Executor | None = None) -> None:
         """Makes ``steps`` more steps, block 1's share on ``pool`` when given."""
-        if steps < 0:
-            raise ValidationError("steps must be nonnegative")
+        _check_steps(steps)
         self._stepper.advance(steps, pool)
 
     def read(self) -> WavePacket2D:

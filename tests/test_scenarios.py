@@ -1,5 +1,7 @@
 import json
 import os
+import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -608,13 +610,34 @@ FINITE_ORACLE = {
 }
 
 
-def test_the_byte_oracle_prints_the_pinned_finite_digests(tmp_path):
+def _has_avx2() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return __cpu_features__.get("AVX2", False)
+
+
+# OpenBLAS's core for each OPENBLAS_CORETYPE, as OPENBLAS_VERBOSE=2 names it
+# on stderr (its Prescott kernels report as Katmai); unset, the host's own
+CORETYPES = {None: r"\w+", "Prescott": "Katmai", "Haswell": "Haswell"}
+
+
+@pytest.mark.parametrize("coretype", list(CORETYPES), ids=lambda c: c or "unset")
+def test_the_byte_oracle_prints_the_pinned_finite_digests(coretype, tmp_path):
+    # the digests must not depend on which BLAS kernels OpenBLAS picks for the host
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS's core types are x86-64's")
+    if coretype == "Haswell" and not _has_avx2():
+        pytest.skip("Haswell's kernels need AVX2")
     script = Path(__file__).resolve().parents[1] / "scripts" / "byte_oracle.py"
-    done = subprocess.run(
-        [sys.executable, str(script)], env={**os.environ, "XDG_CACHE_HOME": str(tmp_path)},
-        capture_output=True, timeout=120,
-    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env.update(XDG_CACHE_HOME=str(tmp_path), OPENBLAS_VERBOSE="2")
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+    # an ignored variable would pass by construction: the core must be the one asked for
+    cores = re.findall(r"^Core: (\w+)$", done.stderr.decode(), re.MULTILINE)
+    assert cores and all(re.fullmatch(CORETYPES[coretype], core) for core in cores), cores
     lines = [line.split("  ", 1) for line in done.stdout.decode().splitlines()]
     prefix = "povmlab scenario "
     assert all(command.startswith(prefix) for _, command in lines)

@@ -31,7 +31,7 @@ from povmlab.doubleslit import (
     build_potential,
     init_packet,
 )
-from povmlab.errors import StabilityViolation
+from povmlab.errors import StabilityViolation, ValidationError
 from povmlab.scenarios import DoubleSlitConfig, run_doubleslit
 from povmlab.serialize import emit
 
@@ -522,6 +522,39 @@ def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, m
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and len(raised) == 1, pool
+
+
+@pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
+def test_step_counts_past_the_kernels_int_are_refused(backend, monkeypatch):
+    # ctypes wraps a C int without an error: on the kernel, 2**31 steps
+    # made the bits of none and 2**32 + 1 those of one
+    if backend == "zgttrs":
+        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
+        advance = _tridiag.Stepper.advance
+
+        def bounded(stepper, steps, pool=None):
+            # such a count would step for hours here: fail at once instead
+            assert steps <= _tridiag.MAX_STEPS, f"{steps} steps reached the stepper"
+            advance(stepper, steps, pool)
+
+        monkeypatch.setattr(_tridiag.Stepper, "advance", bounded)
+    grid = Grid2D(32, 32, 12.8, 12.8)
+    params = PhysicalParams(k0=2.0, sigma=1.4, delta=0.5, b=4.0)
+    geometry = SlitGeometry(hole_center=2.0, hole_width=1.6, septum_half_width=1.1)
+    prop = Propagator(build_potential(grid, params, 1, geometry), 0.01)
+    assert (prop._x_blocks[0][0][1]._lib is None) == (backend == "zgttrs")
+    packet = WavePacket2D(grid, _normal(np.random.default_rng(26), 32, 32))
+    stepping = prop.start(packet)
+    before = stepping.read().amplitudes
+    for steps in (2**31, 2**32 + 1):
+        with pytest.raises(ValidationError, match="steps"):
+            stepping.advance(steps)
+        with monkeypatch.context() as patch:
+            patch.setattr(prop, "_start", lambda packet: pytest.fail("run made its entry copy"))
+            with pytest.raises(ValidationError, match="steps"):
+                prop.run(packet, steps)
+    assert np.array_equal(stepping.read().amplitudes.view(np.uint64), before.view(np.uint64))
+    assert _tridiag.MAX_STEPS == 2**31 - 1
 
 
 def _side_by_side(rng, axis, n, count, cuts, pivots, mode, share):
