@@ -459,48 +459,39 @@ def _damping_table(at: np.ndarray, damp: np.ndarray, n: int, group: int) -> tupl
     there, else k for the k-th cell of ``at``.  Each array is of the run's
     damped cells, not of its field.
     """
-    # in 32 bits, which number a run's cells, and in place: the temporaries
-    # are a few int32 vectors of the run's damped cells
     line, row = np.divmod(at, np.int32(n))
-    lane = line % group
-    line //= group
-    line *= n
-    row += line  # group g's cell i is row g n + i
-    del line
-    listed = np.zeros(int(row.max(initial=-1)) + 1, dtype=bool)  # 1/16 of the run's cells
-    listed[row] = True
-    place = np.cumsum(listed, dtype=np.int32)[row]
-    del row
-    place -= 1
-    place *= group
-    place += lane  # each cell's lane of the table
-    del lane
-    rows = np.flatnonzero(listed)
-    factors = np.ones((rows.size, group))
-    factors.ravel()[place] = damp
-    keep = factors**2
-    np.subtract(1.0, keep, out=keep)  # 1.0 - damp**2, and 0.0 where damp is 1.0
-    slots = np.full((rows.size, group), -1, dtype=np.int32)
-    slots.ravel()[place] = np.arange(at.size, dtype=np.int32)
-    return rows.astype(np.int32), factors, keep, slots
+    rows, place = np.unique(line // group * n + row, return_inverse=True)  # int32 g n + i
+    lane = (place, line % group)
+    factors, slots = np.ones((rows.size, group)), np.full((rows.size, group), -1, dtype=np.int32)
+    factors[lane], slots[lane] = damp, np.arange(at.size, dtype=np.int32)
+    return rows, factors, 1.0 - factors**2, slots
 
 
-def _on_both(pool, calls, *args) -> None:
-    """Make block 1's ``calls`` in ``pool`` and block 0's here, or both here, with ``args``."""
+def _on_both(pool: Executor | None, block) -> list:
+    """``[block(0), block(1)]``: block 1 on ``pool`` and block 0 here, or both here.
 
-    def block(k: int) -> None:
-        for call in calls[k]:
-            call(*args)
-
+    Block 0 starts only once block 1 has begun on the pool, so a pool that
+    refuses, drops or fails the work raises here instead of leaving this
+    thread waiting for block 1, at the kernel's join or for its result.
+    """
     if pool is None:
-        block(0)
-        block(1)
-        return
-    other = pool.submit(block, 1)
+        return [block(0), block(1)]
+    started = threading.Event()
+
+    def other_block() -> object:
+        started.set()
+        return block(1)
+
+    other = pool.submit(other_block)
+    while not started.wait(0.01):
+        if other.done():
+            other.result()
+            raise RuntimeError("the pool finished block 1 without running it")
     try:
-        block(0)
+        here = block(0)
     finally:
-        other.result()
+        there = other.result()
+    return [here, there]
 
 
 class Stepper:
@@ -517,14 +508,15 @@ class Stepper:
     addition of their sum times ``area`` to ``absorbed``, which starts at
     ``absorbed``.  The field holds the state after each ``advance``.
 
-    On the C kernel, ``tridiag_steps`` makes a whole ``advance`` in one
-    call per thread: given ``pool``, an executor with a worker to spare,
-    one call for block 1 goes to it and, once that call has begun, one for
-    block 0 runs here, and the two meet at a join of the kernel's after
-    each phase; without one, a single call here steps both blocks.  Each block's runs are laid out
-    once, as the kernel reads them.  Where there is no kernel, each phase
-    is one call per run from here, block 1's on ``pool``.  Either way the
-    result is the same to the bit.
+    Given ``pool``, an executor with a worker to spare, ``_on_both`` puts
+    block 1's share on it and runs block 0's here once block 1's has
+    begun.  On the C kernel, ``tridiag_steps`` makes a whole ``advance`` in
+    one call per thread, and the two calls meet at a join of the kernel's
+    after each phase; without a pool, a single call here steps both
+    blocks.  Each block's runs are laid out once, as the kernel reads
+    them.  Where there is no kernel, each phase is one call per run, and
+    each phase's two blocks go through ``_on_both`` the same way.  Either
+    way the result is the same to the bit.
     """
 
     def __init__(self, psi: np.ndarray, x_blocks, y_blocks, n_losses: int, area: float,
@@ -579,32 +571,22 @@ class Stepper:
         head = (*self.field.shape, self.field.data.ctypes.data, steps)
         if pool is None:
             lib.tridiag_steps(*head, *self._inline)
-            return
-        started = threading.Event()
-
-        def share() -> None:
-            started.set()
-            lib.tridiag_steps(*head, *self._blocks[1])
-
-        # this thread enters the kernel only once block 1's call has begun:
-        # a pool that refuses, drops or fails the work raises here instead
-        # of leaving this thread at the join
-        other = pool.submit(share)
-        while not started.wait(0.01):
-            if other.done():
-                other.result()
-                raise RuntimeError("the pool finished block 1's share without running it")
-        try:
-            lib.tridiag_steps(*head, *self._blocks[0])
-        finally:
-            other.result()
+        else:
+            _on_both(pool, lambda k: lib.tridiag_steps(*head, *self._blocks[k]))
 
     def _zgttrs(self, steps: int, pool: Executor | None) -> None:
+        def phase(runs, *flags) -> None:
+            def block(k: int) -> None:
+                for call in runs[k]:
+                    call(*flags)
+
+            _on_both(pool, block)
+
         if steps:
-            _on_both(pool, self._y, False, True)
+            phase(self._y, False, True)
         for step in range(steps):
-            _on_both(pool, self._x, True)
-            _on_both(pool, self._y, True, step + 1 < steps)
+            phase(self._x, True)
+            phase(self._y, True, step + 1 < steps)
             if self.loss is not None:
                 # one sum over both blocks' losses keeps the summation order
                 self._absorbed.value += float(np.sum(self.loss)) * self._area

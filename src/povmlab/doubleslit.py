@@ -33,6 +33,7 @@ on a 2-vCPU VM.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,6 +71,15 @@ __all__ = [
 ]
 
 
+def _integers(**counts) -> None:
+    """Refuses any of ``counts`` that is not an integer; numpy's integers pass."""
+    for name, value in counts.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical scales of a run, in the fixed natural units hbar = mass = 1."""
@@ -97,6 +107,7 @@ class Grid2D:
     ly: float
 
     def __post_init__(self):
+        _integers(nx=self.nx, ny=self.ny)
         if self.nx < 16 or self.ny < 16:
             raise ValidationError("grid needs at least 16 points per axis")
         if not (self.lx > 0 and self.ly > 0):
@@ -636,6 +647,7 @@ class Propagator:
 
 
 def _check_steps(steps: int) -> None:
+    _integers(steps=steps)
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     if steps > _tridiag.MAX_STEPS:

@@ -17,6 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _tridiag
 from . import operators as op
 from .causality import CausalMap, compose, pull_back
 from .doubleslit import (
@@ -27,6 +28,7 @@ from .doubleslit import (
     SlitGeometry,
     SpongeConfig,
     WavePacket2D,
+    _integers,
     build_potential,
     detector_pmf,
     fringe_visibility,
@@ -505,6 +507,7 @@ class DoubleSlitConfig:
     def __post_init__(self):
         if self.branch not in self.BRANCHES:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
+        _integers(max_steps=self.max_steps, shots=self.shots, seed=self.seed)
         if self.shots < 0 or self.seed < 0 or self.max_steps < 1:
             raise ValidationError("shots and seed must be >= 0 and max_steps >= 1")
         if not self.window:
@@ -524,21 +527,22 @@ def _propagator(config, potential) -> Propagator:
 
 
 def _on_fields(pool, work, fields):
-    """``work(field, pool)`` on a lone field, ``work(field, None)`` on each of several.
+    """``work(field, pool)`` on a lone field, ``work(field, None)`` on each of a pair.
 
     A lone field runs from this thread and steps its two line blocks on
-    ``pool``, so no pool worker waits on its own pool.  Several fields run
-    one per thread of ``pool``, each stepping its blocks inline: on the
-    production grid a branch-1 and a branch-2 field stepped one per thread
-    took 2.44-2.48 ms per pair-step, against 2.51-2.53 ms when each field's
-    line blocks ran on the pool in turn (medians of 5 rounds of 100 steps
-    in each of 3 processes, 2-vCPU Xeon VM; one per thread was faster in
-    each process).  Either way a field's arithmetic is the same as
-    stepping it alone.
+    ``pool``, so no pool worker waits on its own pool.  A pair goes through
+    ``_tridiag._on_both``: field 1 on ``pool``'s thread and field 0 on this
+    one, each stepping its blocks inline.  On the production grid a
+    branch-1 and a branch-2 field stepped one per thread took 2.44-2.48 ms
+    per pair-step, against 2.51-2.53 ms when each field's line blocks ran
+    on the pool in turn (medians of 5 rounds of 100 steps in each of 3
+    processes, 2-vCPU Xeon VM; one per thread was faster in each process).
+    Either way a field's arithmetic is the same as stepping it alone.
     """
     if len(fields) == 1:
         return [work(fields[0], pool)]
-    return list(pool.map(lambda field: work(field, None), fields))
+    first, second = fields
+    return _tridiag._on_both(pool, lambda k: work((first, second)[k], None))
 
 
 def _step_fields(pool, props, packets, steps):
@@ -663,11 +667,11 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     visibly striped only in branch 1, and that seeded shot histograms track
     the pmfs.
 
-    The run uses a pool of two threads.  ``_on_fields`` steps the branch
-    fields chunk by chunk, then, through ``_step_fields``, the two
-    single-opening fields and the two orders of the ordering check.  Each
-    field's arithmetic is the same as stepping it alone and inline, so the
-    result does not depend on scheduling.
+    The run uses two threads: this one and a pool of one worker.
+    ``_on_fields`` steps the branch fields chunk by chunk, then, through
+    ``_step_fields``, the two single-opening fields and the two orders of
+    the ordering check.  Each field's arithmetic is the same as stepping
+    it alone and inline, so the result does not depend on scheduling.
     """
     config = config if config is not None else DoubleSlitConfig()
     grid = Grid2D(config.nx, config.ny, config.lx, config.ly)
@@ -684,7 +688,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         build_potential(grid, params, int(name), SlitGeometry(**walls)) for name in wanted
     ]
     ordering = None
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         # the branch fields in lockstep, the first deciding the stop
         packets, steps, reason = _propagate_lockstep(config, pool, potentials, packet0)
         if config.branch == "both":

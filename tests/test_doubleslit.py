@@ -37,7 +37,7 @@ from povmlab.errors import (
     ValidationError,
 )
 from povmlab.measurement import Pmf
-from povmlab.scenarios import DoubleSlitConfig
+from povmlab.scenarios import DoubleSlitConfig, run_doubleslit
 
 GRID = Grid2D(128, 96, 38.4, 28.8)
 PARAMS = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=8.0)
@@ -579,6 +579,32 @@ def test_bad_time_steps_are_rejected():
             Propagator(pot, dt)
     with pytest.raises(ValidationError):
         Propagator(pot, 0.01).run(small_packet(), -1)
+
+
+def test_non_integral_counts_are_refused_before_any_step(monkeypatch):
+    # each went on at first: a float shots or seed stepped the whole grid
+    # before sample_pmf failed, max_steps=30.5 stepped one chunk before
+    # ctypes refused the rest, and Grid2D took nx=32.5
+    for name in ("shots", "seed", "max_steps"):
+        with pytest.raises(ValidationError, match=name):
+            DoubleSlitConfig(**{name: 10.5})
+    for (nx, ny), name in (((32.5, 32), "nx"), ((32, 32.0), "ny")):
+        with pytest.raises(ValidationError, match=name):
+            Grid2D(nx, ny, 12.8, 12.8)
+    with pytest.raises(ValidationError, match="nx"):
+        run_doubleslit(DoubleSlitConfig(nx=64.0))
+    prop = Propagator(build_potential(GRID, PARAMS, 1, GEOMETRY), 0.01)
+    stepping = prop.start(small_packet())
+    monkeypatch.setattr(prop, "_start", lambda packet: pytest.fail("run made its entry copy"))
+    for steps in (2.5, 3.0, "3"):
+        with pytest.raises(ValidationError, match="steps"):
+            prop.run(small_packet(), steps)
+        with pytest.raises(ValidationError, match="steps"):
+            stepping.advance(steps)
+    # numpy's integers are counts
+    DoubleSlitConfig(max_steps=np.int64(30), shots=np.int32(10), seed=np.uint8(1))
+    assert Grid2D(np.int64(32), np.int16(32), 12.8, 12.8).nx == 32
+    stepping.advance(np.int64(1))
 
 
 def test_packet_scales_must_be_resolvable():

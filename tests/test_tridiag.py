@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib.util
 import os
 import platform
 import shlex
@@ -32,7 +33,7 @@ from povmlab.doubleslit import (
     init_packet,
 )
 from povmlab.errors import StabilityViolation, ValidationError
-from povmlab.scenarios import DoubleSlitConfig, run_doubleslit
+from povmlab.scenarios import DoubleSlitConfig, _on_fields, run_doubleslit
 from povmlab.serialize import emit
 
 
@@ -494,19 +495,8 @@ class _Dropping(Executor):
         return future
 
 
-@pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
-def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, monkeypatch):
-    # this thread enters the kernel only once the pool has begun its
-    # share, so a pool that refuses or drops the work cannot leave it
-    # waiting at the join
-    if backend == "zgttrs":
-        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
-    grid = Grid2D(64, 48, 19.2, 14.4)
-    params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=4.0)
-    geometry = SlitGeometry(hole_center=2.0, hole_width=1.6, septum_half_width=1.1)
-    prop = Propagator(build_potential(grid, params, 1, geometry), 0.01, sponge=SpongeConfig(6, 6.0))
-    assert (prop._x_blocks[0][0][1]._lib is None) == (backend == "zgttrs")
-    packet = init_packet(grid, params, center=(-3.0, 0.5))
+def _raises_on_pools_that_take_no_work(call) -> None:
+    """``call(pool)`` raises, and does not hang, on a shut pool and on a cancelling one."""
     shut = ThreadPoolExecutor(1)
     shut.shutdown()
     for pool, error in ((shut, RuntimeError), (_Dropping(), CancelledError)):
@@ -514,7 +504,7 @@ def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, m
 
         def attempt():
             try:
-                prop.run(packet, 5, pool=pool)
+                call(pool)
             except error as caught:
                 raised.append(caught)
 
@@ -522,6 +512,57 @@ def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, m
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and len(raised) == 1, pool
+
+
+def _coarse_propagator(branch=1):
+    grid = Grid2D(64, 48, 19.2, 14.4)
+    params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=4.0)
+    geometry = SlitGeometry(hole_center=2.0, hole_width=1.6, septum_half_width=1.1)
+    potential = build_potential(grid, params, branch, geometry)
+    prop = Propagator(potential, 0.01, sponge=SpongeConfig(6, 6.0))
+    return prop, init_packet(grid, params, center=(-3.0, 0.5))
+
+
+@pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
+def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, monkeypatch):
+    # this thread enters the kernel only once the pool has begun its
+    # share, so a pool that refuses or drops the work cannot leave it
+    # waiting at the join
+    if backend == "zgttrs":
+        monkeypatch.setattr(_tridiag, "kernel", lambda: None)
+    prop, packet = _coarse_propagator()
+    assert (prop._x_blocks[0][0][1]._lib is None) == (backend == "zgttrs")
+    _raises_on_pools_that_take_no_work(lambda pool: prop.run(packet, 5, pool=pool))
+
+
+def test_a_pair_of_fields_steps_field_0_here_and_field_1_on_the_pool():
+    # the calling thread is the pair's other worker, and neither field
+    # passes the pool on to its own line blocks
+    ran = {}
+
+    def work(field, on):
+        ran[field] = (threading.current_thread(), on)
+        return field.upper()
+
+    with ThreadPoolExecutor(1) as pool:
+        assert _on_fields(pool, work, ["a", "b"]) == ["A", "B"]
+        worker = pool.submit(threading.current_thread).result()
+    assert ran == {"a": (threading.current_thread(), None), "b": (worker, None)}
+
+
+def test_a_pair_of_fields_on_a_pool_that_takes_no_work_raises_instead_of_hanging():
+    # field 0 starts here only once field 1 has begun on the pool, so
+    # neither field is stepped
+    started = []
+
+    def step(pair, on):
+        started.append(pair)
+        prop, packet = pair
+        return prop.run(packet, 5, pool=on)
+
+    pairs = [_coarse_propagator(branch) for branch in (1, 2)]
+    _raises_on_pools_that_take_no_work(lambda pool: _on_fields(pool, step, pairs))
+    assert started == []
 
 
 @pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
@@ -1008,3 +1049,34 @@ def test_zgttrs_backend_reproduces_the_coarse_both_branch_oracle(monkeypatch):
     assert hashlib.sha256(emit(run_doubleslit(config))).hexdigest() == (
         "756ddc04ae14a85efb9697ae6312db0749253d1c68ce009d021f19fcbda7aba8"
     )
+
+
+# scripts/byte_oracle.py --slit's four double-slit lines, by the name of
+# the script's run: the documented one-field command and the three coarse
+# both-branch runs
+SLIT_ORACLE = {
+    "SLIT": "9b8b92da5040b76658ff515c40cf970eb828135a3149b53f016728bbbe629461",
+    "SLIT_BOTH": "756ddc04ae14a85efb9697ae6312db0749253d1c68ce009d021f19fcbda7aba8",
+    "SLIT_WEDGE": "4bc8bb4219840605b21fb174aa30e240dcf9020280cffbdf44bd1927f6603338",
+    "SLIT_WALLED": "8618660aac176667c70aaafe051a6d156fad0ddc22fbfc0d6dba5d06442a2263",
+}
+
+
+@pytest.mark.parametrize("run", list(SLIT_ORACLE))
+def test_kernel_backend_reproduces_the_slit_oracle(run, tmp_path, monkeypatch):
+    # the zgttrs test above pins one of these lines on the other route.
+    # Like it, these pins hold under the host's numpy loops but not under
+    # emulated baseline numpy (ROADMAP item 8): init_packet's np.exp
+    # rounds by numpy's dispatch
+    assert _tridiag.kernel() is not None
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
+    path = Path(__file__).resolve().parents[1] / "scripts" / "byte_oracle.py"
+    spec = importlib.util.spec_from_file_location("byte_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    if run == "SLIT":
+        digest = oracle._digest(oracle.SLIT, tmp_path / "out")
+    else:
+        payload = emit(run_doubleslit(DoubleSlitConfig(**getattr(oracle, run))))
+        digest = hashlib.sha256(payload).hexdigest()
+    assert digest == SLIT_ORACLE[run]
