@@ -17,8 +17,11 @@ commutators of all outcome pairs of two factors and their norms in one
 batched call, the product folds the factor stacks with one batched matmul
 per factor, and conjugation multiplies the whole stack at once.  Every
 entry is the same single product the one-matrix form computes, so the
-results are bit for bit those of the per-effect loops.  ``outcome_pmf``
-stays per effect: a batched sum would add in another order.
+results are bit for bit those of the per-effect loops.  ``outcome_pmf`` on
+a pure state forms every effect's ``E v`` with one matmul, then takes one
+``vdot`` per row, since a batched sum would add in another order; on a
+density operator it takes one trace per effect.  ``Povm`` checks its
+effects and their total in one buffer, with one ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -156,6 +159,17 @@ def _as_stack(outcomes: tuple, operators) -> np.ndarray:
     return stack
 
 
+def _sum_in_order(stack: np.ndarray) -> np.ndarray:
+    """``sum(stack)``'s bits: ``((0 + E0) + E1) + ...``, one effect at a time.
+
+    The total's bits are part of every pmf's no-detection mass.  An
+    accumulation adds strictly in order, where ``stack.sum(axis=0)`` adds
+    pairwise once an effect is 1 x 1; the final ``+ 0.0`` is the leading
+    ``0 +``, which turns a sum of negative zeros into a positive one.
+    """
+    return np.add.accumulate(stack, axis=0)[-1] + 0.0
+
+
 class _OutcomeTable:
     """Operators indexed by a finite, ordered outcome set.
 
@@ -200,24 +214,33 @@ class Povm(_OutcomeTable):
     def __init__(self, outcomes: Sequence[Label], effects):
         super().__init__(outcomes, effects)
         stack = self._stack
-        adjoint = stack.conj().transpose(0, 2, 1)
-        hermitian = np.abs(stack - adjoint).max(axis=(1, 2)) <= EFFECT_TOL
-        # a non-Hermitian effect fails whatever its spectrum; zeroing it keeps
-        # non-finite entries, which are never Hermitian, away from eigvalsh
-        sym = np.where(hermitian[:, None, None], 0.5 * (stack + adjoint), 0.0)
-        # the total adds in table order, one effect at a time: its bits are
-        # part of every pmf's no-detection mass
-        total = sum(self._table.values())
-        # one eigvalsh over the symmetrized effects and the total
-        spectra = np.linalg.eigvalsh(np.concatenate([sym, [0.5 * (total + total.conj().T)]]))
-        positive = hermitian & (spectra[:-1].min(axis=1) >= -EFFECT_TOL)
-        if not positive.all():
+        n = len(stack)
+        # the effects and their total in one buffer: one adjoint, one
+        # residual, one symmetrization and one eigvalsh check them all
+        both = np.empty((n + 1,) + stack.shape[1:], dtype=complex)
+        both[:n] = stack
+        both[n] = _sum_in_order(stack)
+        adjoint = both.conj().transpose(0, 2, 1)
+        hermitian = np.abs(both - adjoint).max(axis=(1, 2))[:n] <= EFFECT_TOL
+        sym = 0.5 * (both + adjoint)
+        if np.count_nonzero(hermitian) < n:
+            # a non-Hermitian effect fails whatever its spectrum, and then the
+            # total goes unread; zeroing both keeps non-finite entries, which
+            # are never Hermitian, away from eigvalsh
+            sym[:n][~hermitian] = 0.0
+            sym[n] = 0.0
+        # each spectrum comes sorted ascending: an effect's least eigenvalue
+        # is its first, the total's greatest its last
+        spectra = np.linalg.eigvalsh(sym)
+        positive = hermitian & (spectra[:n, 0] >= -EFFECT_TOL)
+        if np.count_nonzero(positive) < n:
             x = self.outcomes[np.argmin(positive)]
             raise NotPositive(f"effect for outcome {x!r} is not positive")
-        excess = spectra[-1].max() - 1.0
+        excess = spectra[n, -1] - 1.0
         if excess > EFFECT_TOL:
             raise Overcomplete(f"effects exceed the identity by {excess:.3e}")
-        self._total = _readonly(total)
+        self._total = both[n]
+        self._total.setflags(write=False)
 
     effect = _OutcomeTable._at
 
@@ -313,10 +336,14 @@ def outcome_pmf(observable: Povm, state: State) -> Pmf:
         raise DimensionMismatch(
             f"observable dim {observable.dim} does not match state dim {state.dim}"
         )
-    probs = {}
-    for x in observable.outcomes:
-        p = _expectation(state, observable.effect(x)).real
-        probs[x] = min(max(p, 0.0), 1.0)
+    if isinstance(state, PureState):
+        # one matmul for every effect; each row holds the bits of the
+        # ``a @ v`` that ``_expectation`` forms for that effect alone
+        v = state.vector
+        values = [complex(np.vdot(v, av)).real for av in observable._stack @ v]
+    else:
+        values = [_expectation(state, a).real for a in observable._stack]
+    probs = {x: min(max(p, 0.0), 1.0) for x, p in zip(observable.outcomes, values)}
     accounted = _expectation(state, observable.total()).real
     nd = min(max(1.0 - accounted, 0.0), 1.0)
     return Pmf(probs, nd)
@@ -367,7 +394,7 @@ def first_clash(factors: Sequence[Povm], tol: float) -> tuple | None:
             if a.dim != b.dim:
                 raise DimensionMismatch(f"observable dims {a.dim} and {b.dim} differ")
             ea, eb = a._stack[:, None], b._stack[None, :]
-            norms = np.linalg.norm(ea @ eb - eb @ ea, 2, axis=(-2, -1)).ravel()
+            norms = op.operator_norms(ea @ eb - eb @ ea).ravel()
             k = int(np.argmax(norms))
             if norms[k] > tol:
                 x, y = divmod(k, len(b.outcomes))

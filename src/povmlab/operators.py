@@ -7,7 +7,9 @@ operations.  Each operation takes single operators; ``measurement`` keeps
 an observable's effects as one ``(n, d, d)`` stack and applies the same
 arithmetic to whole stacks itself, one product per entry as here, so its
 batched forms give these functions' bits.  The tensor products are the
-broadcast products ``np.kron`` computes, without its generic set-up.
+broadcast products ``np.kron`` computes, without its generic set-up, and
+the operator norms are the first singular values, ``np.linalg.norm(a,
+2)``'s bits without its generic wrapper (``operator_norms``).
 """
 
 from __future__ import annotations
@@ -128,9 +130,20 @@ def is_positive(a, tol: float = DEFAULT_TOL) -> bool:
     return bool(eigs.min() >= -tol)
 
 
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack, unchecked.
+
+    LAPACK returns the singular values in descending order, so the first is
+    the largest, and the bits are those of ``np.linalg.norm(a, 2)``, which
+    takes the maximum of the same values behind a generic wrapper.  Shared
+    with ``measurement``; not in ``__all__``.
+    """
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
 def operator_norm(a) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(as_operator(a), 2))
+    return float(operator_norms(as_operator(a)))
 
 
 def commutator_norm(a, b) -> float:
@@ -139,4 +152,4 @@ def commutator_norm(a, b) -> float:
     b = as_operator(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"operator dims {a.shape[0]} and {b.shape[0]} differ")
-    return float(np.linalg.norm(a @ b - b @ a, 2))
+    return float(operator_norms(a @ b - b @ a))

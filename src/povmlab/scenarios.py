@@ -507,9 +507,12 @@ class DoubleSlitConfig:
     def __post_init__(self):
         if self.branch not in self.BRANCHES:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
-        _integers(max_steps=self.max_steps, shots=self.shots, seed=self.seed)
+        _integers(max_steps=self.max_steps, shots=self.shots, seed=self.seed,
+                  window_lo=self.window_lo, window_hi=self.window_hi, smooth=self.smooth)
         if self.shots < 0 or self.seed < 0 or self.max_steps < 1:
             raise ValidationError("shots and seed must be >= 0 and max_steps >= 1")
+        if self.smooth < 0:
+            raise ValidationError(f"smooth must be >= 0, not {self.smooth}")
         if not self.window:
             raise EmptyWindow(
                 f"window {self.window_lo}..{self.window_hi} holds no screen strip"

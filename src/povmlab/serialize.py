@@ -31,51 +31,66 @@ def _fmt_float(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _write_json(value, indent: int, out: list) -> None:
-    # the two commonest leaves first; bool is not a float, and no container
-    # is a float or a str, so the order changes no output
-    if isinstance(value, float):
+# the JSON kinds in the order a value is tested against them: bool before
+# int, since a bool is an int; the first five are the commonest exact types
+_KINDS = (float, str, dict, list, tuple, bool, type(None), int)
+_EXACT = frozenset(_KINDS[:5])
+
+
+def _json_kind(value) -> type:
+    """The first of ``_KINDS`` that ``value`` is an instance of."""
+    for kind in _KINDS:
+        if isinstance(value, kind):
+            return kind
+    raise ValidationError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+def _write_json(value, pad: str, out: list) -> None:
+    # the exact type decides the commonest kinds in one lookup; numpy's
+    # floats, bool, None, ints and subclasses take the isinstance order
+    kind = type(value)
+    if kind not in _EXACT:
+        kind = _json_kind(value)
+    if kind is float:
         out.append(_fmt_float(value))
-    elif isinstance(value, str):
+    elif kind is str:
         out.append(_quote(value))
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
         keys = sorted(value.keys())
         if any(not isinstance(k, str) for k in keys):
             raise ValidationError("JSON object keys must be strings")
-        pad = "  " * indent
-        lead, sep = "{\n" + pad + "  ", ",\n" + pad + "  "
+        inner = pad + "  "
+        lead, sep = "{\n" + inner, ",\n" + inner
         for k in keys:
             out.append(lead + _quote(k) + ": ")
             lead = sep
-            _write_json(value[k], indent + 1, out)
+            _write_json(value[k], inner, out)
         out.append("\n" + pad + "}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
-        pad = "  " * indent
-        lead, sep = "[\n" + pad + "  ", ",\n" + pad + "  "
+        inner = pad + "  "
+        lead, sep = "[\n" + inner, ",\n" + inner
         for item in value:
             out.append(lead)
             lead = sep
-            _write_json(item, indent + 1, out)
+            _write_json(item, inner, out)
         out.append("\n" + pad + "]")
-    elif isinstance(value, bool):
+    elif kind is bool:
         out.append("true" if value else "false")
     elif value is None:
         out.append("null")
-    elif isinstance(value, int):
-        out.append(str(value))
     else:
-        raise ValidationError(f"cannot serialize {type(value).__name__} deterministically")
+        out.append(str(value))
 
 
 def to_json_bytes(payload: dict) -> bytes:
     out: list[str] = []
-    _write_json(payload, 0, out)
+    _write_json(payload, "", out)
     out.append("\n")
     return "".join(out).encode("utf-8")
 

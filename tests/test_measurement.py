@@ -31,6 +31,7 @@ from povmlab.measurement import (
     sample_pmf,
     tensor_observable,
 )
+from povmlab.measurement import _expectation, _sum_in_order
 
 from conftest import (
     random_commuting_povm_pair,
@@ -94,6 +95,22 @@ def test_povm_rejects_overcomplete_family():
     # each effect is below the identity, their sum is not
     with pytest.raises(Overcomplete):
         Povm((1, 2, 3), [0.5 * np.eye(2), np.diag([0.4, 0.2]), np.diag([0.3, 0.1])])
+
+
+def test_povm_checks_everything_with_one_eigvalsh_on_finite_entries(monkeypatch):
+    # a non-Hermitian effect, the non-finite ones among them, is refused
+    # before LAPACK sees it, and so is the total it spoils
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
+    small = 0.1 * np.eye(2)
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.1]), np.array([[0.1, 0.05], [0.0, 0.1]])):
+        with pytest.raises(NotPositive, match="outcome 'b' is"), np.errstate(invalid="ignore"):
+            Povm("abc", [small, bad, small])
+    Povm("ab", [small, small])
+    assert [a.shape for a in seen] == [(4, 2, 2)] * 3 + [(3, 2, 2)]
+    assert all(np.isfinite(a).all() for a in seen)
+    assert all(not a[1].any() and not a[3].any() for a in seen[:3])
 
 
 def test_povm_accepts_subnormalized_family():
@@ -384,6 +401,67 @@ def test_conjugate_observable_matches_per_effect_products():
         assert conj.outcomes == o.outcomes
         for x in o.outcomes:
             assert same_bits(conj.effect(x), ad @ o.effect(x) @ a)
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 6), st.integers(1, 4), st.integers(1, 4))
+def test_first_clash_norms_are_the_two_norms_bit_for_bit(seed, dim, na, nb):
+    # the gate reads the first of LAPACK's descending singular values, where
+    # np.linalg.norm(c, 2) takes their maximum; d = 1 commutes exactly
+    rng = np.random.default_rng(seed)
+    a, b = random_povm(rng, dim, na), random_povm(rng, dim, nb)
+    norms = [
+        np.linalg.norm(a.effect(x) @ b.effect(y) - b.effect(y) @ a.effect(x), 2)
+        for x in a.outcomes for y in b.outcomes
+    ]
+    k = int(np.argmax(norms))
+    x, y = a.outcomes[k // nb], b.outcomes[k % nb]
+    clash = first_clash((a, b), -1.0)
+    assert clash[:4] == (0, 1, x, y) and clash[4].hex() == float(norms[k]).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 8), st.integers(1, 6), st.sampled_from([1.0, 0.9]))
+def test_pure_state_pmf_takes_each_effects_expectation_bit_for_bit(seed, dim, n, scale):
+    # one matmul over the whole stack, one vdot per row: the bits of
+    # _expectation on each effect and on the total
+    rng = np.random.default_rng(seed)
+    o = random_povm(rng, dim, n)
+    o = Povm(o.outcomes, scale * o._stack)
+    u = random_state(rng, dim)
+    per_effect = Pmf(
+        {x: min(max(_expectation(u, o.effect(x)).real, 0.0), 1.0) for x in o.outcomes},
+        min(max(1.0 - _expectation(u, o.total()).real, 0.0), 1.0),
+    )
+    p = outcome_pmf(o, u)
+    assert [p[x].hex() for x in o.outcomes] == [per_effect[x].hex() for x in o.outcomes]
+    assert p.no_detection.hex() == per_effect.no_detection.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 4), st.integers(1, 300))
+def test_the_total_is_python_sums_bits(seed, dim, n):
+    # sum() adds in table order from 0, so a sum of negative zeros is +0.0;
+    # stack.sum(axis=0) adds 1 x 1 effects pairwise and keeps the -0.0
+    rng = np.random.default_rng(seed)
+    mags = 10.0 ** rng.uniform(-8, 8, size=(n, dim, dim))
+    stack = mags * rng.normal(size=(n, dim, dim)) + 1j * mags * rng.normal(size=(n, dim, dim))
+    zeros = rng.random(size=(2, n, dim, dim)) < 0.3
+    signs = np.where(rng.random(size=(2, n, dim, dim)) < 0.5, -0.0, 0.0)
+    stack.real[zeros[0]] = signs[0][zeros[0]]
+    stack.imag[zeros[1]] = signs[1][zeros[1]]
+    stack[:, 0, 0] = complex(-0.0, -0.0)
+    assert same_bits(_sum_in_order(stack), sum(stack))
+    # and through a Povm: diagonal effects whose off-diagonal entries are
+    # signed zeros in every effect, Hermitian to the bit
+    weights = 0.99 * rng.dirichlet(np.ones(n), size=dim)
+    effects = [np.diag(weights[:, k]).astype(complex) for k in range(n)]
+    for e in effects:
+        e[np.triu_indices(dim, 1)] = complex(-0.0, -0.0)
+        e[np.tril_indices(dim, -1)] = complex(-0.0, 0.0)
+        e.imag[np.diag_indices(dim)] = -0.0
+    assert same_bits(Povm(range(n), effects).total(), sum(effects))
 
 
 def test_conditional_values_reduce_to_bayes_for_commuting_pairs():

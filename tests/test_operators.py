@@ -147,3 +147,16 @@ def test_operator_norm_is_largest_singular_value():
     a = random_op(rng, 4)
     s = np.linalg.svd(a, compute_uv=False)
     assert op.operator_norm(a) == pytest.approx(s.max(), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 8), st.sampled_from([1e-9, 1.0, 1e9]))
+def test_operator_and_commutator_norms_are_the_two_norm_bit_for_bit(seed, dim, scale):
+    # the first of LAPACK's descending singular values, where
+    # np.linalg.norm(a, 2) takes their maximum
+    rng = np.random.default_rng(seed)
+    a, b = scale * random_op(rng, dim), random_op(rng, dim)
+    assert op.operator_norm(a).hex() == float(np.linalg.norm(a, 2)).hex()
+    assert op.commutator_norm(a, b).hex() == float(np.linalg.norm(a @ b - b @ a, 2)).hex()
+    stack = np.stack([a, b, a @ b])
+    assert op.operator_norms(stack).tobytes() == np.linalg.norm(stack, 2, axis=(-2, -1)).tobytes()

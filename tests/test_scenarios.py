@@ -1,10 +1,14 @@
+import cmath
+import hashlib
 import json
+import math
 import os
 import platform
 import re
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import povmlab
 from povmlab import scenarios
+from povmlab.causality import CausalMap, CausalTree, pull_back, realize_sequential
 from povmlab.cli import main
 from povmlab.doubleslit import (
     DetectorBinning,
@@ -27,12 +32,13 @@ from povmlab.doubleslit import (
     detector_pmf,
     init_packet,
 )
-from povmlab.errors import EmptyWindow, InvalidAmplitudes, ValidationError
-from povmlab.measurement import Povm
+from povmlab.errors import EmptyWindow, InvalidAmplitudes, NonCommuting, ValidationError
+from povmlab.measurement import DensityOperator, Povm, PureState, outcome_pmf
 from povmlab.scenarios import (
     SCENARIO_NAMES,
     DoubleSlitConfig,
     EraserSpec,
+    ScenarioResult,
     run_doubleslit,
     run_eraser,
     run_hardy,
@@ -305,6 +311,21 @@ def test_double_slit_config_rejects_an_empty_fringe_window():
     assert DoubleSlitConfig().window == [-10, -9, -8, -7, -6, -5, -4]
 
 
+def test_double_slit_config_refuses_non_integral_window_and_smoothing():
+    # once smooth=2.5 and smooth=-4 ran, smoothing over 3 bins and over 1
+    # while the metadata recorded 2.5 and -4, and a float window end raised
+    # a bare TypeError from range
+    for name, value in (("smooth", 2.5), ("window_lo", -10.5), ("window_hi", -4.0), ("smooth", "3")):
+        with pytest.raises(ValidationError, match=name):
+            DoubleSlitConfig(**{name: value})
+    with pytest.raises(ValidationError, match="smooth"):
+        DoubleSlitConfig(smooth=-4)
+    # numpy's integers pass, and 0 and 1 both mean no smoothing
+    config = DoubleSlitConfig(window_lo=np.int64(-6), window_hi=np.int32(-2), smooth=np.uint8(0))
+    assert config.window == [-6, -5, -4, -3, -2]
+    assert DoubleSlitConfig(smooth=1).smooth == 1
+
+
 def test_fixed_run_values_are_class_constants_not_fields():
     names = {f.name for f in fields(DoubleSlitConfig)}
     for name in ("septum_strength", "sponge_width", "sponge_strength"):
@@ -415,6 +436,53 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.text(max_size=6), json_values, max_size=4))
 def test_json_writer_emits_the_reference_bytes(payload):
+    assert _json_outcome(to_json_bytes, payload) == _json_outcome(_reference_json_bytes, payload)
+
+
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+_Pair = namedtuple("_Pair", "first second")
+
+# the writer dispatches on the exact type of the five commonest kinds and
+# sends everything else down the isinstance chain: numpy scalars, bools,
+# subclasses of str, int, float, dict and tuple
+json_odd_values = st.recursive(
+    st.one_of(
+        json_leaves,
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_),
+        st.floats(width=32).map(np.float32),
+        st.floats().map(np.float64),
+        st.text(max_size=4).map(np.str_),
+        st.text(max_size=4).map(_Label),
+        st.integers().map(_Count),
+        st.floats().map(_Real),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.tuples(inner, inner).map(lambda pair: _Pair(*pair)),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3).map(OrderedDict),
+        st.dictionaries(st.text(max_size=4).map(_Label), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), json_odd_values, max_size=4))
+def test_json_writer_emits_the_reference_bytes_for_numpy_scalars_and_subclasses(payload):
     assert _json_outcome(to_json_bytes, payload) == _json_outcome(_reference_json_bytes, payload)
 
 
@@ -643,3 +711,113 @@ def test_the_byte_oracle_prints_the_pinned_finite_digests(coretype, tmp_path):
     assert all(command.startswith(prefix) for _, command in lines)
     assert {command[len(prefix):]: digest for digest, command in lines} == FINITE_ORACLE
     assert len(lines) == len(FINITE_ORACLE)
+
+
+# ------------------------------------------------- finite kernels, streamed
+
+
+def _unitary(rng, dim):
+    return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+
+def _pure_state(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return PureState(v / np.sqrt(np.vdot(v, v).real))
+
+
+def _mixed_state(rng, dim):
+    vs = [_pure_state(rng, dim).vector for _ in range(3)]
+    return DensityOperator(sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(3)), vs)))
+
+
+def _povm(rng, dim, n, scale):
+    """n random positive effects whitened to sum to ``scale`` times I."""
+    raws = [z.conj().T @ z for z in rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))]
+    w, v = np.linalg.eigh(sum(raws))
+    root_inv = (v / np.sqrt(w)) @ v.conj().T
+    return Povm(range(n), [scale * (root_inv @ r @ root_inv) for r in raws])
+
+
+def _causal_tree(rng, nodes, outcomes, clash, dim):
+    """Node t hangs under (t - 1) // 2.  Each observable is diagonal in one
+    basis once pulled back to the root, so the tree is realizable, unless
+    ``clash`` turns the last node's basis."""
+    parents = {t: (t - 1) // 2 for t in range(1, nodes)}
+    maps = {t: CausalMap(p, t, _unitary(rng, dim)) for t, p in parents.items()}
+    frames = {0: np.eye(dim, dtype=complex)}
+    for t, p in parents.items():
+        frames[t] = maps[t].generator @ frames[p]
+    basis = _unitary(rng, dim)
+    observables = {}
+    for t in range(nodes):
+        w = frames[t] @ (basis @ _unitary(rng, dim) if clash and t == nodes - 1 else basis)
+        weights = rng.dirichlet(np.ones(outcomes), size=dim) * rng.uniform(0.9, 1.0, size=(dim, 1))
+        observables[t] = Povm(range(outcomes), [w @ np.diag(weights[:, x]) @ w.conj().T for x in range(outcomes)])
+    return CausalTree(0, parents, maps, observables)
+
+
+def _finite_stream(seed):
+    """The emitted bytes of a seeded stream of finite-layer operations."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(4):  # erasers with the caller's inner observable
+        theta, phi1, phi2 = rng.uniform(0.05, math.pi / 2 - 0.05), *rng.uniform(0, 2 * math.pi, size=2)
+        alphas = math.cos(theta) * cmath.exp(1j * phi1), math.sin(theta) * cmath.exp(1j * phi2)
+        out.append(emit(run_eraser(EraserSpec(*alphas, _povm(rng, 2, 2 + len(out) % 2, 1.0)))))
+    for dim in range(2, 9):  # pull-backs, sub-normalized in odd dims
+        povm = _povm(rng, dim, 2 + dim % 3, 0.95 if dim % 2 else 1.0)
+        pulled = pull_back(CausalMap(0, 1, _unitary(rng, dim)), povm)
+        for state in (_pure_state(rng, dim), _mixed_state(rng, dim)):
+            result = ScenarioResult("pull-back", {"dim": dim}, [("pulled-back", outcome_pmf(pulled, state))])
+            out.append(emit(result))
+    for nodes in range(2, 6):  # causal trees, realized and refused
+        for outcomes in (2, 3):
+            for clash in (False, True):
+                dim = 2 + (nodes + outcomes) % 3
+                params = {"nodes": nodes, "outcomes": outcomes, "dim": dim}
+                try:
+                    realized = realize_sequential(_causal_tree(rng, nodes, outcomes, clash, dim))
+                except NonCommuting as err:
+                    assert clash and err.second == nodes - 1, err
+                    refusal = {"first": err.first, "second": err.second, "norm": err.norm}
+                    out.append(emit(ScenarioResult("causal-tree", params, [], metadata={"refused": refusal})))
+                    continue
+                assert not clash
+                pmfs = [("pure", outcome_pmf(realized, _pure_state(rng, dim))),
+                        ("mixed", outcome_pmf(realized, _mixed_state(rng, dim)))]
+                out.append(emit(ScenarioResult("causal-tree", params, pmfs, metadata={"refused": None})))
+                out.append(realized._stack.tobytes() + realized.total().tobytes())
+    return out
+
+
+STREAM_PROBE = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import test_scenarios
+out = test_scenarios._finite_stream(29)
+print(len(out), hashlib.sha256(b"".join(out)).hexdigest())
+"""
+
+
+def test_a_seeded_stream_of_finite_operations_keeps_its_bytes(tmp_path):
+    # the canned drivers' oracle above leaves out refusal norms, pull-backs
+    # of dims 2-8 on pure and mixed states, caller-supplied eraser
+    # observables and the raw bits of realized products and their totals.
+    # numpy's complex loops and OpenBLAS's zgemm round by the host's vector
+    # units, so the stream runs on numpy's baseline loops and OpenBLAS's
+    # Prescott kernels, which every x86-64 host has
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the pinned loops and kernels are x86-64's")
+    tests = Path(__file__).resolve().parent
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]),
+        "XDG_CACHE_HOME": str(tmp_path),
+        "OPENBLAS_CORETYPE": "Prescott",
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
+    }
+    done = subprocess.run([sys.executable, "-c", STREAM_PROBE, str(tests)], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == [
+        "42", "0ef22703d17fcd61154e841abf3f92a9e89db6f332bfb70fb29463f85a1b7096"]
