@@ -17,11 +17,9 @@ commutators of all outcome pairs of two factors and their norms in one
 batched call, the product folds the factor stacks with one batched matmul
 per factor, and conjugation multiplies the whole stack at once.  Every
 entry is the same single product the one-matrix form computes, so the
-results are bit for bit those of the per-effect loops.  ``outcome_pmf`` on
-a pure state forms every effect's ``E v`` with one matmul, then takes one
-``vdot`` per row, since a batched sum would add in another order; on a
-density operator it takes one trace per effect.  ``Povm`` checks its
-effects and their total in one buffer, with one ``eigvalsh``.
+results are bit for bit those of the per-effect loops.  ``outcome_pmf``
+stays per effect: a batched sum would add in another order.  ``Povm``
+checks its effects and their total in one buffer, with one ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -239,8 +237,7 @@ class Povm(_OutcomeTable):
         excess = spectra[n, -1] - 1.0
         if excess > EFFECT_TOL:
             raise Overcomplete(f"effects exceed the identity by {excess:.3e}")
-        self._total = both[n]
-        self._total.setflags(write=False)
+        self._total = _readonly(both[n])
 
     effect = _OutcomeTable._at
 
@@ -336,14 +333,10 @@ def outcome_pmf(observable: Povm, state: State) -> Pmf:
         raise DimensionMismatch(
             f"observable dim {observable.dim} does not match state dim {state.dim}"
         )
-    if isinstance(state, PureState):
-        # one matmul for every effect; each row holds the bits of the
-        # ``a @ v`` that ``_expectation`` forms for that effect alone
-        v = state.vector
-        values = [complex(np.vdot(v, av)).real for av in observable._stack @ v]
-    else:
-        values = [_expectation(state, a).real for a in observable._stack]
-    probs = {x: min(max(p, 0.0), 1.0) for x, p in zip(observable.outcomes, values)}
+    probs = {}
+    for x in observable.outcomes:
+        p = _expectation(state, observable.effect(x)).real
+        probs[x] = min(max(p, 0.0), 1.0)
     accounted = _expectation(state, observable.total()).real
     nd = min(max(1.0 - accounted, 0.0), 1.0)
     return Pmf(probs, nd)

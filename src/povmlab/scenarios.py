@@ -10,6 +10,7 @@ setup is supposed to satisfy.  Results serialize deterministically through
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -507,8 +508,12 @@ class DoubleSlitConfig:
     def __post_init__(self):
         if self.branch not in self.BRANCHES:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
-        _integers(max_steps=self.max_steps, shots=self.shots, seed=self.seed,
-                  window_lo=self.window_lo, window_hi=self.window_hi, smooth=self.smooth)
+        counts = ("max_steps", "shots", "seed", "window_lo", "window_hi", "smooth")
+        _integers(**{name: getattr(self, name) for name in counts})
+        # numpy's integers pass, and are kept as the Python ints that the
+        # result's parameters and metadata can serialize
+        for name in counts:
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.shots < 0 or self.seed < 0 or self.max_steps < 1:
             raise ValidationError("shots and seed must be >= 0 and max_steps >= 1")
         if self.smooth < 0:

@@ -31,31 +31,14 @@ def _fmt_float(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-# the JSON kinds in the order a value is tested against them: bool before
-# int, since a bool is an int; the first five are the commonest exact types
-_KINDS = (float, str, dict, list, tuple, bool, type(None), int)
-_EXACT = frozenset(_KINDS[:5])
-
-
-def _json_kind(value) -> type:
-    """The first of ``_KINDS`` that ``value`` is an instance of."""
-    for kind in _KINDS:
-        if isinstance(value, kind):
-            return kind
-    raise ValidationError(f"cannot serialize {type(value).__name__} deterministically")
-
-
 def _write_json(value, pad: str, out: list) -> None:
-    # the exact type decides the commonest kinds in one lookup; numpy's
-    # floats, bool, None, ints and subclasses take the isinstance order
-    kind = type(value)
-    if kind not in _EXACT:
-        kind = _json_kind(value)
-    if kind is float:
+    # the two commonest leaves first; bool is not a float, and no container
+    # is a float or a str, so the order changes no output
+    if isinstance(value, float):
         out.append(_fmt_float(value))
-    elif kind is str:
+    elif isinstance(value, str):
         out.append(_quote(value))
-    elif kind is dict:
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -69,7 +52,7 @@ def _write_json(value, pad: str, out: list) -> None:
             lead = sep
             _write_json(value[k], inner, out)
         out.append("\n" + pad + "}")
-    elif kind is list or kind is tuple:
+    elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
@@ -80,12 +63,14 @@ def _write_json(value, pad: str, out: list) -> None:
             lead = sep
             _write_json(item, inner, out)
         out.append("\n" + pad + "]")
-    elif kind is bool:
+    elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif value is None:
         out.append("null")
-    else:
+    elif isinstance(value, int):
         out.append(str(value))
+    else:
+        raise ValidationError(f"cannot serialize {type(value).__name__} deterministically")
 
 
 def to_json_bytes(payload: dict) -> bytes:

@@ -31,7 +31,7 @@ from povmlab.measurement import (
     sample_pmf,
     tensor_observable,
 )
-from povmlab.measurement import _expectation, _sum_in_order
+from povmlab.measurement import _sum_in_order
 
 from conftest import (
     random_commuting_povm_pair,
@@ -403,7 +403,6 @@ def test_conjugate_observable_matches_per_effect_products():
             assert same_bits(conj.effect(x), ad @ o.effect(x) @ a)
 
 
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5000), st.integers(1, 6), st.integers(1, 4), st.integers(1, 4))
 def test_first_clash_norms_are_the_two_norms_bit_for_bit(seed, dim, na, nb):
@@ -419,24 +418,6 @@ def test_first_clash_norms_are_the_two_norms_bit_for_bit(seed, dim, na, nb):
     x, y = a.outcomes[k // nb], b.outcomes[k % nb]
     clash = first_clash((a, b), -1.0)
     assert clash[:4] == (0, 1, x, y) and clash[4].hex() == float(norms[k]).hex()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 5000), st.integers(1, 8), st.integers(1, 6), st.sampled_from([1.0, 0.9]))
-def test_pure_state_pmf_takes_each_effects_expectation_bit_for_bit(seed, dim, n, scale):
-    # one matmul over the whole stack, one vdot per row: the bits of
-    # _expectation on each effect and on the total
-    rng = np.random.default_rng(seed)
-    o = random_povm(rng, dim, n)
-    o = Povm(o.outcomes, scale * o._stack)
-    u = random_state(rng, dim)
-    per_effect = Pmf(
-        {x: min(max(_expectation(u, o.effect(x)).real, 0.0), 1.0) for x in o.outcomes},
-        min(max(1.0 - _expectation(u, o.total()).real, 0.0), 1.0),
-    )
-    p = outcome_pmf(o, u)
-    assert [p[x].hex() for x in o.outcomes] == [per_effect[x].hex() for x in o.outcomes]
-    assert p.no_detection.hex() == per_effect.no_detection.hex()
 
 
 @settings(max_examples=60, deadline=None)

@@ -311,7 +311,7 @@ def test_double_slit_config_rejects_an_empty_fringe_window():
     assert DoubleSlitConfig().window == [-10, -9, -8, -7, -6, -5, -4]
 
 
-def test_double_slit_config_refuses_non_integral_window_and_smoothing():
+def test_double_slit_config_refuses_non_integral_window_and_smoothing(cheap_run):
     # once smooth=2.5 and smooth=-4 ran, smoothing over 3 bins and over 1
     # while the metadata recorded 2.5 and -4, and a float window end raised
     # a bare TypeError from range
@@ -324,6 +324,12 @@ def test_double_slit_config_refuses_non_integral_window_and_smoothing():
     config = DoubleSlitConfig(window_lo=np.int64(-6), window_hi=np.int32(-2), smooth=np.uint8(0))
     assert config.window == [-6, -5, -4, -3, -2]
     assert DoubleSlitConfig(smooth=1).smooth == 1
+    # they are kept as Python ints, so the result still serializes
+    numpy_counts = dict(max_steps=np.int64(500), shots=np.int32(2000), seed=np.int64(5),
+                        window_lo=np.int16(-10), window_hi=np.int64(-4), smooth=np.int64(3))
+    config = DoubleSlitConfig(**{**CHEAP, **numpy_counts})
+    assert all(type(getattr(config, name)) is int for name in numpy_counts)
+    assert emit(run_doubleslit(config)) == emit(cheap_run)
 
 
 def test_fixed_run_values_are_class_constants_not_fields():
@@ -439,7 +445,6 @@ def test_json_writer_emits_the_reference_bytes(payload):
     assert _json_outcome(to_json_bytes, payload) == _json_outcome(_reference_json_bytes, payload)
 
 
-
 class _Label(str):
     pass
 
@@ -454,9 +459,8 @@ class _Real(float):
 
 _Pair = namedtuple("_Pair", "first second")
 
-# the writer dispatches on the exact type of the five commonest kinds and
-# sends everything else down the isinstance chain: numpy scalars, bools,
-# subclasses of str, int, float, dict and tuple
+# values the isinstance chain must place as the reference writer does:
+# numpy scalars, bools, subclasses of str, int, float, dict and tuple
 json_odd_values = st.recursive(
     st.one_of(
         json_leaves,
