@@ -113,6 +113,16 @@ def test_povm_checks_everything_with_one_eigvalsh_on_finite_entries(monkeypatch)
     assert all(not a[1].any() and not a[3].any() for a in seen[:3])
 
 
+def test_povm_total_is_a_read_only_matrix_of_its_own():
+    # the total outlives the check's (n + 1, d, d) buffer instead of keeping
+    # it, and with it a second copy of the effects, alive
+    total = Povm("ab", [0.25 * np.eye(2), 0.5 * np.eye(2)]).total()
+    assert total.base is None and total.shape == (2, 2)
+    assert np.array_equal(total, 0.75 * np.eye(2))
+    with pytest.raises(ValueError):
+        total[0, 0] = 1.0
+
+
 def test_povm_accepts_subnormalized_family():
     o = Povm((1,), [0.5 * np.eye(2)])
     assert not o.is_normalized()
