@@ -27,14 +27,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from povmlab import _tridiag  # noqa: E402
-from povmlab.doubleslit import (  # noqa: E402
-    Grid2D,
-    PhysicalParams,
-    Propagator,
-    SlitGeometry,
-    SpongeConfig,
-    build_potential,
-)
+from povmlab.doubleslit import Propagator, build_potential  # noqa: E402
 from povmlab.scenarios import DoubleSlitConfig  # noqa: E402
 
 # each piece: the sweep and the flags its runs are called with
@@ -87,16 +80,13 @@ def main(argv=None) -> None:
     parser.add_argument("--calls", type=positive_int, default=125)
     args = parser.parse_args(argv)
     c = DoubleSlitConfig()
-    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
-    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
-    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
-    potential = build_potential(grid, params, args.branch, geometry)
+    grid = c.grid
+    potential = build_potential(grid, c.params, args.branch, c.geometry)
     rng = np.random.default_rng(0)
     psi = rng.normal(size=(grid.ny, grid.nx)) + 1j * rng.normal(size=(grid.ny, grid.nx))
     psi[potential.blocked] = 0.0
     columns = {}
-    sponges = {"no sponge": None, "sponge": SpongeConfig(c.sponge_width, c.sponge_strength)}
-    for label, sponge in sponges.items():
+    for label, sponge in {"no sponge": None, "sponge": c.sponge}.items():
         columns[label] = split(Propagator(potential, c.dt, sponge=sponge), psi, args.calls)
     backend = "C kernel" if _tridiag.kernel() is not None else "zgttrs"
     print(f"branch {args.branch}, {grid.nx}x{grid.ny}, {backend}, "

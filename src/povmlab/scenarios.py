@@ -10,10 +10,11 @@ setup is supposed to satisfy.  Results serialize deterministically through
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -454,7 +455,10 @@ class DoubleSlitConfig:
     The fields named in ``EXPOSED`` are the command-line flags of
     ``povmlab doubleslit`` and the ``parameters`` block of the result; the
     others are declared defaults, and the output metadata records the
-    ``GEOMETRY`` ones and most of the rest.  Fixed, not fields: natural
+    ``GEOMETRY`` ones and most of the rest.  Construction refuses bad
+    settings, keeps numbers as Python ints and floats, and builds the
+    run's ``grid``, ``params``, ``geometry`` and ``sponge`` once, as
+    attributes that are not fields.  Fixed, not fields: natural
     units (hbar = mass = 1), the class constants ``septum_strength``,
     ``sponge_width`` and ``sponge_strength``, and the stop rule's
     ``CHECK_INTERVAL``, ``PEAK_FLOOR`` and ``MASS_TARGET``.  The packet
@@ -508,12 +512,21 @@ class DoubleSlitConfig:
     def __post_init__(self):
         if self.branch not in self.BRANCHES:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
-        counts = ("max_steps", "shots", "seed", "window_lo", "window_hi", "smooth")
+        counts = ("nx", "ny", "max_steps", "shots", "seed", "window_lo", "window_hi", "smooth")
         _integers(**{name: getattr(self, name) for name in counts})
-        # numpy's integers pass, and are kept as the Python ints that the
-        # result's parameters and metadata can serialize
+        # numpy's integers and floats pass, and are kept as the Python ints
+        # and floats that the result's parameters and metadata can serialize
         for name in counts:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
+        reals = (
+            "dt", "k0", "sigma", "delta", "b", "lx", "ly", "source_x", "source_y", "hole_center",
+            "hole_width", "wall_thickness", "septum_half_width", "slit_x",
+        ) + (() if self.wedge_apex_x is None else ("wedge_apex_x",))
+        for name in reals:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, not {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.shots < 0 or self.seed < 0 or self.max_steps < 1:
             raise ValidationError("shots and seed must be >= 0 and max_steps >= 1")
         if self.smooth < 0:
@@ -522,16 +535,16 @@ class DoubleSlitConfig:
             raise EmptyWindow(
                 f"window {self.window_lo}..{self.window_hi} holds no screen strip"
             )
+        object.__setattr__(self, "grid", Grid2D(self.nx, self.ny, self.lx, self.ly))
+        object.__setattr__(self, "params", PhysicalParams(self.k0, self.sigma, self.delta, self.b))
+        walls = {name: getattr(self, name) for name in self.GEOMETRY}
+        object.__setattr__(self, "geometry", SlitGeometry(**walls))
+        object.__setattr__(self, "sponge", SpongeConfig(self.sponge_width, self.sponge_strength))
 
     @property
     def window(self) -> list[int]:
         """The screen strips of the fringe window: ``window_lo..window_hi`` but 0."""
         return [n for n in range(self.window_lo, self.window_hi + 1) if n != 0]
-
-
-def _propagator(config, potential) -> Propagator:
-    sponge = SpongeConfig(config.sponge_width, config.sponge_strength)
-    return Propagator(potential, config.dt, sponge=sponge)
 
 
 def _on_fields(pool, work, fields):
@@ -573,7 +586,7 @@ def _propagate_lockstep(config, pool, potentials, packet):
     ``MASS_TARGET`` outright also stops; ``max_steps`` always caps the
     run.  Returns (packets, steps, stop reason).
     """
-    props = [_propagator(config, potential) for potential in potentials]
+    props = [Propagator(potential, config.dt, sponge=config.sponge) for potential in potentials]
     fields = [prop.start(packet) for prop in props]
     packets = [packet] * len(props)
     done = 0
@@ -682,8 +695,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     it alone and inline, so the result does not depend on scheduling.
     """
     config = config if config is not None else DoubleSlitConfig()
-    grid = Grid2D(config.nx, config.ny, config.lx, config.ly)
-    params = PhysicalParams(k0=config.k0, sigma=config.sigma, delta=config.delta, b=config.b)
+    grid, params = config.grid, config.params
     walls = {name: getattr(config, name) for name in config.GEOMETRY}
     binning = DetectorBinning(params.b, params.delta)
     packet0 = init_packet(grid, params, center=(config.source_x, config.source_y))
@@ -692,9 +704,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     momentum_residual = max(abs(px - params.k0) / params.k0, abs(py) / params.k0)
 
     wanted = ("1", "2") if config.branch == "both" else (config.branch,)
-    potentials = [
-        build_potential(grid, params, int(name), SlitGeometry(**walls)) for name in wanted
-    ]
+    potentials = [build_potential(grid, params, int(name), config.geometry) for name in wanted]
     ordering = None
     with ThreadPoolExecutor(max_workers=1) as pool:
         # the branch fields in lockstep, the first deciding the stop
@@ -707,7 +717,10 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
             # threads they went to per-thread heaps, and a round's peak RSS
             # varied by 27 MB.
             sealed = [
-                _propagator(config, build_potential(grid, params, 2, SlitGeometry(**walls, **seal)))
+                Propagator(
+                    build_potential(grid, params, 2, replace(config.geometry, **seal)),
+                    config.dt, sponge=config.sponge,
+                )
                 for seal in ({"seal_lower": True}, {"seal_upper": True})
             ]
             single_packets = _step_fields(pool, sealed, [packet0] * len(sealed), steps)

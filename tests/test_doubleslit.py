@@ -37,7 +37,7 @@ from povmlab.errors import (
     ValidationError,
 )
 from povmlab.measurement import Pmf
-from povmlab.scenarios import DoubleSlitConfig, run_doubleslit
+from povmlab.scenarios import DoubleSlitConfig
 
 GRID = Grid2D(128, 96, 38.4, 28.8)
 PARAMS = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=8.0)
@@ -472,18 +472,15 @@ def test_production_propagator_keeps_one_operator_per_distinct_line():
     # 45 MiB during construction, and full-size sponge ramps peaked at
     # 7.3 MiB; the edge damping now touches only the margin cells
     c = DoubleSlitConfig()
-    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
-    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
-    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
-    pot = build_potential(grid, params, 2, geometry)
+    pot = build_potential(c.grid, c.params, 2, c.geometry)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prop = Propagator(pot, c.dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+        prop = Propagator(pot, c.dt, sponge=c.sponge)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert prop.grid == grid
+    assert prop.grid == c.grid
     assert held - before < 4 * 2**20
     assert peak - before < 6 * 2**20
 
@@ -495,15 +492,13 @@ def test_production_steps_allocate_no_field_sized_array():
     # more field-sized array per step, even a short-lived one, takes the
     # peak past 3 fields
     c = DoubleSlitConfig()
-    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
-    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
-    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
-    sponge = SpongeConfig(c.sponge_width, c.sponge_strength)
-    packet = init_packet(grid, params, center=(c.source_x, c.source_y))
+    grid = c.grid
+    packet = init_packet(grid, c.params, center=(c.source_x, c.source_y))
     field = grid.nx * grid.ny * np.dtype(complex).itemsize
     with ThreadPoolExecutor(2) as pool:
         for branch in (1, 2):
-            prop = Propagator(build_potential(grid, params, branch, geometry), c.dt, sponge=sponge)
+            pot = build_potential(grid, c.params, branch, c.geometry)
+            prop = Propagator(pot, c.dt, sponge=c.sponge)
             prop.run(packet, 1, pool=pool)  # SciPy's LAPACK loads here, untraced
             for on in (None, pool):
                 tracemalloc.start()
@@ -592,7 +587,7 @@ def test_non_integral_counts_are_refused_before_any_step(monkeypatch):
         with pytest.raises(ValidationError, match=name):
             Grid2D(nx, ny, 12.8, 12.8)
     with pytest.raises(ValidationError, match="nx"):
-        run_doubleslit(DoubleSlitConfig(nx=64.0))
+        DoubleSlitConfig(nx=64.0)
     prop = Propagator(build_potential(GRID, PARAMS, 1, GEOMETRY), 0.01)
     stepping = prop.start(small_packet())
     monkeypatch.setattr(prop, "_start", lambda packet: pytest.fail("run made its entry copy"))

@@ -113,6 +113,20 @@ def test_povm_checks_everything_with_one_eigvalsh_on_finite_entries(monkeypatch)
     assert all(not a[1].any() and not a[3].any() for a in seen[:3])
 
 
+def test_povm_refuses_a_total_that_overflows():
+    # each effect passes, but the total's symmetrization overflows to inf,
+    # and its NaN spectrum once passed the excess check
+    with pytest.raises(Overcomplete):
+        Povm("ab", [np.diag([6e307, 0.0]), np.diag([6e307, 0.0])])
+
+
+def test_povm_refuses_an_infinite_entry_without_a_warning():
+    # inf - inf in the Hermitian residual once warned, and the suite's
+    # warnings-as-errors raised that in place of NotPositive
+    with pytest.raises(NotPositive, match="outcome 'b' is"):
+        Povm("ab", [0.1 * np.eye(2), np.diag([np.inf, 0.1])])
+
+
 def test_povm_total_is_a_read_only_matrix_of_its_own():
     # the total outlives the check's (n + 1, d, d) buffer instead of keeping
     # it, and with it a second copy of the effects, alive

@@ -26,7 +26,6 @@ from povmlab.doubleslit import (
     Grid2D,
     PhysicalParams,
     Propagator,
-    SlitGeometry,
     SpongeConfig,
     build_potential,
     detector_pmf,
@@ -251,8 +250,7 @@ def test_lockstep_fields_match_single_branch_runs(walls, stop, stop_steps):
     # branch 2 equals the same field stepped alone for exactly `steps`
     grid = Grid2D(128, 96, 76.8, 57.6)
     params = PhysicalParams(k0=2.0, sigma=3.0, delta=0.6, b=8.0)
-    config = DoubleSlitConfig(**cfg)
-    geometry = SlitGeometry(**{name: getattr(config, name) for name in config.GEOMETRY})
+    geometry = DoubleSlitConfig(**cfg).geometry
     prop = Propagator(
         build_potential(grid, params, 2, geometry), 0.05, sponge=SpongeConfig(28, 6.0)
     )
@@ -269,13 +267,11 @@ def test_lockstep_chunks_keep_one_work_field_per_field():
     # under 4 for branch 1 alone.  A second scratch set per field, or a
     # work field rebuilt beside the kept one, takes it past them
     c = DoubleSlitConfig(max_steps=75)
-    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
-    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
-    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
-    potentials = [build_potential(grid, params, branch, geometry) for branch in (1, 2)]
-    packet = init_packet(grid, params, center=(c.source_x, c.source_y))
-    field = grid.nx * grid.ny * np.dtype(complex).itemsize
-    scenarios._propagator(c, potentials[0])  # SciPy's LAPACK and the kernel load here, untraced
+    potentials = [build_potential(c.grid, c.params, branch, c.geometry) for branch in (1, 2)]
+    packet = init_packet(c.grid, c.params, center=(c.source_x, c.source_y))
+    field = c.grid.nx * c.grid.ny * np.dtype(complex).itemsize
+    # SciPy's LAPACK and the kernel load here, untraced
+    Propagator(potentials[0], c.dt, sponge=c.sponge)
     with ThreadPoolExecutor(2) as pool:
         for chosen, bound in ((potentials, 8), (potentials[:1], 4)):
             tracemalloc.start()
@@ -299,6 +295,9 @@ def test_double_slit_config_validation():
     # -1 too, although its branch seeds seed + 1 and seed + 2 are valid
     with pytest.raises(ValidationError):
         DoubleSlitConfig(seed=-1)
+    # walls that touch the axis, when the config is built
+    with pytest.raises(ValidationError, match="axis"):
+        DoubleSlitConfig(hole_center=1.0)
 
 
 def test_double_slit_config_rejects_an_empty_fringe_window():
@@ -314,8 +313,10 @@ def test_double_slit_config_rejects_an_empty_fringe_window():
 def test_double_slit_config_refuses_non_integral_window_and_smoothing(cheap_run):
     # once smooth=2.5 and smooth=-4 ran, smoothing over 3 bins and over 1
     # while the metadata recorded 2.5 and -4, and a float window end raised
-    # a bare TypeError from range
-    for name, value in (("smooth", 2.5), ("window_lo", -10.5), ("window_hi", -4.0), ("smooth", "3")):
+    # a bare TypeError from range; a number that is not real is refused too
+    refused = (("smooth", 2.5), ("window_lo", -10.5), ("window_hi", -4.0), ("smooth", "3"),
+               ("dt", "0.05"), ("k0", None), ("wedge_apex_x", 1j))
+    for name, value in refused:
         with pytest.raises(ValidationError, match=name):
             DoubleSlitConfig(**{name: value})
     with pytest.raises(ValidationError, match="smooth"):
@@ -324,12 +325,41 @@ def test_double_slit_config_refuses_non_integral_window_and_smoothing(cheap_run)
     config = DoubleSlitConfig(window_lo=np.int64(-6), window_hi=np.int32(-2), smooth=np.uint8(0))
     assert config.window == [-6, -5, -4, -3, -2]
     assert DoubleSlitConfig(smooth=1).smooth == 1
-    # they are kept as Python ints, so the result still serializes
-    numpy_counts = dict(max_steps=np.int64(500), shots=np.int32(2000), seed=np.int64(5),
-                        window_lo=np.int16(-10), window_hi=np.int64(-4), smooth=np.int64(3))
-    config = DoubleSlitConfig(**{**CHEAP, **numpy_counts})
-    assert all(type(getattr(config, name)) is int for name in numpy_counts)
+    # numpy's numbers are kept as Python ints and floats, so the result
+    # serializes with the Python-number run's bytes.  Once nx=np.int64(128)
+    # or a float32 ran the whole grid and then failed at emit; each float32
+    # here is exact in binary
+    numpy_numbers = dict(
+        nx=np.int64(128), ny=np.int64(96), max_steps=np.int64(500), shots=np.int32(2000),
+        seed=np.int64(5), window_lo=np.int16(-10), window_hi=np.int64(-4), smooth=np.int64(3),
+        dt=np.float64(0.05), septum_half_width=np.float64(0.4), k0=np.float32(2.0),
+        sigma=np.float32(3.0), b=np.float32(8.0), source_x=np.float32(-12.0),
+        hole_center=np.float32(3.0), hole_width=np.float32(5.0),
+    )
+    config = DoubleSlitConfig(**{**CHEAP, **numpy_numbers})
+    assert all(type(getattr(config, k)) is type(v.item()) for k, v in numpy_numbers.items())
     assert emit(run_doubleslit(config)) == emit(cheap_run)
+
+
+def test_every_setting_reaches_the_configs_objects():
+    # each field of the grid, physics, walls and sponge is its setting or a
+    # class constant; a hand copy of this mapping once dropped wedge_apex_x
+    settings = dict(
+        nx=96, ny=80, lx=40.0, ly=30.0, k0=3.5, sigma=2.5, delta=0.7, b=12.0, slit_x=-2.0,
+        hole_center=4.0, hole_width=2.0, wall_thickness=0.5, wedge_apex_x=-5.0,
+        septum_half_width=1.5,
+    )
+    assert set(DoubleSlitConfig.GEOMETRY) - {"septum_strength"} <= set(settings)
+    assert all(value != getattr(DoubleSlitConfig(), name) for name, value in settings.items())
+    config = DoubleSlitConfig(**settings)
+    expected = dict(
+        settings, seal_upper=False, seal_lower=False,
+        septum_strength=DoubleSlitConfig.septum_strength,
+        width=DoubleSlitConfig.sponge_width, strength=DoubleSlitConfig.sponge_strength,
+    )
+    for built in (config.grid, config.params, config.geometry, config.sponge):
+        for f in fields(built):
+            assert getattr(built, f.name) == expected[f.name], (type(built).__name__, f.name)
 
 
 def test_fixed_run_values_are_class_constants_not_fields():

@@ -114,23 +114,17 @@ def _zgttrs(solve, rhs, explicit=False):
 
 def _production(branch):
     c = DoubleSlitConfig()
-    grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
-    params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
-    geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
-    pot = build_potential(grid, params, branch, geometry)
-    return pot, c.dt
+    return build_potential(c.grid, c.params, branch, c.geometry), c.dt
 
 
 def test_kernel_matches_zgttrs_bit_for_bit_on_every_production_run():
     # each run on its own lines of a production field: x runs through the
     # x phase, with and without the explicit half, y runs through a y phase
     # that only solves
-    c = DoubleSlitConfig()
     rng = np.random.default_rng(11)
     checked = 0
     for branch in (1, 2):
-        pot, dt = _production(branch)
-        prop = Propagator(pot, dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+        prop = _production_propagator(branch)
         shape = (prop.grid.ny, prop.grid.nx)
         y_runs = [(phase.lines, phase.solve) for phase in _runs(prop._y_blocks)]
         for axis, runs in enumerate((_runs(prop._x_blocks), y_runs)):
@@ -453,9 +447,7 @@ def test_the_kernels_loss_sum_is_numpys_bit_for_bit():
         check(rng.normal(size=n))
         check(10.0 ** rng.uniform(-30, 2, size=n))  # entries from 1e-30 to 1e2
     # the production sponge's losses, each y run's share booked by its phase
-    c = DoubleSlitConfig()
-    pot, dt = _production(1)
-    prop = Propagator(pot, dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+    prop = _production_propagator(1)
     field = _tridiag.Field(prop._x_blocks[0][0][1], prop.grid.ny, prop.grid.nx)
     field.write(_normal(rng, prop.grid.ny, prop.grid.nx))
     loss = np.full(prop._n_damped, np.nan)
@@ -466,9 +458,7 @@ def test_the_kernels_loss_sum_is_numpys_bit_for_bit():
 
 
 def _production_propagator(branch):
-    c = DoubleSlitConfig()
-    pot, dt = _production(branch)
-    return Propagator(pot, dt, sponge=SpongeConfig(c.sponge_width, c.sponge_strength))
+    return Propagator(*_production(branch), sponge=DoubleSlitConfig().sponge)
 
 
 @pytest.mark.parametrize("branch", [1, 2])
@@ -717,19 +707,16 @@ BASELINE_LOOPS = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
 DISPATCH_PROBE = """
 import hashlib, sys
 import numpy as np
-from povmlab.doubleslit import Grid2D, PhysicalParams, SlitGeometry, WavePacket2D, build_potential
-from povmlab.scenarios import DoubleSlitConfig, _propagator
+from povmlab.doubleslit import Propagator, WavePacket2D, build_potential
+from povmlab.scenarios import DoubleSlitConfig
 
 config = DoubleSlitConfig(
     nx=128, ny=96, dt=0.05, k0=2.0, sigma=3.0, b=8.0,
     source_x=-12.0, hole_center=3.0, hole_width=5.0, septum_half_width=0.4,
 )
-grid = Grid2D(config.nx, config.ny, config.lx, config.ly)
-params = PhysicalParams(k0=config.k0, sigma=config.sigma, delta=config.delta, b=config.b)
-walls = SlitGeometry(**{name: getattr(config, name) for name in config.GEOMETRY})
-potential = build_potential(grid, params, 2, walls)
-packet = WavePacket2D(grid, np.load(sys.argv[1]))
-out = _propagator(config, potential).run(packet, 60)
+potential = build_potential(config.grid, config.params, 2, config.geometry)
+packet = WavePacket2D(config.grid, np.load(sys.argv[1]))
+out = Propagator(potential, config.dt, sponge=config.sponge).run(packet, 60)
 print(hashlib.sha256(out.amplitudes.tobytes()).hexdigest())
 """
 
@@ -754,6 +741,25 @@ def test_the_step_bits_do_not_depend_on_numpys_simd_dispatch(tmp_path):
         assert done.returncode == 0, done.stderr.decode()
         digests.append(done.stdout.decode().split()[-1])
     assert digests[0] == digests[1]
+
+
+def test_the_phase_split_script_prints_every_piece(tmp_path):
+    # scripts/phase_split.py on branch 2's production walls, one call a
+    # piece, building its kernel into a cache of its own
+    script = Path(__file__).resolve().parents[1] / "scripts" / "phase_split.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--branch", "2", "--calls", "1"],
+        env=_probe_env(tmp_path / "cache"), capture_output=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    head, columns, *rows = done.stdout.decode().splitlines()
+    backends = ("C kernel", "zgttrs")
+    assert head in [f"branch 2, 512x384, {b}, least of 1 calls, ns per cell" for b in backends]
+    assert columns.split() == ["piece", "no", "sponge", "sponge"]
+    pieces = ["x phase", "y phase", "y solve only", "y explicit only"]
+    assert [row[:18].strip() for row in rows] == pieces
+    figures = [float(figure) for row in rows for figure in row[18:].split()]
+    assert len(figures) == 2 * len(pieces) and min(figures) > 0
 
 
 def test_the_kernel_compiles_without_a_warning(tmp_path):
@@ -782,9 +788,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.linalg import lapack
 from povmlab import _tridiag
-from povmlab.doubleslit import (
-    Grid2D, PhysicalParams, Propagator, SlitGeometry, SpongeConfig, WavePacket2D, build_potential,
-)
+from povmlab.doubleslit import Propagator, WavePacket2D, build_potential
 from povmlab.scenarios import DoubleSlitConfig
 
 _tridiag.FLAGS += tuple(sys.argv[1:])
@@ -819,14 +823,11 @@ def solved(solve, shape, lines, axis):
     digest.update(bits)
 
 c = DoubleSlitConfig()
-grid = Grid2D(c.nx, c.ny, c.lx, c.ly)
+grid, sponge = c.grid, c.sponge
 shape = (grid.ny, grid.nx)
-params = PhysicalParams(k0=c.k0, sigma=c.sigma, delta=c.delta, b=c.b)
-geometry = SlitGeometry(**{name: getattr(c, name) for name in c.GEOMETRY})
-sponge = SpongeConfig(c.sponge_width, c.sponge_strength)
 runs = lambda blocks: blocks[0] + blocks[1]
 for branch in (1, 2):
-    pot = build_potential(grid, params, branch, geometry)
+    pot = build_potential(grid, c.params, branch, c.geometry)
     kernel = Propagator(pot, c.dt, sponge=sponge)
     load, _tridiag.kernel = _tridiag.kernel, lambda: None
     fallback = Propagator(pot, c.dt, sponge=sponge)
