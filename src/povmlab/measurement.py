@@ -209,6 +209,9 @@ class Povm(_OutcomeTable):
     mass of every pmf computed from the observable.
     """
 
+    # huge or infinite entries overflow the total or make inf - inf in the
+    # residual; the checks refuse them, so numpy need not warn
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, outcomes: Sequence[Label], effects):
         super().__init__(outcomes, effects)
         stack = self._stack
@@ -217,22 +220,19 @@ class Povm(_OutcomeTable):
         # residual, one symmetrization and one eigvalsh check them all
         both = np.empty((n + 1,) + stack.shape[1:], dtype=complex)
         both[:n] = stack
-        # huge or infinite entries overflow the total or make inf - inf in
-        # the residual; the checks below refuse them, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            both[n] = _sum_in_order(stack)
-            adjoint = both.conj().transpose(0, 2, 1)
-            hermitian = np.abs(both - adjoint).max(axis=(1, 2))[:n] <= EFFECT_TOL
-            sym = 0.5 * (both + adjoint)
-            if np.count_nonzero(hermitian) < n:
-                # a non-Hermitian effect fails whatever its spectrum, and then
-                # the total goes unread; zeroing both keeps non-finite entries,
-                # which are never Hermitian, away from eigvalsh
-                sym[:n][~hermitian] = 0.0
-                sym[n] = 0.0
-            # each spectrum comes sorted ascending: an effect's least
-            # eigenvalue is its first, the total's greatest its last
-            spectra = np.linalg.eigvalsh(sym)
+        both[n] = _sum_in_order(stack)
+        adjoint = both.conj().transpose(0, 2, 1)
+        hermitian = np.abs(both - adjoint).max(axis=(1, 2))[:n] <= EFFECT_TOL
+        sym = 0.5 * (both + adjoint)
+        if np.count_nonzero(hermitian) < n:
+            # a non-Hermitian effect fails whatever its spectrum, and then the
+            # total goes unread; zeroing both keeps non-finite entries, which
+            # are never Hermitian, away from eigvalsh
+            sym[:n][~hermitian] = 0.0
+            sym[n] = 0.0
+        # each spectrum comes sorted ascending: an effect's least eigenvalue
+        # is its first, the total's greatest its last
+        spectra = np.linalg.eigvalsh(sym)
         positive = hermitian & (spectra[:n, 0] >= -EFFECT_TOL)
         if np.count_nonzero(positive) < n:
             x = self.outcomes[np.argmin(positive)]

@@ -514,19 +514,15 @@ class DoubleSlitConfig:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
         counts = ("nx", "ny", "max_steps", "shots", "seed", "window_lo", "window_hi", "smooth")
         _integers(**{name: getattr(self, name) for name in counts})
-        # numpy's integers and floats pass, and are kept as the Python ints
-        # and floats that the result's parameters and metadata can serialize
-        for name in counts:
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        reals = (
-            "dt", "k0", "sigma", "delta", "b", "lx", "ly", "source_x", "source_y", "hole_center",
-            "hole_width", "wall_thickness", "septum_half_width", "slit_x",
-        ) + (() if self.wedge_apex_x is None else ("wedge_apex_x",))
-        for name in reals:
+        reals = ("dt", "k0", "sigma", "delta", "b", "lx", "ly", "source_x", "source_y", "slit_x",
+                 "hole_center", "hole_width", "wall_thickness", "septum_half_width", "wedge_apex_x")
+        # numpy's numbers pass, and are kept as the Python ints and floats that
+        # the result's parameters and metadata can serialize; no wedge is None
+        for name in counts + reals[: -1 if self.wedge_apex_x is None else None]:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ValidationError(f"{name} must be a real number, not {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, operator.index(value) if name in counts else float(value))
         if self.shots < 0 or self.seed < 0 or self.max_steps < 1:
             raise ValidationError("shots and seed must be >= 0 and max_steps >= 1")
         if self.smooth < 0:

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import povmlab
 from povmlab.measurement import Povm, PureState
 
 
@@ -11,6 +15,15 @@ def kernel_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         yield
+
+
+def probe_env(cache_home, **extra) -> dict:
+    """This environment for a fresh interpreter that imports this povmlab and
+    builds its kernel into ``cache_home``, with ``extra`` on top."""
+    src = str(Path(povmlab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    pythonpath = src if not path else src + os.pathsep + path
+    return {**os.environ, "PYTHONPATH": pythonpath, "XDG_CACHE_HOME": str(cache_home), **extra}
 
 
 def random_state(rng, dim):

@@ -114,15 +114,13 @@ def test_povm_checks_everything_with_one_eigvalsh_on_finite_entries(monkeypatch)
 
 
 def test_povm_refuses_a_total_that_overflows():
-    # each effect passes, but the total's symmetrization overflows to inf,
-    # and its NaN spectrum once passed the excess check
+    # each effect passes; the total's NaN spectrum once passed the excess check
     with pytest.raises(Overcomplete):
-        Povm("ab", [np.diag([6e307, 0.0]), np.diag([6e307, 0.0])])
+        Povm("ab", [np.diag([6e307, 0.0])] * 2)
 
 
 def test_povm_refuses_an_infinite_entry_without_a_warning():
-    # inf - inf in the Hermitian residual once warned, and the suite's
-    # warnings-as-errors raised that in place of NotPositive
+    # the residual's inf - inf once warned, which the suite raises in place of NotPositive
     with pytest.raises(NotPositive, match="outcome 'b' is"):
         Povm("ab", [0.1 * np.eye(2), np.diag([np.inf, 0.1])])
 

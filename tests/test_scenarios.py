@@ -1,5 +1,4 @@
 import cmath
-import hashlib
 import json
 import math
 import os
@@ -17,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import povmlab
 from povmlab import scenarios
 from povmlab.causality import CausalMap, CausalTree, pull_back, realize_sequential
 from povmlab.cli import main
@@ -51,6 +49,8 @@ from povmlab.serialize import (
     pmf_to_csv_bytes,
     to_json_bytes,
 )
+
+from conftest import probe_env
 
 TOL = 1e-12
 
@@ -349,17 +349,12 @@ def test_every_setting_reaches_the_configs_objects():
         hole_center=4.0, hole_width=2.0, wall_thickness=0.5, wedge_apex_x=-5.0,
         septum_half_width=1.5,
     )
-    assert set(DoubleSlitConfig.GEOMETRY) - {"septum_strength"} <= set(settings)
+    c = DoubleSlitConfig(**settings)
     assert all(value != getattr(DoubleSlitConfig(), name) for name, value in settings.items())
-    config = DoubleSlitConfig(**settings)
-    expected = dict(
-        settings, seal_upper=False, seal_lower=False,
-        septum_strength=DoubleSlitConfig.septum_strength,
-        width=DoubleSlitConfig.sponge_width, strength=DoubleSlitConfig.sponge_strength,
-    )
-    for built in (config.grid, config.params, config.geometry, config.sponge):
-        for f in fields(built):
-            assert getattr(built, f.name) == expected[f.name], (type(built).__name__, f.name)
+    built = {f.name: getattr(b, f.name) for b in (c.grid, c.params, c.geometry, c.sponge)
+             for f in fields(b)}
+    assert built == dict(settings, seal_upper=False, seal_lower=False, width=c.sponge_width,
+                         septum_strength=c.septum_strength, strength=c.sponge_strength)
 
 
 def test_fixed_run_values_are_class_constants_not_fields():
@@ -684,16 +679,8 @@ assert os.listdir(cache) == loaded, (os.listdir(cache), loaded)
 
 
 def test_finite_layer_and_scenario_cli_never_load_scipy(tmp_path):
-    src = str(Path(povmlab.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = {
-        **os.environ,
-        "PYTHONPATH": src if not path else src + os.pathsep + path,
-        "XDG_CACHE_HOME": str(tmp_path),
-    }
-    done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, timeout=120
-    )
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=probe_env(tmp_path),
+                          capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.startswith(b"{")
 

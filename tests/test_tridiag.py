@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-import povmlab
 from povmlab import _tridiag
 from povmlab.doubleslit import (
     Grid2D,
@@ -36,6 +35,7 @@ from povmlab.errors import StabilityViolation, ValidationError
 from povmlab.scenarios import DoubleSlitConfig, _on_fields, run_doubleslit
 from povmlab.serialize import emit
 
+from conftest import probe_env
 
 MARGIN = 1.0 - 1.0j
 # a NaN with a payload that no arithmetic here makes: the cells of a kernel
@@ -112,9 +112,10 @@ def _zgttrs(solve, rhs, explicit=False):
     return np.ascontiguousarray(u).view(np.uint64)
 
 
-def _production(branch):
+def _production_propagator(branch, sponge=DoubleSlitConfig().sponge):
+    """The default run's propagator for ``branch``, with ``sponge``."""
     c = DoubleSlitConfig()
-    return build_potential(c.grid, c.params, branch, c.geometry), c.dt
+    return Propagator(build_potential(c.grid, c.params, branch, c.geometry), c.dt, sponge=sponge)
 
 
 def test_kernel_matches_zgttrs_bit_for_bit_on_every_production_run():
@@ -269,11 +270,10 @@ def test_a_bound_run_refuses_a_scratch_it_could_overrun():
 
 def _production_propagators(branch, sponge, monkeypatch):
     """The default run's propagator for ``branch``, on the kernel and on ``zgttrs``."""
-    pot, dt = _production(branch)
-    kernel = Propagator(pot, dt, sponge=sponge)
+    kernel = _production_propagator(branch, sponge)
     with monkeypatch.context() as patch:
         patch.setattr(_tridiag, "kernel", lambda: None)
-        fallback = Propagator(pot, dt, sponge=sponge)
+        fallback = _production_propagator(branch, sponge)
     assert kernel._x_blocks[0][0][1]._lib is not None, "the C kernel did not build"
     assert fallback._x_blocks[0][0][1]._lib is None
     return kernel, fallback
@@ -455,10 +455,6 @@ def test_the_kernels_loss_sum_is_numpys_bit_for_bit():
         phase.bind(field, loss)(True, False)
     assert loss.size == 47040 and (loss > 0.0).all()
     check(loss)
-
-
-def _production_propagator(branch):
-    return Propagator(*_production(branch), sponge=DoubleSlitConfig().sponge)
 
 
 @pytest.mark.parametrize("branch", [1, 2])
@@ -730,7 +726,7 @@ def test_the_step_bits_do_not_depend_on_numpys_simd_dispatch(tmp_path):
     np.save(packet, rng.normal(size=(96, 128)) + 1j * rng.normal(size=(96, 128)))
     digests = []
     for loops in (None, BASELINE_LOOPS):
-        env = _probe_env(os.environ.get("XDG_CACHE_HOME", tmp_path / "cache"))
+        env = probe_env(os.environ.get("XDG_CACHE_HOME", tmp_path / "cache"))
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
         if loops:
             env["NPY_DISABLE_CPU_FEATURES"] = loops
@@ -744,22 +740,18 @@ def test_the_step_bits_do_not_depend_on_numpys_simd_dispatch(tmp_path):
 
 
 def test_the_phase_split_script_prints_every_piece(tmp_path):
-    # scripts/phase_split.py on branch 2's production walls, one call a
-    # piece, building its kernel into a cache of its own
+    # one call a piece on branch 2's production walls, with a kernel cache of its own
     script = Path(__file__).resolve().parents[1] / "scripts" / "phase_split.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--branch", "2", "--calls", "1"],
-        env=_probe_env(tmp_path / "cache"), capture_output=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr.decode()
-    head, columns, *rows = done.stdout.decode().splitlines()
-    backends = ("C kernel", "zgttrs")
-    assert head in [f"branch 2, 512x384, {b}, least of 1 calls, ns per cell" for b in backends]
+    done = subprocess.run([sys.executable, str(script), "--branch", "2", "--calls", "1"],
+                          env=probe_env(tmp_path), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    head, columns, *rows = done.stdout.splitlines()
+    assert head in [f"branch 2, 512x384, {backend}, least of 1 calls, ns per cell"
+                    for backend in ("C kernel", "zgttrs")]
     assert columns.split() == ["piece", "no", "sponge", "sponge"]
-    pieces = ["x phase", "y phase", "y solve only", "y explicit only"]
-    assert [row[:18].strip() for row in rows] == pieces
-    figures = [float(figure) for row in rows for figure in row[18:].split()]
-    assert len(figures) == 2 * len(pieces) and min(figures) > 0
+    pieces = [(row[:18].strip(), [float(figure) for figure in row[18:].split()]) for row in rows]
+    assert [name for name, _ in pieces] == ["x phase", "y phase", "y solve only", "y explicit only"]
+    assert all(len(figures) == 2 and min(figures) > 0 for _, figures in pieces)
 
 
 def test_the_kernel_compiles_without_a_warning(tmp_path):
@@ -781,78 +773,59 @@ def test_the_kernel_compiles_without_a_warning(tmp_path):
 # a random packet through the kernel's step loop, on one thread and on
 # two; so must the pivoting 64x64 matrix on 37 lines that start and end
 # mid-tile, along x and along y, and the loss sum must be np.sum's on
-# vectors of every length up to 300.  Prints a digest of all those bits
+# vectors of every length up to 300.  It takes its helpers from this module
+# and prints a digest of all those bits
 BUILD_PROBE = """
 import hashlib, sys
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
-from scipy.linalg import lapack
+import pytest
 from povmlab import _tridiag
-from povmlab.doubleslit import Propagator, WavePacket2D, build_potential
+from povmlab.doubleslit import WavePacket2D
 from povmlab.scenarios import DoubleSlitConfig
 
-_tridiag.FLAGS += tuple(sys.argv[1:])
+_tridiag.FLAGS += tuple(sys.argv[2:])
+sys.path.insert(0, sys.argv[1])
+import test_tridiag as t
+
 digest = hashlib.sha256()
 rng = np.random.default_rng(18)
-normal = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-def stepped(solve, psi, call):
-    field = _tridiag.Field(solve, *psi.shape)
-    field.write(psi)
-    call(field)
-    out = np.empty_like(psi)
-    field.read(out)
-    return out
 
 def solved(solve, shape, lines, axis):
     assert solve._lib is not None, "the C kernel did not build"
-    psi, n = normal(*shape), solve.lu[1].size
-    if axis == 0:
-        out = stepped(solve, psi, lambda f: solve.bind(f, lines)(False))
-        got, rhs = out[lines].T, psi[lines].T
-    else:
-        phase = _tridiag.LinePhase(
-            solve, (np.zeros(n - 1), np.ones(n), np.zeros(n - 1)), lines,
-            np.empty(0, dtype=np.intp), np.empty(0),
-        )
-        out = stepped(solve, psi, lambda f: phase.bind(f, None)(True, False))
-        got, rhs = out[:, lines], psi[:, lines]
-    expected, info = lapack.zgttrs(*solve.lu, np.asfortranarray(rhs))
-    bits = np.ascontiguousarray(got).tobytes()
-    assert info == 0 and bits == np.ascontiguousarray(expected).tobytes()
-    digest.update(bits)
+    rhs = t._normal(rng, solve.lu[1].size, lines.stop - lines.start)
+    bits = t._on_lines(solve, rhs, shape, lines, axis)
+    assert np.array_equal(bits, t._zgttrs(solve, rhs))
+    digest.update(bits.tobytes())
 
-c = DoubleSlitConfig()
-grid, sponge = c.grid, c.sponge
-shape = (grid.ny, grid.nx)
-runs = lambda blocks: blocks[0] + blocks[1]
 for branch in (1, 2):
-    pot = build_potential(grid, c.params, branch, c.geometry)
-    kernel = Propagator(pot, c.dt, sponge=sponge)
-    load, _tridiag.kernel = _tridiag.kernel, lambda: None
-    fallback = Propagator(pot, c.dt, sponge=sponge)
-    _tridiag.kernel = load
-    y_runs = [(phase.lines, phase.solve) for phase in runs(kernel._y_blocks)]
-    for axis, sweep in enumerate((runs(kernel._x_blocks), y_runs)):
+    kernel, fallback = t._production_propagators(
+        branch, DoubleSlitConfig().sponge, pytest.MonkeyPatch()
+    )
+    shape = (kernel.grid.ny, kernel.grid.nx)
+    y_runs = [(phase.lines, phase.solve) for phase in t._runs(kernel._y_blocks)]
+    for axis, sweep in enumerate((t._runs(kernel._x_blocks), y_runs)):
         for lines, solve in sweep:
             solved(solve, shape, lines, axis)
-    psi, loss = normal(*shape), rng.normal(size=kernel._n_damped)
-    for (lines, k_solve), (_, f_solve) in zip(runs(kernel._x_blocks), runs(fallback._x_blocks)):
+    psi, loss = t._normal(rng, *shape), rng.normal(size=kernel._n_damped)
+    x_pairs = zip(t._runs(kernel._x_blocks), t._runs(fallback._x_blocks))
+    for (lines, k_solve), (_, f_solve) in x_pairs:
         bits = [
-            stepped(s, psi, lambda f: s.bind(f, lines)(True)).tobytes() for s in (k_solve, f_solve)
+            t._stepped(s, psi, lambda f: s.bind(f, lines)(True)).tobytes()
+            for s in (k_solve, f_solve)
         ]
         assert bits[0] == bits[1], (branch, lines)
         digest.update(bits[0])
-    for k_phase, f_phase in zip(runs(kernel._y_blocks), runs(fallback._y_blocks)):
+    for k_phase, f_phase in zip(t._runs(kernel._y_blocks), t._runs(fallback._y_blocks)):
         bits = []
         for phase in (k_phase, f_phase):
             losses = loss.copy()
-            out = stepped(phase.solve, psi, lambda f: phase.bind(f, losses)(True, True))
+            out = t._stepped(phase.solve, psi, lambda f: phase.bind(f, losses)(True, True))
             bits.append(out.tobytes() + losses.tobytes())
         assert bits[0] == bits[1], (branch, k_phase.lines)
         digest.update(bits[0])
     # a 25-step chunk through the kernel's step loop, on one thread and on two
-    packet = WavePacket2D(grid, normal(*shape))
+    packet = WavePacket2D(kernel.grid, t._normal(rng, *shape))
     chunk = lambda prop, on: prop.run(packet, 25, pool=on)
     result = lambda out: out.amplitudes.tobytes() + out.absorbed.hex().encode()
     want = result(chunk(fallback, None))
@@ -860,15 +833,10 @@ for branch in (1, 2):
         for on in (None, pool):
             assert result(chunk(kernel, on)) == want, (branch, on)
     digest.update(want)
-n = 64
-phase = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))
-lower = np.where(rng.uniform(size=n - 1) < 0.5, 3.0, 0.05) * phase(n - 1)
-main = rng.uniform(0.1, 1.0, size=n) * phase(n)
-upper = rng.uniform(0.5, 2.0, size=n - 1) * phase(n - 1)
-pivoting = _tridiag.LineSolve(lower, main, upper)
-assert (pivoting.lu[4] != np.arange(1, n + 1)).any()
-solved(pivoting, (50, n), slice(5, 42), 0)
-solved(pivoting, (n, 50), slice(5, 42), 1)
+pivoting = _tridiag.LineSolve(*t._pivoting(rng, 64))
+assert (pivoting.lu[4] != np.arange(1, 65)).any()
+solved(pivoting, (50, 64), slice(5, 42), 0)
+solved(pivoting, (64, 50), slice(5, 42), 1)
 lib = _tridiag.kernel()
 for n in range(300):
     a = 10.0 ** rng.uniform(-30, 2, size=n)
@@ -879,8 +847,8 @@ print(digest.hexdigest())
 
 def _build_probe(tmp_path, *flags) -> str:
     done = subprocess.run(
-        [sys.executable, "-c", BUILD_PROBE, *flags],
-        env=_probe_env(tmp_path / "-".join(("cache",) + flags)), capture_output=True, timeout=300,
+        [sys.executable, "-c", BUILD_PROBE, str(Path(__file__).resolve().parent), *flags],
+        env=probe_env(tmp_path / "-".join(("cache",) + flags)), capture_output=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout.decode().split()[-1]
@@ -969,20 +937,10 @@ print(*result)
 """
 
 
-def _probe_env(cache_home) -> dict:
-    src = str(Path(povmlab.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return {
-        **os.environ,
-        "PYTHONPATH": src if not path else src + os.pathsep + path,
-        "XDG_CACHE_HOME": str(cache_home),
-    }
-
-
 def _start_probe(cache_home, mode="build"):
     return subprocess.Popen(
         [sys.executable, "-c", STEP_PROBE, mode],
-        env=_probe_env(cache_home), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=probe_env(cache_home), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
 
 
