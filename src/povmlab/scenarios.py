@@ -517,7 +517,7 @@ class DoubleSlitConfig:
         reals = ("dt", "k0", "sigma", "delta", "b", "lx", "ly", "source_x", "source_y", "slit_x",
                  "hole_center", "hole_width", "wall_thickness", "septum_half_width", "wedge_apex_x")
         # numpy's numbers pass, and are kept as the Python ints and floats that
-        # the result's parameters and metadata can serialize; no wedge is None
+        # the result's parameters and metadata can serialize; the last, wedge_apex_x, may stay None
         for name in counts + reals[: -1 if self.wedge_apex_x is None else None]:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):

@@ -325,10 +325,8 @@ def test_double_slit_config_refuses_non_integral_window_and_smoothing(cheap_run)
     config = DoubleSlitConfig(window_lo=np.int64(-6), window_hi=np.int32(-2), smooth=np.uint8(0))
     assert config.window == [-6, -5, -4, -3, -2]
     assert DoubleSlitConfig(smooth=1).smooth == 1
-    # numpy's numbers are kept as Python ints and floats, so the result
-    # serializes with the Python-number run's bytes.  Once nx=np.int64(128)
-    # or a float32 ran the whole grid and then failed at emit; each float32
-    # here is exact in binary
+    # numpy's numbers are kept as Python ints and floats, so the run emits
+    # the Python-number run's bytes; each float32 here is exact in binary
     numpy_numbers = dict(
         nx=np.int64(128), ny=np.int64(96), max_steps=np.int64(500), shots=np.int32(2000),
         seed=np.int64(5), window_lo=np.int16(-10), window_hi=np.int64(-4), smooth=np.int64(3),
