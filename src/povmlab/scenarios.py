@@ -514,15 +514,19 @@ class DoubleSlitConfig:
             raise ValidationError(f"branch must be '1', '2' or 'both', got {self.branch!r}")
         counts = ("nx", "ny", "max_steps", "shots", "seed", "window_lo", "window_hi", "smooth")
         _integers(**{name: getattr(self, name) for name in counts})
+        # numpy's numbers pass, and are kept as the Python ints and floats that
+        # the result's parameters and metadata can serialize
+        for name in counts:
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         reals = ("dt", "k0", "sigma", "delta", "b", "lx", "ly", "source_x", "source_y", "slit_x",
                  "hole_center", "hole_width", "wall_thickness", "septum_half_width", "wedge_apex_x")
-        # numpy's numbers pass, and are kept as the Python ints and floats that
-        # the result's parameters and metadata can serialize; the last, wedge_apex_x, may stay None
-        for name in counts + reals[: -1 if self.wedge_apex_x is None else None]:
+        for name in reals:
             value = getattr(self, name)
+            if value is None and name == "wedge_apex_x":
+                continue
             if not isinstance(value, numbers.Real):
                 raise ValidationError(f"{name} must be a real number, not {value!r}")
-            object.__setattr__(self, name, operator.index(value) if name in counts else float(value))
+            object.__setattr__(self, name, float(value))
         if self.shots < 0 or self.seed < 0 or self.max_steps < 1:
             raise ValidationError("shots and seed must be >= 0 and max_steps >= 1")
         if self.smooth < 0:
@@ -713,10 +717,8 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
             # threads they went to per-thread heaps, and a round's peak RSS
             # varied by 27 MB.
             sealed = [
-                Propagator(
-                    build_potential(grid, params, 2, replace(config.geometry, **seal)),
-                    config.dt, sponge=config.sponge,
-                )
+                Propagator(build_potential(grid, params, 2, replace(config.geometry, **seal)),
+                           config.dt, sponge=config.sponge)
                 for seal in ({"seal_lower": True}, {"seal_upper": True})
             ]
             single_packets = _step_fields(pool, sealed, [packet0] * len(sealed), steps)

@@ -17,13 +17,13 @@ def kernel_cache(tmp_path_factory):
         yield
 
 
-def probe_env(cache_home, **extra) -> dict:
+def probe_env(cache_home) -> dict:
     """This environment for a fresh interpreter that imports this povmlab and
-    builds its kernel into ``cache_home``, with ``extra`` on top."""
+    builds its kernel into ``cache_home``."""
     src = str(Path(povmlab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     pythonpath = src if not path else src + os.pathsep + path
-    return {**os.environ, "PYTHONPATH": pythonpath, "XDG_CACHE_HOME": str(cache_home), **extra}
+    return {**os.environ, "PYTHONPATH": pythonpath, "XDG_CACHE_HOME": str(cache_home)}
 
 
 def random_state(rng, dim):

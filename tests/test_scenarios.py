@@ -270,8 +270,7 @@ def test_lockstep_chunks_keep_one_work_field_per_field():
     potentials = [build_potential(c.grid, c.params, branch, c.geometry) for branch in (1, 2)]
     packet = init_packet(c.grid, c.params, center=(c.source_x, c.source_y))
     field = c.grid.nx * c.grid.ny * np.dtype(complex).itemsize
-    # SciPy's LAPACK and the kernel load here, untraced
-    Propagator(potentials[0], c.dt, sponge=c.sponge)
+    Propagator(potentials[0], c.dt, sponge=c.sponge)  # SciPy's LAPACK and the kernel, untraced
     with ThreadPoolExecutor(2) as pool:
         for chosen, bound in ((potentials, 8), (potentials[:1], 4)):
             tracemalloc.start()
