@@ -20,10 +20,20 @@ entry is the same single product the one-matrix form computes, so the
 results are bit for bit those of the per-effect loops.  ``outcome_pmf``
 stays per effect: a batched sum would add in another order.  ``Povm``
 checks its effects and their total in one buffer, with one ``eigvalsh``.
+
+Two checks here only compare a norm with a tolerance: the gate, per factor
+pair, and ``Povm.is_normalized``.  Each first asks ``op.norms_within_half``
+whether the entries bound every norm by half the tolerance, and takes the
+SVD only when they do not.  The bound cannot change a result: where it
+holds, LAPACK's norm is below the tolerance with a margin of 2 over its
+rounding, and a NaN or infinite entry always falls through to the SVD.  A
+clash's reported norm is always the SVD's, as is every norm a scenario
+prints (``causality.CausalMap`` screens its unitarity check the same way).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
@@ -256,7 +266,8 @@ class Povm(_OutcomeTable):
         return self._total
 
     def is_normalized(self) -> bool:
-        return op.operator_norm(self._total - op.identity(self.dim)) <= EFFECT_TOL
+        gap = self._total - op.identity(self.dim)
+        return op.norms_within_half(gap, EFFECT_TOL) or op.operator_norm(gap) <= EFFECT_TOL
 
     @classmethod
     def from_vectors(cls, outcomes: Sequence[Label], vectors) -> "Povm":
@@ -346,8 +357,8 @@ def outcome_pmf(observable: Povm, state: State) -> Pmf:
     return Pmf(probs, nd)
 
 
-def sample_pmf(pmf: Pmf, shots: int, seed: int) -> list:
-    """Draw outcomes by inverse CDF over the declared order, no-detection last."""
+def _draw(pmf: Pmf, shots: int, seed: int) -> tuple[list, np.ndarray]:
+    """The labels, no-detection last, and the seeded draws as indices into them."""
     if shots < 0 or seed < 0:
         raise ValidationError("shots and seed must be nonnegative")
     labels = list(pmf.outcomes) + [NO_DETECTION]
@@ -356,8 +367,24 @@ def sample_pmf(pmf: Pmf, shots: int, seed: int) -> list:
     edges[-1] = max(edges[-1], 1.0)  # guard the last edge against roundoff
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
-    idx = np.searchsorted(edges, draws, side="right")
+    return labels, np.searchsorted(edges, draws, side="right")
+
+
+def sample_pmf(pmf: Pmf, shots: int, seed: int) -> list:
+    """Draw outcomes by inverse CDF over the declared order, no-detection last."""
+    labels, idx = _draw(pmf, shots, seed)
     return [labels[i] for i in idx]
+
+
+def sample_counts(pmf: Pmf, shots: int, seed: int) -> Counter:
+    """``Counter(sample_pmf(pmf, shots, seed))``, counted without the list.
+
+    The same draws, tallied by ``np.bincount``; outcomes never drawn are
+    left out, as in the list's ``Counter``.  Shared with ``scenarios``; not
+    in ``__all__``.
+    """
+    labels, idx = _draw(pmf, shots, seed)
+    return Counter({x: c for x, c in zip(labels, np.bincount(idx).tolist()) if c})
 
 
 def sample_outcomes(observable: Povm, state: State, shots: int, seed: int) -> list:
@@ -379,11 +406,14 @@ def first_clash(factors: Sequence[Povm], tol: float) -> tuple | None:
     Factors on different dimensions raise DimensionMismatch.  Shared with
     ``causality``; not in ``__all__``.
 
-    Each factor pair takes all its commutators and their norms in one
-    batched call, ``op.commutator_norm`` on every outcome pair at once; the
-    worst pair is the first maximum in row-major ``(x, y)`` order.  The
-    batch holds ``na * nb`` matrices, never more than the ordered product
-    it gates.
+    Each factor pair takes all its commutators in one batched product.  If
+    their entries bound every norm by ``tol / 2`` (``op.norms_within_half``),
+    the pair passes with no SVD; the SVD would have passed it too.
+    Otherwise their norms come in one batched call, ``op.commutator_norm``
+    on every outcome pair at once, and the worst pair is the first maximum
+    in row-major ``(x, y)`` order, so a reported norm is always the SVD's.
+    The batch holds ``na * nb`` matrices, never more than the ordered
+    product it gates.
     """
     for i, a in enumerate(factors):
         for j in range(i + 1, len(factors)):
@@ -391,7 +421,10 @@ def first_clash(factors: Sequence[Povm], tol: float) -> tuple | None:
             if a.dim != b.dim:
                 raise DimensionMismatch(f"observable dims {a.dim} and {b.dim} differ")
             ea, eb = a._stack[:, None], b._stack[None, :]
-            norms = op.operator_norms(ea @ eb - eb @ ea).ravel()
+            commutators = ea @ eb - eb @ ea
+            if op.norms_within_half(commutators, tol):
+                continue
+            norms = op.operator_norms(commutators).ravel()
             k = int(np.argmax(norms))
             if norms[k] > tol:
                 x, y = divmod(k, len(b.outcomes))

@@ -9,10 +9,14 @@ arithmetic to whole stacks itself, one product per entry as here, so its
 batched forms give these functions' bits.  The tensor products are the
 broadcast products ``np.kron`` computes, without its generic set-up, and
 the operator norms are the first singular values, ``np.linalg.norm(a,
-2)``'s bits without its generic wrapper (``operator_norms``).
+2)``'s bits without its generic wrapper (``operator_norms``).  A check
+that only compares a norm with a tolerance may first ask
+``norms_within_half`` whether the entries alone already settle it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -139,6 +143,27 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     with ``measurement``; not in ``__all__``.
     """
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def norms_within_half(stack: np.ndarray, tol: float) -> bool:
+    """Whether the entries alone prove every matrix's operator norm <= tol / 2.
+
+    For a ``d x d`` matrix C, ``||C||_2 <= ||C||_F <= d * hypot(max |Re c|,
+    max |Im c|)`` (Golub & Van Loan, *Matrix Computations*, 2.3), tight for
+    a multiple of the all-ones matrix.  The maxima are taken over the whole
+    stack, from the real and imaginary parts: ``np.abs`` of a complex entry
+    near 1e308 could overflow, and these cannot.  True means that
+    ``operator_norms(stack)`` would put every norm at or below ``tol``:
+    LAPACK's largest singular value is within a few ulps times ``d`` of the
+    exact one, and the halving leaves it a factor of 2.  False says nothing;
+    a NaN or infinite entry always gives False, so it reaches the SVD as
+    before.  Shared with ``measurement`` and ``causality``; not in
+    ``__all__``.
+    """
+    real = float(np.abs(stack.real).max())
+    imag = float(np.abs(stack.imag).max())
+    bound = stack.shape[-1] * math.hypot(real, imag)
+    return bound <= tol / 2 and bound < math.inf
 
 
 def operator_norm(a) -> float:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from povmlab import operators as op
 from povmlab.causality import (
+    UNITARY_TOL,
     CausalMap,
     CausalTree,
     compose,
@@ -32,6 +35,41 @@ QUARTER_TURN = np.diag([1.0, 1j])
 def test_generator_must_be_unitary():
     with pytest.raises(ValidationError):
         CausalMap(0, 1, np.diag([1.0, 0.5]))
+
+
+def test_the_unitarity_check_refuses_exactly_what_the_svd_refuses():
+    # U + eps X with defects from 1e-3 to 1e3 UNITARY_TOL, and across the
+    # tolerance itself: refused exactly when the SVD's defect exceeds it,
+    # with that defect's digits in the message
+    rng = np.random.default_rng(83)
+    verdicts = set()
+    for dim in (1, 2, 3, 4):
+        u = random_unitary(rng, dim)
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        slope = op.operator_norm(u.conj().T @ x + x.conj().T @ u)
+        scales = np.concatenate([np.logspace(-3, 3, 25), 1 + np.linspace(-1e-5, 1e-5, 21)])
+        for scale in scales:
+            g = u + (scale * UNITARY_TOL / slope) * x
+            defect = op.operator_norm(g.conj().T @ g - op.identity(dim))
+            verdicts.add(defect > UNITARY_TOL)
+            if defect > UNITARY_TOL:
+                with pytest.raises(ValidationError, match=re.escape(f"(defect {defect:.3e})")):
+                    CausalMap(0, 1, g)
+            else:
+                CausalMap(0, 1, g)
+    assert verdicts == {True, False}
+
+
+def test_an_exact_unitary_is_accepted_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(97)
+    u = random_unitary(rng, 4)
+
+    def svd(*args, **kwargs):
+        raise AssertionError("the entry bound should have settled this")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert np.array_equal(CausalMap(0, 1, u).generator, u)
+    assert CausalMap(0, 1, QUARTER_TURN).dim == 2
 
 
 def test_map_preserves_identity_and_effects():

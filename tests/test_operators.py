@@ -160,3 +160,39 @@ def test_operator_and_commutator_norms_are_the_two_norm_bit_for_bit(seed, dim, s
     assert op.commutator_norm(a, b).hex() == float(np.linalg.norm(a @ b - b @ a, 2)).hex()
     stack = np.stack([a, b, a @ b])
     assert op.operator_norms(stack).tobytes() == np.linalg.norm(stack, 2, axis=(-2, -1)).tobytes()
+
+
+# ------------------------------------------------------- the entry bound
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1.0, 1e300])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_the_entry_bound_is_tight_on_the_all_ones_matrix(dim, tol):
+    # ||s J||_2 = d s, the bound itself: d s just below tol / 2 is proved
+    # inside, just above it is not, and neither is d s = tol, inside as it is
+    ones = np.ones((2, dim, dim), dtype=complex)
+    for phase in (1.0, 1j, (1 - 1j) / np.sqrt(2)):
+        for factor, proved in ((1 - 1e-12, True), (1 + 1e-12, False), (2.0, False)):
+            stack = (tol / 2 / dim * factor) * phase * ones
+            assert op.operator_norms(stack) == pytest.approx(tol / 2 * factor, rel=1e-13)
+            assert op.norms_within_half(stack, tol) == proved
+            assert op.norms_within_half(stack[0], tol) == proved
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf), complex(np.nan, np.inf)]
+)
+def test_the_entry_bound_never_passes_a_non_finite_entry(bad):
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = bad
+    for tol in (1e-10, 1e300, np.inf):
+        assert not op.norms_within_half(stack, tol)
+
+
+def test_the_entry_bound_of_huge_entries_raises_no_warning():
+    # np.abs of a complex entry near 1e308 can overflow; the parts cannot
+    # (the suite turns every RuntimeWarning into an error)
+    stack = np.full((2, 3, 3), complex(1.7e308, -1.7e308))
+    assert not op.norms_within_half(stack, 1e-10)
+    assert not op.norms_within_half(stack, np.inf)
+    assert op.norms_within_half(np.full((1, 2, 2), complex(4e307, 0.0)), 1.7e308)
