@@ -21,19 +21,17 @@ results are bit for bit those of the per-effect loops.  ``outcome_pmf``
 stays per effect: a batched sum would add in another order.  ``Povm``
 checks its effects and their total in one buffer, with one ``eigvalsh``.
 
-Two checks here only compare a norm with a tolerance: the gate, per factor
-pair, and ``Povm.is_normalized``.  Each first asks ``op.norms_within_half``
-whether the entries bound every norm by half the tolerance, and takes the
+The gate, per factor pair, first asks ``op.norms_within_half`` whether the
+commutators' entries bound every norm by half the tolerance, and takes the
 SVD only when they do not.  The bound cannot change a result: where it
 holds, LAPACK's norm is below the tolerance with a margin of 2 over its
-rounding, and a NaN or infinite entry always falls through to the SVD.  A
-clash's reported norm is always the SVD's, as is every norm a scenario
+rounding, and at a finite tolerance a NaN or infinite entry always falls
+through to the SVD.  A clash's reported norm is always the SVD's, as is every norm a scenario
 prints (``causality.CausalMap`` screens its unitarity check the same way).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
@@ -266,8 +264,7 @@ class Povm(_OutcomeTable):
         return self._total
 
     def is_normalized(self) -> bool:
-        gap = self._total - op.identity(self.dim)
-        return op.norms_within_half(gap, EFFECT_TOL) or op.operator_norm(gap) <= EFFECT_TOL
+        return op.operator_norm(self._total - op.identity(self.dim)) <= EFFECT_TOL
 
     @classmethod
     def from_vectors(cls, outcomes: Sequence[Label], vectors) -> "Povm":
@@ -357,8 +354,8 @@ def outcome_pmf(observable: Povm, state: State) -> Pmf:
     return Pmf(probs, nd)
 
 
-def _draw(pmf: Pmf, shots: int, seed: int) -> tuple[list, np.ndarray]:
-    """The labels, no-detection last, and the seeded draws as indices into them."""
+def sample_pmf(pmf: Pmf, shots: int, seed: int) -> list:
+    """Draw outcomes by inverse CDF over the declared order, no-detection last."""
     if shots < 0 or seed < 0:
         raise ValidationError("shots and seed must be nonnegative")
     labels = list(pmf.outcomes) + [NO_DETECTION]
@@ -367,24 +364,8 @@ def _draw(pmf: Pmf, shots: int, seed: int) -> tuple[list, np.ndarray]:
     edges[-1] = max(edges[-1], 1.0)  # guard the last edge against roundoff
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
-    return labels, np.searchsorted(edges, draws, side="right")
-
-
-def sample_pmf(pmf: Pmf, shots: int, seed: int) -> list:
-    """Draw outcomes by inverse CDF over the declared order, no-detection last."""
-    labels, idx = _draw(pmf, shots, seed)
+    idx = np.searchsorted(edges, draws, side="right")
     return [labels[i] for i in idx]
-
-
-def sample_counts(pmf: Pmf, shots: int, seed: int) -> Counter:
-    """``Counter(sample_pmf(pmf, shots, seed))``, counted without the list.
-
-    The same draws, tallied by ``np.bincount``; outcomes never drawn are
-    left out, as in the list's ``Counter``.  Shared with ``scenarios``; not
-    in ``__all__``.
-    """
-    labels, idx = _draw(pmf, shots, seed)
-    return Counter({x: c for x, c in zip(labels, np.bincount(idx).tolist()) if c})
 
 
 def sample_outcomes(observable: Povm, state: State, shots: int, seed: int) -> list:

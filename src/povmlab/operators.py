@@ -156,14 +156,14 @@ def norms_within_half(stack: np.ndarray, tol: float) -> bool:
     ``operator_norms(stack)`` would put every norm at or below ``tol``:
     LAPACK's largest singular value is within a few ulps times ``d`` of the
     exact one, and the halving leaves it a factor of 2.  False says nothing;
-    a NaN or infinite entry always gives False, so it reaches the SVD as
-    before.  Shared with ``measurement`` and ``causality``; not in
-    ``__all__``.
+    for any finite ``tol``, a NaN or infinite entry gives False, so it
+    reaches the SVD as before.  Shared with ``measurement`` and
+    ``causality``; not in ``__all__``.
     """
     real = float(np.abs(stack.real).max())
     imag = float(np.abs(stack.imag).max())
     bound = stack.shape[-1] * math.hypot(real, imag)
-    return bound <= tol / 2 and bound < math.inf
+    return bound <= tol / 2
 
 
 def operator_norm(a) -> float:

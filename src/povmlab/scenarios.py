@@ -50,7 +50,7 @@ from .measurement import (
     formal_product,
     outcome_pmf,
     product_observable,
-    sample_counts,
+    sample_pmf,
     tensor_observable,
 )
 from .serialize import emit, label_str
@@ -751,7 +751,7 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         closure = abs(1.0 - (packet.norm() ** 2 + packet.absorbed))
         identities.append(IdentityCheck.within(f"norm-closure-{label}", closure, 1e-4))
         if config.shots > 0:
-            counts = sample_counts(pmf, config.shots, config.seed + int(name))
+            counts = Counter(sample_pmf(pmf, config.shots, config.seed + int(name)))
             histograms[label] = counts
             identities.append(
                 IdentityCheck.within(

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +13,6 @@ from povmlab.errors import (
 )
 from povmlab.measurement import (
     COMMUTE_TOL,
-    EFFECT_TOL,
     NO_DETECTION,
     DensityOperator,
     OperatorValuedMeasure,
@@ -31,7 +28,6 @@ from povmlab.measurement import (
     ordered_product,
     outcome_pmf,
     product_observable,
-    sample_counts,
     sample_outcomes,
     sample_pmf,
     tensor_observable,
@@ -128,16 +124,6 @@ def test_povm_refuses_an_infinite_entry_without_a_warning():
     # the residual's inf - inf once warned, which the suite raises in place of NotPositive
     with pytest.raises(NotPositive, match="outcome 'b' is"):
         Povm("ab", [0.1 * np.eye(2), np.diag([np.inf, 0.1])])
-
-
-def test_is_normalized_reads_the_svd_where_the_entry_bound_is_silent():
-    # a gap of 1e-17 is settled by its entries; 0.7e-10 is not, and still
-    # within EFFECT_TOL; 3e-10 short of the identity is not normalized
-    p = 0.3 * np.eye(2)
-    for shift, normalized in ((1e-17, True), (0.7e-10, True), (-3e-10, False)):
-        o = Povm("ab", [p, np.eye(2) - p + np.diag([shift, 0.0])])
-        gap = o.total() - np.eye(2)
-        assert o.is_normalized() == normalized == (op.operator_norm(gap) <= EFFECT_TOL)
 
 
 def test_povm_total_is_a_read_only_matrix_of_its_own():
@@ -238,19 +224,6 @@ def test_sampling_is_deterministic_and_ordered():
     b = sample_outcomes(o, u, 100, seed=5)
     assert a == b
     assert set(a) <= {1, 2}
-
-
-def test_sample_counts_tally_the_sampled_list():
-    # zero-probability outcomes, the no-detection mass and no shots at all;
-    # counts are Python ints and never-drawn outcomes are left out
-    pmfs = (Pmf({1: 0.5, 2: 0.5}), Pmf({"a": 0.2, "b": 0.0, "c": 0.3}, 0.5), Pmf({7: 1.0}))
-    for pmf in pmfs:
-        for shots, seed in ((0, 1), (1, 2), (5000, 3)):
-            counts = sample_counts(pmf, shots, seed)
-            assert counts == Counter(sample_pmf(pmf, shots, seed))
-            assert all(type(c) is int and c > 0 for c in counts.values())
-    with pytest.raises(ValidationError):
-        sample_counts(Pmf({1: 1.0}), -1, 0)
 
 
 def test_sampling_refuses_a_negative_seed():
@@ -459,7 +432,6 @@ def test_the_screened_gate_returns_the_unscreened_loops_result(seed, dim, na, nb
 def test_the_gate_settles_commuting_pairs_without_an_svd(monkeypatch):
     rng = np.random.default_rng(89)
     c, d = random_commuting_povm_pair(rng, 3, 3, 2)
-    o = random_povm(rng, 4, 3)
 
     def svd(*args, **kwargs):
         raise AssertionError("the entry bound should have settled this")
@@ -467,7 +439,6 @@ def test_the_gate_settles_commuting_pairs_without_an_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     assert first_clash((c, d, c), COMMUTE_TOL) is None
     assert commute(c, d) and product_observable(c, d).dim == 3
-    assert o.is_normalized()
 
 
 def test_ordered_product_matches_the_left_to_right_loop():
