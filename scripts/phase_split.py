@@ -6,7 +6,8 @@
 The pieces are the x phase (the solve and ``2u - w``), the y phase (the
 solve, the edge damping and the next explicit half), the y phase's solve
 alone (with the damping) and its explicit half alone, each over every run
-of both line blocks of one field, called from this thread.  Each is timed
+of both line blocks of one field, as a ``_tridiag.Stepper`` binds them,
+called from this thread.  Each is timed
 with and without the production sponge, by this thread's CPU time, so a
 busy machine's other work stays out of it; a figure is the least time of
 ``--calls`` calls divided by the grid's cells.  The field is set to the
@@ -41,26 +42,20 @@ PIECES = {
 
 def split(prop: Propagator, psi: np.ndarray, calls: int) -> dict[str, float]:
     """The least ns per cell of each piece over ``calls`` calls."""
-    first = prop._x_blocks[0][0][1]
-    field = _tridiag.Field(first, *psi.shape)
-    loss = np.empty(prop._n_damped) if prop._n_damped else None
-    cells = max(psi.shape)
-    lib = first._lib
-    scratch = None if lib is None else np.empty(lib.tridiag_scratch(cells, cells))
-    runs = {
-        "x": [
-            solve.bind(field, lines, scratch) for block in prop._x_blocks for lines, solve in block
-        ],
-        "y": [phase.bind(field, loss, scratch) for block in prop._y_blocks for phase in block],
-    }
+    # the stepper's own field, losses, scratch and bound runs, as a run makes them
+    stepper = _tridiag.Stepper(
+        psi, prop._x_blocks, prop._y_blocks, prop._n_damped, prop.grid.cell_area, 0.0
+    )
+    runs = {"x": stepper._x, "y": stepper._y}
     figures = {}
     for name, (sweep, flags) in PIECES.items():
         best = None
         for _ in range(calls):
-            field.write(psi)
+            stepper.field.write(psi)
             start = time.thread_time_ns()
-            for run in runs[sweep]:
-                run(*flags)
+            for block in runs[sweep]:
+                for run in block:
+                    run(*flags)
             spent = time.thread_time_ns() - start
             best = spent if best is None else min(best, spent)
         figures[name] = best / psi.size

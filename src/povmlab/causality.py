@@ -168,10 +168,6 @@ class CausalTree:
         for t in parents:  # declaration order
             self._children[parents[t]].append(t)
 
-    @property
-    def nodes(self) -> list[Node]:
-        return [self.root] + list(self.parents.keys())
-
     def children(self, node: Node) -> list[Node]:
         return list(self._children[node])
 

@@ -331,34 +331,33 @@ def init_packet(grid: Grid2D, params: PhysicalParams, center: tuple[float, float
     xs = grid.x[None, :]
     ys = grid.y[:, None]
     envelope = np.exp(-((xs - x0) ** 2 + (ys - y0) ** 2) / (2 * params.sigma**2))
-    psi = envelope * np.exp(1j * params.k0 * xs)
-    psi = psi.astype(complex)
+    psi = envelope * np.exp(1j * params.k0 * xs)  # complex128 already
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_area)
     return WavePacket2D(grid, psi)
 
 
 def _mark_segment(mask, grid, p0, p1, thickness):
-    """Blocken cells within half-thickness of the segment p0-p1 (in place)."""
-    x0, y0 = p0
-    x1, y1 = p1
-    if abs(x1 - x0) >= abs(y1 - y0):
-        if x1 < x0:
-            x0, y0, x1, y1 = x1, y1, x0, y0
-        slope = (y1 - y0) / (x1 - x0) if x1 != x0 else 0.0
-        cols = (grid.x >= x0 - grid.dx / 2) & (grid.x <= x1 + grid.dx / 2)
-        xs = np.clip(grid.x[cols], x0, x1)
-        line = y0 + slope * (xs - x0)
-        half = thickness / 2 + abs(slope) * grid.dx / 2
-        mask[:, cols] |= np.abs(grid.y[:, None] - line[None, :]) <= half
-    else:
-        if y1 < y0:
-            x0, y0, x1, y1 = x1, y1, x0, y0
-        slope = (x1 - x0) / (y1 - y0)
-        rows = (grid.y >= y0 - grid.dy / 2) & (grid.y <= y1 + grid.dy / 2)
-        ys = np.clip(grid.y[rows], y0, y1)
-        line = x0 + slope * (ys - y0)
-        half = thickness / 2 + abs(slope) * grid.dy / 2
-        mask[rows, :] |= np.abs(grid.x[None, :] - line[:, None]) <= half
+    """Blocken cells within half-thickness of the segment p0-p1 (in place).
+
+    The segment is walked along its longer axis, one cell centre at a time.
+    A steep segment is a shallow one with x and y swapped, so it is marked
+    on ``mask.T`` with the y coordinates and spacing in the x ones' place:
+    one body serves both slopes, with the same arithmetic on the same
+    values, so the same cells.
+    """
+    (x0, y0), (x1, y1) = p0, p1
+    along, step, across = grid.x, grid.dx, grid.y
+    if abs(x1 - x0) < abs(y1 - y0):
+        x0, y0, x1, y1 = y0, x0, y1, x1
+        along, step, across, mask = grid.y, grid.dy, grid.x, mask.T
+    if x1 < x0:
+        x0, y0, x1, y1 = x1, y1, x0, y0
+    slope = (y1 - y0) / (x1 - x0) if x1 != x0 else 0.0
+    cols = (along >= x0 - step / 2) & (along <= x1 + step / 2)
+    xs = np.clip(along[cols], x0, x1)
+    line = y0 + slope * (xs - x0)
+    half = thickness / 2 + abs(slope) * step / 2
+    mask[:, cols] |= np.abs(across[:, None] - line[None, :]) <= half
 
 
 def build_potential(
@@ -782,13 +781,14 @@ def fringe_visibility(pmf: Pmf, window: Sequence[int], smooth: int = 3) -> float
     if any(n == 0 for n in window):
         raise EmptyWindow("bin 0 is the front region, not a screen strip")
     vals = np.array([pmf.probabilities.get(n, 0.0) for n in window], dtype=float)
-    if vals.sum() <= 0.0:
-        raise EmptyWindow("window carries no probability mass")
     half = max(int(smooth) // 2, 0)
     smoothed = np.array(
         [vals[max(0, i - half) : i + half + 1].mean() for i in range(len(vals))]
     )
     hi, lo = smoothed.max(), smoothed.min()
+    # probabilities are never negative, so this holds exactly when every
+    # smoothed value is 0: a window without mass, or one whose mass
+    # underflows when smoothed
     if hi + lo == 0.0:
         raise EmptyWindow("window carries no probability mass")
     return float((hi - lo) / (hi + lo))

@@ -28,7 +28,6 @@ __all__ = [
     "basis_vector",
     "identity",
     "inner",
-    "norm",
     "outer",
     "projector",
     "adjoint",
@@ -78,10 +77,6 @@ def inner(a, b) -> complex:
     if a.shape != b.shape:
         raise DimensionMismatch(f"vector dims {a.size} and {b.size} differ")
     return complex(np.vdot(a, b))
-
-
-def norm(a) -> float:
-    return float(np.linalg.norm(as_vector(a)))
 
 
 def outer(a, b) -> np.ndarray:

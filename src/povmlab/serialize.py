@@ -17,9 +17,10 @@ __all__ = ["label_str", "to_json_bytes", "pmf_to_csv_bytes", "histogram_to_csv_b
 
 
 def label_str(label) -> str:
-    """Canonical text form of an outcome label."""
-    if label is NO_DETECTION:
-        return "none"
+    """Canonical text form of an outcome label: its ``str``.
+
+    ``NO_DETECTION``'s ``str`` is ``"none"``, so it needs no case of its own.
+    """
     return str(label)
 
 

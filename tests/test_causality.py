@@ -149,6 +149,69 @@ def test_tree_rejects_an_edge_map_that_disagrees_with_its_source():
         CausalTree(0, {1: 0, 2: 1}, maps, {0: root, 1: root, 2: child})
 
 
+class _Wildcard:
+    """A label equal to every label, while no other label equals it."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
+class _Plain:
+    """A label equal only to itself, hashed like ``_Wildcard``."""
+
+    def __eq__(self, other):
+        return self is other
+
+    def __hash__(self):
+        return 0
+
+
+O2, O3 = existence_observable(2), existence_observable(3)
+EDGE = {1: CausalMap(0, 1, np.eye(2))}
+FORK = {1: 0, 2: 0}
+
+
+# one case per refusal: the call, its error and a fragment of its message
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: CausalMap(0, 1, QUARTER_TURN).apply(np.eye(3)), DimensionMismatch,
+     "operator dim 3 does not match map dim 2"),
+    (lambda: compose(CausalMap(0, 1, np.eye(2)), CausalMap(1, 2, np.eye(3))), DimensionMismatch,
+     "map dims 2 and 3 differ"),
+    (lambda: pull_back(CausalMap(0, 1, np.eye(2)), O3), DimensionMismatch,
+     "observable dim 3 does not match map dim 2"),
+    (lambda: CausalTree(0, {0: 1, 1: 0}, {}, {}), ValidationError, "the root cannot have a parent"),
+    # the root finds no equal parent key, but the key equals the root: only
+    # labels whose equality is not symmetric get past the check above
+    (lambda: CausalTree(_Wildcard(), {_Plain(): 0}, {}, {}), ValidationError,
+     "node labels must be unique"),
+    (lambda: CausalTree(0, {1: 7}, {}, {}), ValidationError, "parent 7 of 1 is not a tree node"),
+    (lambda: CausalTree(0, {1: 0}, {}, {0: O2, 1: O2}), ValidationError,
+     "exactly the non-root nodes need edge maps"),
+    (lambda: CausalTree(0, {1: 0}, EDGE, {0: O2}), ValidationError, "nodes [1] have no observable"),
+    (lambda: CausalTree(0, {1: 0}, EDGE, {0: O2, 1: O3}), DimensionMismatch,
+     "observable and edge map at 1 disagree in dim"),
+    (lambda: CausalTree(0, FORK, {**EDGE, 2: CausalMap(0, 2, np.eye(2))}, dict.fromkeys(range(3), O2))
+     .map_between(1, 2), NodeMismatch, "1 is not an ancestor of 2"),
+], ids=[
+    "apply", "compose", "pull-back", "root-parent", "unique", "dangling-parent", "edge-maps",
+    "observables", "edge-dim", "not-ancestor",
+])
+def test_maps_and_trees_refuse_each_bad_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_map_between_a_node_and_itself_is_the_identity():
+    tree = chain_tree([existence_observable(3)] * 2, [random_unitary(np.random.default_rng(3), 3)])
+    for node in (0, 1):
+        m = tree.map_between(node, node)
+        assert (m.source, m.target) == (node, node)
+        assert np.array_equal(m.generator, np.eye(3))
+
+
 def test_map_between_satisfies_composition_law():
     rng = np.random.default_rng(13)
     gens = [random_unitary(rng, 2) for _ in range(3)]

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import threading
 import tracemalloc
@@ -15,11 +16,13 @@ from povmlab.doubleslit import (
     DetectorBinning,
     Grid2D,
     PhysicalParams,
+    Potential2D,
     Propagator,
     SlitGeometry,
     SpongeConfig,
     WavePacket2D,
     _line_operator,
+    _mark_segment,
     bin_indicator_expectation,
     build_potential,
     detector_pmf,
@@ -130,6 +133,88 @@ def test_geometry_rejects_impossible_layouts():
 def test_branch_must_be_one_or_two():
     with pytest.raises(ValidationError):
         build_potential(GRID, PARAMS, 3, GEOMETRY)
+
+
+SMALL = Grid2D(16, 16, 4.0, 4.0)
+FREE = np.zeros((16, 16), dtype=bool)
+
+
+# one case per refusal: the call, its error and a fragment of its message
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: PhysicalParams(k0=0.0, sigma=1.4, delta=0.5, b=8.0), ValidationError,
+     "k0 must be positive"),
+    (lambda: PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=np.inf), ValidationError,
+     "b must be finite"),
+    (lambda: Grid2D(15, 16, 4.0, 4.0), ValidationError, "at least 16 points"),
+    (lambda: Grid2D(16, 16, 4.0, 0.0), ValidationError, "domain lengths must be positive"),
+    (lambda: WavePacket2D(SMALL, np.zeros((16, 15))), ValidationError,
+     "amplitude shape (16, 15) does not match grid (16, 16)"),
+    (lambda: SlitGeometry(septum_strength=0.0), ValidationError,
+     "septum half-width and strength must be positive"),
+    (lambda: Potential2D(SMALL, FREE[:, :15]), ValidationError, "mask shape"),
+    (lambda: Potential2D(SMALL, FREE, np.zeros((15, 16))), ValidationError, "septum shape"),
+    (lambda: Potential2D(SMALL, FREE, np.full((16, 16), -1.0)), ValidationError,
+     "septum damping rates must be nonnegative"),
+    (lambda: SpongeConfig(width=0), ValidationError, "sponge width and strength"),
+    (lambda: build_potential(GRID, PARAMS, 1, SlitGeometry(slit_x=-19.2)), GeometryOutOfDomain,
+     "slit plane is outside the domain"),
+    (lambda: Propagator(Potential2D(SMALL, FREE), 0.01).run(small_packet(), 1), ValidationError,
+     "packet grid does not match the propagator grid"),
+], ids=[
+    "k0", "b", "points", "lengths", "amplitudes", "septum", "mask", "septum-shape",
+    "septum-sign", "sponge", "slit-plane", "packet-grid",
+])
+def test_setup_refuses_each_bad_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def _marked(grid, p0, p1, thickness=0.3):
+    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+    _mark_segment(mask, grid, p0, p1, thickness)
+    return mask
+
+
+# steep and shallow, vertical and horizontal, each drawn in both directions
+SEGMENTS = [
+    ((-1.0, 0.0), (0.0, 1.2)), ((-3.1, -4.0), (2.2, 5.9)), ((0.5, -2.0), (0.5, 3.0)),
+    ((-4.0, 0.3), (5.0, 2.0)), ((-2.0, 1.0), (3.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("p0, p1", SEGMENTS)
+def test_a_segment_marks_the_same_cells_in_either_direction(p0, p1):
+    grid = Grid2D(48, 40, 14.4, 13.0)
+    forward = _marked(grid, p0, p1)
+    assert forward.any()
+    assert np.array_equal(_marked(grid, p1, p0), forward)
+
+
+@pytest.mark.parametrize("p0, p1", SEGMENTS[:3])
+def test_a_steep_segment_is_its_mirror_marked_on_the_transposed_grid(p0, p1):
+    # the mirrored grid has the same coordinates to the bit, axes swapped,
+    # and the mirrored segment is shallow
+    grid = Grid2D(48, 40, 14.4, 13.0)
+    mirror = Grid2D(grid.ny, grid.nx, grid.ly, grid.lx)
+    assert np.array_equal(mirror.x, grid.y) and mirror.dx == grid.dy
+    (x0, y0), (x1, y1) = p0, p1
+    assert abs(x1 - x0) < abs(y1 - y0)
+    steep = _marked(grid, p0, p1)
+    assert steep.any()
+    assert np.array_equal(steep, _marked(mirror, (y0, x0), (y1, x1)).T)
+
+
+def test_a_steep_wedge_is_mirror_symmetric():
+    # from (-1, 0) to the inner hole edge at (0, 1.2): steeper than 45 degrees
+    steep = SlitGeometry(hole_center=2.0, hole_width=1.6, wedge_apex_x=-1.0,
+                         septum_half_width=1.1)
+    for branch in (1, 2):
+        plain = build_potential(GRID, PARAMS, branch, GEOMETRY).blocked
+        walls = build_potential(GRID, PARAMS, branch, steep).blocked
+        assert np.array_equal(walls, np.flipud(walls))
+        # the splitter adds cells in front of the barrier, on both sides of the axis
+        added = walls & ~plain
+        assert added[GRID.y > 0].any() and added[GRID.y < 0].any()
 
 
 # -------------------------------------------------------------- propagation
@@ -718,6 +803,11 @@ def test_visibility_window_validation():
         fringe_visibility(pmf, [0, 1])
     with pytest.raises(EmptyWindow):
         fringe_visibility(pmf, [5, 6, 7])
+    # a mass of 5e-324 passes as nonzero, and smoothing it over three bins
+    # underflows every smoothed value to 0
+    tiny = Pmf({1: 5e-324, 5: 1.0}, 0.0)
+    with pytest.raises(EmptyWindow, match="no probability mass"):
+        fringe_visibility(tiny, [1, 2, 3])
 
 
 def test_which_way_mass_is_balanced_for_a_centered_packet():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -559,6 +561,40 @@ def test_dimension_mismatch_is_reported():
             Povm((1, 2), effects)
     with pytest.raises(ValidationError, match="count"):
         Povm((1, 2, 3), np.stack([op.identity(2)] * 2))
+
+
+O2 = Povm.from_vectors((1, 2), [f1, f2])
+O3 = existence_observable(3)
+PAIRS = formal_product(O2, O2)
+
+
+# one case per refusal: the call, its error and a fragment of its message
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: Povm((), []), ValidationError, "needs at least one outcome"),
+    (lambda: Povm((1, 1), [op.identity(2), np.zeros((2, 2))]), ValidationError,
+     "outcome labels must be unique"),
+    (lambda: conjugate_observable(O2, op.identity(3)), DimensionMismatch,
+     "conjugator dim 3 does not match observable dim 2"),
+    (lambda: formal_product(O2, O3), DimensionMismatch, "observable dims 2 and 3 differ"),
+    (lambda: conditional_formal_values(PAIRS, PureState(g1), condition=[]), ValidationError,
+     "condition must name at least one"),
+    (lambda: conditional_formal_values(OperatorValuedMeasure((1, 2), [op.identity(2)] * 2),
+                                       PureState(g1), condition=[1]), ValidationError,
+     "need a measure over outcome pairs"),
+    (lambda: conditional_formal_values(PAIRS, PureState(g1), condition=[7]), ValidationError,
+     "condition labels [7] are not first-slot outcomes"),
+], ids=["no-outcomes", "repeated", "conjugator", "formal-product", "no-condition", "not-pairs",
+        "unknown-condition"])
+def test_observables_refuse_each_bad_input(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_the_sentinel_and_an_observable_print_what_they_are():
+    assert repr(NO_DETECTION) == "NO_DETECTION"
+    assert str(NO_DETECTION) == "none"
+    assert repr(O2) == "Povm(dim=2, outcomes=[1, 2])"
+    assert repr(PAIRS).startswith("OperatorValuedMeasure(dim=2, outcomes=[(1, 1), (1, 2), ")
 
 
 def test_existence_observable_is_trivial():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,18 @@ def test_inner_is_conjugate_linear_in_first_argument():
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         op.inner(np.ones(2), np.ones(3))
+
+
+# one case per refusal: the call and a fragment of its message
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: op.as_vector([]), "expected a nonempty 1-d vector, got shape (0,)"),
+    (lambda: op.as_vector(np.eye(2)), "expected a nonempty 1-d vector, got shape (2, 2)"),
+    (lambda: op.as_operator(np.ones((2, 3))), "expected a square operator, got shape (2, 3)"),
+    (lambda: op.as_operator(np.ones(4)), "expected a square operator, got shape (4,)"),
+], ids=["empty-vector", "matrix-as-vector", "rectangle", "vector-as-operator"])
+def test_coercions_refuse_the_wrong_shape(call, fragment):
+    with pytest.raises(DimensionMismatch, match=re.escape(fragment)):
+        call()
 
 
 def test_tensor_vec_against_nested_loop():

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from collections import OrderedDict, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -29,8 +29,14 @@ from povmlab.doubleslit import (
     detector_pmf,
     init_packet,
 )
-from povmlab.errors import EmptyWindow, InvalidAmplitudes, NonCommuting, ValidationError
-from povmlab.measurement import DensityOperator, Povm, PureState, outcome_pmf
+from povmlab.errors import (
+    EmptyWindow,
+    InvalidAmplitudes,
+    IoFailure,
+    NonCommuting,
+    ValidationError,
+)
+from povmlab.measurement import NO_DETECTION, DensityOperator, Povm, PureState, outcome_pmf
 from povmlab.scenarios import (
     SCENARIO_NAMES,
     DoubleSlitConfig,
@@ -172,12 +178,16 @@ def test_run_scenario_dispatches_and_rejects_unknown_names():
 
 def test_result_lookup_helpers_raise_on_missing_labels():
     res = run_wheeler()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="no pmf labeled 'no-such-table'"):
         res.pmf_named("no-such-table")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="produced no histograms"):
         res.histogram_named()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="no identity named 'no-such-check'"):
         res.identity("no-such-check")
+    counted = ScenarioResult("counted", {}, [], histograms={"shots": Counter({1: 3})})
+    assert counted.histogram_named() == {1: 3}
+    with pytest.raises(ValidationError, match="no histogram labeled 'no-such-histogram'"):
+        counted.histogram_named("no-such-histogram")
 
 
 def test_payload_lists_every_block_with_plain_types():
@@ -532,9 +542,21 @@ def test_histogram_csv_is_sorted_with_counts_preserved(cheap_run):
     assert sum(int(line.split(",")[1]) for line in lines[1:]) == CHEAP["shots"]
 
 
+def test_histogram_csv_puts_text_labels_after_numbers_and_before_none():
+    counts = {NO_DETECTION: 1, "b": 2, 3: 4, "a": 5, 1.5: 6, "c": 0}
+    assert histogram_to_csv_bytes(counts) == b"bin,count\n1.5,6\n3,4\na,5\nb,2\nnone,1\n"
+
+
 def test_emit_rejects_unknown_formats():
     with pytest.raises(ValidationError):
         emit(run_wheeler(), fmt="yaml")
+
+
+def test_emit_to_a_path_it_cannot_write_raises_io_failure(tmp_path):
+    target = tmp_path / "no-such-directory" / "wheeler.json"
+    with pytest.raises(IoFailure, match="cannot write"):
+        emit(run_wheeler(), path=target)
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------- cli
@@ -673,6 +695,13 @@ assert "scipy.linalg" in sys.modules, scipy_modules()
 assert [name.split("-")[0] for name in loaded] == ["_tridiag"], loaded
 assert os.listdir(cache) == loaded, (os.listdir(cache), loaded)
 """
+
+
+def test_python_dash_m_povmlab_runs_the_cli(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "povmlab", "scenario", "wheeler"],
+                          env=probe_env(tmp_path), capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == emit(run_wheeler())
 
 
 def test_finite_layer_and_scenario_cli_never_load_scipy(tmp_path):

@@ -481,18 +481,34 @@ class _Dropping(Executor):
         return future
 
 
+class _Finishing(Executor):
+    """An executor that hands back a finished future without calling what it is given."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(None)
+        return future
+
+
 def _raises_on_pools_that_take_no_work(call) -> None:
-    """``call(pool)`` raises, and does not hang, on a shut pool and on a cancelling one."""
+    """``call(pool)`` raises, and does not hang, on a shut pool, on a cancelling
+    one and on one that finishes the work without running it."""
     shut = ThreadPoolExecutor(1)
     shut.shutdown()
-    for pool, error in ((shut, RuntimeError), (_Dropping(), CancelledError)):
+    pools = (
+        (shut, RuntimeError, "after shutdown"),
+        (_Dropping(), CancelledError, ""),
+        (_Finishing(), RuntimeError, "finished block 1 without running it"),
+    )
+    for pool, error, fragment in pools:
         raised = []
 
         def attempt():
             try:
                 call(pool)
             except error as caught:
-                raised.append(caught)
+                if fragment in str(caught):
+                    raised.append(caught)
 
         thread = threading.Thread(target=attempt, daemon=True)
         thread.start()
@@ -883,13 +899,14 @@ def test_both_clones_of_the_kernel_give_the_same_bits(tmp_path):
 # runs in a fresh interpreter: this process has its kernel loaded already.
 # Prints whether the kernel loaded and the bits of 30 steps of a walled,
 # layered, sponged branch-2 field.  The mode "zgttrs" replaces the loader,
-# "broken-compiler" makes the compiler reject its command line, and
+# "broken-compiler" makes the compiler reject its command line,
+# "no-compiler" names a compiler that is not on the PATH, and
 # "threads" builds the propagator on 4 threads released together by a
 # barrier, with a short switch interval and a build that takes at least
 # half a second, and checks that the process compiled once and that every
 # thread's propagator got the kernel and steps to the same bits.
 STEP_PROBE = """
-import hashlib, sys, threading, time
+import hashlib, sys, sysconfig, threading, time
 from concurrent.futures import ThreadPoolExecutor
 from povmlab import _tridiag
 from povmlab.doubleslit import (
@@ -902,6 +919,8 @@ if sys.argv[1] == "zgttrs":
     _tridiag.kernel = lambda: None
 if sys.argv[1] == "broken-compiler":
     _tridiag.FLAGS += ("-fno-such-option",)
+if sys.argv[1] == "no-compiler":
+    sysconfig.get_config_vars()["CC"] = "povmlab-no-such-compiler -O2"
 build = _tridiag._build
 
 def counted_build(*args):
@@ -944,12 +963,12 @@ def _start_probe(cache_home, mode="build"):
     )
 
 
-def _probe_result(proc):
-    """Whether the kernel loaded, the bits' digest, and whether a fallback was announced."""
+def _probe_result(proc, fallback=b"no C tridiagonal kernel"):
+    """Whether the kernel loaded, the bits' digest, and whether ``fallback`` was announced."""
     out, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err.decode()
     loaded, digest = out.decode().split()
-    return loaded == "True", digest, b"no C tridiagonal kernel" in err
+    return loaded == "True", digest, fallback in err
 
 
 @pytest.fixture(scope="module")
@@ -986,6 +1005,15 @@ def test_failing_compiler_falls_back_to_zgttrs_with_the_same_bits(tmp_path, zgtt
     assert list((tmp_path / "povmlab").iterdir()) == []
 
 
+def test_a_compiler_that_is_not_there_falls_back_to_zgttrs_with_the_same_bits(
+    tmp_path, zgttrs_digest
+):
+    announced = b"no C tridiagonal kernel (no C compiler: povmlab-no-such-compiler -O2)"
+    result = _probe_result(_start_probe(tmp_path, "no-compiler"), announced)
+    assert result == (False, zgttrs_digest, True)
+    assert not (tmp_path / "povmlab").exists()
+
+
 def test_a_truncated_cached_library_is_built_again(tmp_path, monkeypatch, zgttrs_digest):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     compiler = shlex.split(sysconfig.get_config_var("CC"))
@@ -997,14 +1025,20 @@ def test_a_truncated_cached_library_is_built_again(tmp_path, monkeypatch, zgttrs
     assert list(target.parent.iterdir()) == [target]
 
 
+def _byte_oracle(monkeypatch):
+    """``scripts/byte_oracle.py`` as a module, with this test's ``sys.path`` kept."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
+    path = Path(__file__).resolve().parents[1] / "scripts" / "byte_oracle.py"
+    spec = importlib.util.spec_from_file_location("byte_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
 def test_zgttrs_backend_reproduces_the_coarse_both_branch_oracle(monkeypatch):
     # scripts/byte_oracle.py's SLIT_BOTH run and its recorded digest
+    config = DoubleSlitConfig(**_byte_oracle(monkeypatch).SLIT_BOTH)
     monkeypatch.setattr(_tridiag, "kernel", lambda: None)
-    config = DoubleSlitConfig(
-        branch="both", nx=128, ny=96, dt=0.05, max_steps=500,
-        k0=2.0, sigma=3.0, b=8.0, shots=2000, seed=5,
-        source_x=-12.0, hole_center=3.0, hole_width=5.0, septum_half_width=0.4,
-    )
     assert hashlib.sha256(emit(run_doubleslit(config))).hexdigest() == (
         "756ddc04ae14a85efb9697ae6312db0749253d1c68ce009d021f19fcbda7aba8"
     )
@@ -1028,11 +1062,7 @@ def test_kernel_backend_reproduces_the_slit_oracle(run, tmp_path, monkeypatch):
     # emulated baseline numpy (ROADMAP item 8): init_packet's np.exp
     # rounds by numpy's dispatch
     assert _tridiag.kernel() is not None
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
-    path = Path(__file__).resolve().parents[1] / "scripts" / "byte_oracle.py"
-    spec = importlib.util.spec_from_file_location("byte_oracle", path)
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
+    oracle = _byte_oracle(monkeypatch)
     if run == "SLIT":
         digest = oracle._digest(oracle.SLIT, tmp_path / "out")
     else:
