@@ -7,13 +7,12 @@ The pieces are the x phase (the solve and ``2u - w``), the y phase (the
 solve, the edge damping and the next explicit half), the y phase's solve
 alone (with the damping) and its explicit half alone, each over every run
 of both line blocks of one field, as a ``_tridiag.Stepper`` binds them,
-called from this thread.  Each is timed
-with and without the production sponge, by this thread's CPU time, so a
-busy machine's other work stays out of it; a figure is the least time of
-``--calls`` calls divided by the grid's cells.  The field is set to the
-same random packet before every call.  It imports ``povmlab`` from this
-checkout's ``src`` and reports the backend that ran, the C kernel or
-``zgttrs``.
+called from this thread.  Each is timed with and without the production
+sponge, by this thread's CPU time, so a busy machine's other work stays
+out of it; a figure is the least time of ``--calls`` calls divided by the
+grid's cells.  The stepper's field is set to the same random packet before
+every call.  It imports ``povmlab`` from this checkout's ``src`` and
+reports the backend that ran, the C kernel or ``zgttrs``.
 """
 
 from __future__ import annotations
