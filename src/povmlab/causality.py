@@ -46,7 +46,8 @@ class CausalMap:
     When the entries of ``U*U - I`` already bound that norm by half the
     tolerance (``op.norms_within_half``), the SVD is skipped: it would
     pass, and a NaN or infinite entry never takes that way.  A refusal
-    always reports the SVD's defect.
+    always reports the SVD's defect, which is NaN where the SVD does not
+    converge.
     """
 
     source: Node
@@ -57,8 +58,11 @@ class CausalMap:
         u = op.as_operator(self.generator)
         gap = u.conj().T @ u - op.identity(u.shape[0])
         if not op.norms_within_half(gap, UNITARY_TOL):
-            defect = op.operator_norm(gap)
-            if defect > UNITARY_TOL:
+            try:
+                defect = op.operator_norm(gap)
+            except np.linalg.LinAlgError:  # a NaN entry: the SVD does not converge
+                defect = float("nan")
+            if not defect <= UNITARY_TOL:
                 raise ValidationError(f"generator is not unitary (defect {defect:.3e})")
         u = u.copy()
         u.setflags(write=False)

@@ -190,8 +190,8 @@ class SlitGeometry:
     barrier, lined on both faces with matched absorbing layers that reach
     to ``septum_half_width``, with a quadratic coordinate-stretching profile
     of magnitude ``septum_strength`` at the wall.  The defaults are the
-    walls of the default double-slit run, ``DoubleSlitConfig``, which fixes
-    the strength at ``DoubleSlitConfig.septum_strength``.
+    walls of the default double-slit run: ``DoubleSlitConfig`` declares its
+    wall defaults and its fixed ``septum_strength`` from these.
 
     The lining matters.  A bare wall mirrors each path onto itself, and
     with the y-symmetric mask the image of one opening's field is exactly
@@ -255,7 +255,11 @@ class Potential2D:
 
 @dataclass(frozen=True)
 class SpongeConfig:
-    """Absorbing layer on the domain edges: quadratic damping ramp."""
+    """Absorbing layer on the domain edges: quadratic damping ramp.
+
+    The defaults are the sponge of every double-slit run, which
+    ``DoubleSlitConfig`` fixes from them.
+    """
 
     width: int = 28
     strength: float = 6.0
@@ -527,7 +531,7 @@ class Propagator:
     y run's lines come in and go out by 16x16 transposes of contiguous
     tiles, as its sweeps reach them.  The only conversions are the entry
     copy into the field and the field into each packet read.  ``run`` is
-    one such stepping, read into the entry copy.
+    one such stepping, read once.
 
     This is the arithmetic of one solve of the whole flattened system.
     Its factorization meets zero couplings at every line end, so it never
@@ -608,12 +612,9 @@ class Propagator:
         removed and the rest rescaled to the incoming norm: the packet is
         projected onto the states compatible with the hard walls.  The
         stepping itself keeps blocked cells at exactly zero, so this is a
-        no-op for packets already produced by a run.
+        no-op for packets already produced by a run.  The projected entry
+        copy is written into the stepping's field and not kept.
         """
-        return self._start(packet)[1]
-
-    def _start(self, packet: WavePacket2D) -> tuple[np.ndarray, Stepping]:
-        """The projected entry copy of ``packet``'s amplitudes, and its ``Stepping``."""
         if packet.grid != self.grid:
             raise ValidationError("packet grid does not match the propagator grid")
         psi = packet.amplitudes.copy()
@@ -625,24 +626,20 @@ class Propagator:
             if remaining <= 0.0:
                 raise ValidationError("packet has no support outside the walls")
             psi *= np.sqrt((remaining + wall_mass) / remaining)
-        return psi, Stepping(self, psi, packet.absorbed)
+        return Stepping(self, psi, packet.absorbed)
 
     def run(
         self, packet: WavePacket2D, steps: int, pool: Executor | None = None
     ) -> WavePacket2D:
         """Advance a packet; returns a new packet, absorbed mass accumulated.
 
-        ``start``, then ``advance(steps, pool)``, then the state read back
-        into the entry copy, which becomes the result.  A call allocates the
-        entry copy, then the field, a scratch per line block and the damped
-        cells' losses: about two fields in all, and the field goes before
-        the closing norm's temporaries are made, so an array made after the
-        field is not kept and the heap can shrink when it is freed.
+        ``start``, ``advance(steps, pool)`` and ``read``, after the step
+        count is checked, so a bad one is refused before the entry copy.
         """
-        _check_steps(steps)  # before the entry copy
-        psi, stepping = self._start(packet)
+        _check_steps(steps)
+        stepping = self.start(packet)
         stepping.advance(steps, pool)
-        return stepping.close(psi)
+        return stepping.read()
 
 
 def _check_steps(steps: int) -> None:
@@ -698,22 +695,12 @@ class Stepping:
         self._stepper.advance(steps, pool)
 
     def read(self) -> WavePacket2D:
-        """The packet stepped so far, in a new array."""
-        return self._book(np.empty((self.grid.ny, self.grid.nx), dtype=complex))
-
-    def close(self, out: np.ndarray) -> WavePacket2D:
-        """The packet stepped so far, in ``out``, after which the stepping is over."""
-        return self._book(out, release=True)
-
-    def _book(self, psi: np.ndarray, release: bool = False) -> WavePacket2D:
-        """``psi`` set to the state, its absorbed mass booked, as a packet."""
+        """The packet stepped so far, in a new array, its absorbed mass booked."""
+        psi = np.empty((self.grid.ny, self.grid.nx), dtype=complex)
         self._stepper.field.read(psi)
         if self._norm2 is None:
             self.absorbed = self._stepper.absorbed
-        if release:
-            # the field goes before the norm's temporaries are made
-            self._stepper = None
-        if self._norm2 is not None:
+        else:
             norm2 = float(np.sum(np.abs(psi) ** 2))
             self.absorbed += (self._norm2 - norm2) * self._area
             self._norm2 = norm2
@@ -773,7 +760,9 @@ def fringe_visibility(pmf: Pmf, window: Sequence[int], smooth: int = 3) -> float
 
     ``window`` is an ordered run of strip indices (bin 0 is not a strip and
     is rejected).  Bins absent from the pmf count as zero.  Smoothing is a
-    centered moving average of ``smooth`` bins, shrinking at the edges.
+    centered moving average of ``2 * (smooth // 2) + 1`` bins, shrinking
+    at the edges: an even ``smooth`` averages as ``smooth + 1`` does, and
+    ``smooth`` below 2 leaves the bins as they are.
     """
     window = list(window)
     if not window:

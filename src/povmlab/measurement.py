@@ -110,7 +110,7 @@ class PureState:
 
     def __post_init__(self):
         v = op.as_vector(self.vector)
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:  # NaN fails too
             raise ValidationError(
                 f"state vector norm {np.linalg.norm(v):.12g} is not 1"
             )

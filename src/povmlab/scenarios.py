@@ -351,7 +351,7 @@ class EraserSpec:
 
     def __post_init__(self):
         closure = abs(self.alpha1) ** 2 + abs(self.alpha2) ** 2
-        if abs(closure - 1.0) > 1e-12:
+        if not abs(closure - 1.0) <= 1e-12:  # NaN fails too
             raise InvalidAmplitudes(
                 f"|alpha1|^2 + |alpha2|^2 = {closure:.12g}, expected 1"
             )
@@ -456,16 +456,20 @@ class DoubleSlitConfig:
     ``GEOMETRY`` ones and most of the rest.  Construction refuses bad
     settings, keeps numbers as Python ints and floats, and builds the
     run's ``grid``, ``params``, ``geometry`` and ``sponge`` once, as
-    attributes that are not fields.  Fixed, not fields: natural
-    units (hbar = mass = 1), the class constants ``septum_strength``,
-    ``sponge_width`` and ``sponge_strength``, and the stop rule's
-    ``CHECK_INTERVAL``, ``PEAK_FLOOR`` and ``MASS_TARGET``.  The packet
-    starts off-axis (``source_y``) so the two openings are unevenly lit: in
-    the window on the weakly lit side the strong beam's envelope tail and the
-    weak beam arrive with comparable amplitude, giving branch-1 fringes
-    near-unit contrast.  In branch 2 the absorbing separator removes
-    everything that approaches the axis, so the same window sees one beam
-    and stays smooth.
+    attributes that are not fields.  The wall fields take their defaults
+    from ``SlitGeometry``'s.  Fixed, not fields: natural units (hbar =
+    mass = 1), the class constants ``septum_strength``, from
+    ``SlitGeometry``, and ``sponge_width`` and ``sponge_strength``, from
+    ``SpongeConfig``, and the stop rule's ``CHECK_INTERVAL``,
+    ``PEAK_FLOOR`` and ``MASS_TARGET``.  The fringe visibility averages
+    each strip of the window with its neighbours, ``2 * (smooth // 2) +
+    1`` strips in all, so an even ``smooth`` acts as the odd one above
+    it.  The packet starts off-axis (``source_y``) so the two openings are
+    unevenly lit: in the window on the weakly lit side the strong beam's
+    envelope tail and the weak beam arrive with comparable amplitude,
+    giving branch-1 fringes near-unit contrast.  In branch 2 the absorbing
+    separator removes everything that approaches the axis, so the same
+    window sees one beam and stays smooth.
     """
 
     EXPOSED: ClassVar[tuple[str, ...]] = (
@@ -476,9 +480,9 @@ class DoubleSlitConfig:
         "septum_half_width", "septum_strength",
     )
     BRANCHES: ClassVar[tuple[str, ...]] = ("1", "2", "both")
-    septum_strength: ClassVar[float] = 3.0
-    sponge_width: ClassVar[int] = 28
-    sponge_strength: ClassVar[float] = 6.0
+    septum_strength: ClassVar[float] = SlitGeometry.septum_strength
+    sponge_width: ClassVar[int] = SpongeConfig.width
+    sponge_strength: ClassVar[float] = SpongeConfig.strength
 
     branch: str = "both"
     nx: int = 512
@@ -496,12 +500,12 @@ class DoubleSlitConfig:
     ly: float = 57.6
     source_x: float = -24.0
     source_y: float = 1.3
-    hole_center: float = 5.5
-    hole_width: float = 3.0
-    wall_thickness: float = 0.3
-    wedge_apex_x: float | None = None
-    septum_half_width: float = 3.6
-    slit_x: float = 0.0
+    hole_center: float = SlitGeometry.hole_center
+    hole_width: float = SlitGeometry.hole_width
+    wall_thickness: float = SlitGeometry.wall_thickness
+    wedge_apex_x: float | None = SlitGeometry.wedge_apex_x
+    septum_half_width: float = SlitGeometry.septum_half_width
+    slit_x: float = SlitGeometry.slit_x
     window_lo: int = -10
     window_hi: int = -4
     smooth: int = 3
@@ -545,59 +549,52 @@ class DoubleSlitConfig:
         return [n for n in range(self.window_lo, self.window_hi + 1) if n != 0]
 
 
-def _on_fields(pool, work, fields):
-    """``work(field, pool)`` on a lone field, ``work(field, None)`` on each of a pair.
+def _advance(pool, steppings, steps):
+    """Each stepping advanced ``steps`` steps and read, on the thread that stepped it.
 
-    A lone field runs from this thread and steps its two line blocks on
+    A lone stepping steps from this thread, its two line blocks on
     ``pool``, so no pool worker waits on its own pool.  A pair goes through
-    ``_tridiag._on_both``: field 1 on ``pool``'s thread and field 0 on this
-    one, each stepping its blocks inline.  On the production grid a
+    ``_tridiag._on_both``: stepping 1 on ``pool``'s thread and stepping 0
+    on this one, each stepping its blocks inline.  On the production grid a
     branch-1 and a branch-2 field stepped one per thread took 2.44-2.48 ms
     per pair-step, against 2.51-2.53 ms when each field's line blocks ran
     on the pool in turn (medians of 5 rounds of 100 steps in each of 3
     processes, 2-vCPU Xeon VM; one per thread was faster in each process).
     Either way a field's arithmetic is the same as stepping it alone.
     """
-    if len(fields) == 1:
-        return [work(fields[0], pool)]
-    first, second = fields
-    return _tridiag._on_both(pool, lambda k: work((first, second)[k], None))
 
+    def step(stepping, on):
+        stepping.advance(steps, on)
+        return stepping.read()
 
-def _step_fields(pool, props, packets, steps):
-    """Advance each packet ``steps`` steps under its propagator, in order, by ``_on_fields``."""
-    return _on_fields(
-        pool, lambda pair, on: pair[0].run(pair[1], steps, pool=on), list(zip(props, packets))
-    )
+    if len(steppings) == 1:
+        return [step(steppings[0], pool)]
+    return _tridiag._on_both(pool, lambda k: step(steppings[k], None))
 
 
 def _propagate_lockstep(config, pool, potentials, packet):
     """Step fields in lockstep chunks; stop at the first field's screen-mass peak.
 
-    Every field starts from ``packet`` once and its ``Stepping`` advances
-    chunk by chunk under ``_on_fields``; each chunk's packet is read on the
-    thread that stepped it.  Mass beyond the screen of the first field
-    rises while the transmitted packet arrives and falls once its front
-    reaches the edge absorber, so its peak is the moment the pattern is
-    fully formed.  The peak is seen one chunk late; every field keeps its
-    previous chunk and rolls back with the first.  Reaching
+    Every field starts from ``packet`` once, and ``_advance`` steps and
+    reads all of them each chunk.  Mass beyond the screen of the first
+    field rises while the transmitted packet arrives and falls once its
+    front reaches the edge absorber, so its peak is the moment the pattern
+    is fully formed.  The peak is seen one chunk late; every field keeps
+    its previous chunk and rolls back with the first.  Reaching
     ``MASS_TARGET`` outright also stops; ``max_steps`` always caps the
     run.  Returns (packets, steps, stop reason).
     """
-    props = [Propagator(potential, config.dt, sponge=config.sponge) for potential in potentials]
-    fields = [prop.start(packet) for prop in props]
-    packets = [packet] * len(props)
+    steppings = [
+        Propagator(potential, config.dt, sponge=config.sponge).start(packet)
+        for potential in potentials
+    ]
+    packets = [packet] * len(steppings)
     done = 0
     reason = "step-cap"
     mass = packet.mass_beyond(config.b)
-
-    def step(field, on):
-        field.advance(chunk, on)
-        return field.read()
-
     while done < config.max_steps:
         chunk = min(CHECK_INTERVAL, config.max_steps - done)
-        stepped = _on_fields(pool, step, fields)
+        stepped = _advance(pool, steppings, chunk)
         stepped_mass = stepped[0].mass_beyond(config.b)
         if stepped_mass >= MASS_TARGET:
             packets, done = stepped, done + chunk
@@ -618,8 +615,8 @@ def _ordering_spot_check(pool) -> dict:
     propagation' in both orders to one packet and reports the distance of
     the results.  A nonzero value witnesses that the branch evolutions
     cannot share one observable tree.  The two orders are two fields that
-    ``_step_fields`` steps side by side, under branches (2, 1) and then
-    under (1, 2).
+    ``_advance`` steps side by side, under branches (2, 1) and then under
+    (1, 2), each leg started on this thread.
     """
     grid = Grid2D(128, 96, 38.4, 28.8)
     params = PhysicalParams(k0=3.0, sigma=1.4, delta=0.5, b=8.0)
@@ -642,9 +639,9 @@ def _ordering_spot_check(pool) -> dict:
     packets = [packet, packet]
     for branches in ((2, 1), (1, 2)):
         stage = [props[branch] for branch in branches]
-        forward = _step_fields(pool, stage, packets, steps)
+        forward = _advance(pool, [prop.start(p) for prop, p in zip(stage, packets)], steps)
         clipped = [WavePacket2D(grid, np.conj(p.amplitudes * beyond)) for p in forward]
-        backward = _step_fields(pool, stage, clipped, steps)
+        backward = _advance(pool, [prop.start(p) for prop, p in zip(stage, clipped)], steps)
         packets = [WavePacket2D(grid, np.conj(p.amplitudes)) for p in backward]
     first, second = (p.amplitudes for p in packets)
     residual = float(np.sqrt(np.sum(np.abs(first - second) ** 2) * grid.cell_area))
@@ -687,10 +684,11 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
     the pmfs.
 
     The run uses two threads: this one and a pool of one worker.
-    ``_on_fields`` steps the branch fields chunk by chunk, then, through
-    ``_step_fields``, the two single-opening fields and the two orders of
-    the ordering check.  Each field's arithmetic is the same as stepping
-    it alone and inline, so the result does not depend on scheduling.
+    ``_advance`` steps the branch fields chunk by chunk, then the two
+    single-opening fields and the two orders of the ordering check, each
+    started on this thread.  Each field's arithmetic is the same as
+    stepping it alone and inline, so the result does not depend on
+    scheduling.
     """
     config = config if config is not None else DoubleSlitConfig()
     grid, params = config.grid, config.params
@@ -709,17 +707,16 @@ def run_doubleslit(config: DoubleSlitConfig | None = None) -> ScenarioResult:
         packets, steps, reason = _propagate_lockstep(config, pool, potentials, packet0)
         if config.branch == "both":
             # the upper-only and lower-only reference fields; the branch
-            # propagators are released by now, so no more than two are alive
-            # at once.  They are built on this thread, like the branch ones,
-            # so their arrays reuse what those freed.  Built on the pool
-            # threads they went to per-thread heaps, and a round's peak RSS
-            # varied by 27 MB.
-            sealed = [
+            # steppings are released by now, so no more than two are alive
+            # at once.  They are built and started on this thread, like the
+            # branch ones, so their arrays reuse what those freed.  Built on
+            # the pool threads they went to per-thread heaps, and a round's
+            # peak RSS varied by 27 MB.
+            single_packets = _advance(pool, [
                 Propagator(build_potential(grid, params, 2, replace(config.geometry, **seal)),
-                           config.dt, sponge=config.sponge)
+                           config.dt, sponge=config.sponge).start(packet0)
                 for seal in ({"seal_lower": True}, {"seal_upper": True})
-            ]
-            single_packets = _step_fields(pool, sealed, [packet0] * len(sealed), steps)
+            ], steps)
             if config.ordering_check:
                 ordering = _ordering_spot_check(pool)
 

@@ -35,6 +35,9 @@ QUARTER_TURN = np.diag([1.0, 1j])
 def test_generator_must_be_unitary():
     with pytest.raises(ValidationError):
         CausalMap(0, 1, np.diag([1.0, 0.5]))
+    # the SVD of a NaN gap does not converge: numpy's LinAlgError escaped
+    with pytest.raises(ValidationError, match=re.escape("not unitary (defect nan)")):
+        CausalMap(0, 1, [[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_the_unitarity_check_refuses_exactly_what_the_svd_refuses():

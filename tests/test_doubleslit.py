@@ -571,11 +571,13 @@ def test_production_propagator_keeps_one_operator_per_distinct_line():
 
 
 def test_production_steps_allocate_no_field_sized_array():
-    # a run call holds the entry copy, which becomes the result, and one
-    # work field: 2 of the 3 MiB production fields, which peak at 2.35-2.45
-    # with the runs' scratch planes and the margin-sized temporaries.  One
-    # more field-sized array per step, even a short-lived one, takes the
-    # peak past 3 fields
+    # a run call holds the entry copy until its stepping's field is set,
+    # then the field and, once read, the result: 2 of the 3 MiB production
+    # fields at a time.  With the runs' scratch planes and the margin-sized
+    # temporaries they peak at 2.21 fields on branch 1, and at 2.59 on
+    # branch 2, whose read sums the result's norm while the field is still
+    # alive.  One more field-sized array per step, even a short-lived one,
+    # takes the peak past 3 fields
     c = DoubleSlitConfig()
     grid = c.grid
     packet = init_packet(grid, c.params, center=(c.source_x, c.source_y))
@@ -675,7 +677,7 @@ def test_non_integral_counts_are_refused_before_any_step(monkeypatch):
         DoubleSlitConfig(nx=64.0)
     prop = Propagator(build_potential(GRID, PARAMS, 1, GEOMETRY), 0.01)
     stepping = prop.start(small_packet())
-    monkeypatch.setattr(prop, "_start", lambda packet: pytest.fail("run made its entry copy"))
+    monkeypatch.setattr(prop, "start", lambda packet: pytest.fail("run made its entry copy"))
     for steps in (2.5, 3.0, "3"):
         with pytest.raises(ValidationError, match="steps"):
             prop.run(small_packet(), steps)
@@ -793,6 +795,14 @@ def test_visibility_reads_contrast_not_level():
     assert fringe_visibility(flat, range(1, 6), smooth=1) == pytest.approx(0.0)
     striped = Pmf({1: 0.2, 2: 0.0, 3: 0.2, 4: 0.0, 5: 0.2}, 0.4)
     assert fringe_visibility(striped, range(1, 6), smooth=1) == pytest.approx(1.0)
+
+
+def test_an_even_smoothing_averages_as_the_odd_width_above_it():
+    # a centered average spans 2 * (smooth // 2) + 1 bins
+    pmf = Pmf({1: 0.3, 2: 0.0, 3: 0.1, 4: 0.05, 5: 0.2, 6: 0.15}, 0.2)
+    vis = [fringe_visibility(pmf, range(1, 7), smooth) for smooth in range(6)]
+    assert vis[2] == vis[3]
+    assert vis[0] == vis[1] != vis[2] != vis[4] == vis[5]
 
 
 def test_visibility_window_validation():

@@ -62,6 +62,9 @@ def two_point_observable(v1, v2):
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValidationError):
         PureState(np.array([1.0, 1.0]))
+    # a norm check written as "fails when above the tolerance" let NaN through
+    with pytest.raises(ValidationError, match="state vector norm nan is not 1"):
+        PureState(np.array([np.nan, 1.0]))
 
 
 def test_density_operator_checks():

@@ -24,6 +24,7 @@ from povmlab.doubleslit import (
     Grid2D,
     PhysicalParams,
     Propagator,
+    SlitGeometry,
     SpongeConfig,
     build_potential,
     detector_pmf,
@@ -154,6 +155,9 @@ def test_eraser_accepts_custom_amplitudes_and_observable():
 def test_eraser_rejects_non_unit_amplitudes():
     with pytest.raises(InvalidAmplitudes):
         EraserSpec(alpha1=0.5, alpha2=0.5)
+    # the closure check once let NaN through, to fail later in the pmf
+    with pytest.raises(InvalidAmplitudes, match=r"\|alpha1\|\^2 \+ \|alpha2\|\^2 = nan"):
+        EraserSpec(alpha1=float("nan"))
 
 
 def test_run_scenario_dispatches_and_rejects_unknown_names():
@@ -346,6 +350,12 @@ def test_double_slit_config_refuses_non_integral_window_and_smoothing(cheap_run)
     config = DoubleSlitConfig(**{**CHEAP, **numpy_numbers})
     assert all(type(getattr(config, k)) is type(v.item()) for k, v in numpy_numbers.items())
     assert emit(run_doubleslit(config)) == emit(cheap_run)
+
+
+def test_the_default_walls_and_sponge_are_those_of_their_classes():
+    # the config declares these defaults from SlitGeometry and SpongeConfig
+    assert DoubleSlitConfig().geometry == SlitGeometry()
+    assert DoubleSlitConfig().sponge == SpongeConfig()
 
 
 def test_every_setting_reaches_the_configs_objects():
@@ -594,11 +604,15 @@ def test_cli_eraser_amplitude_flags(tmp_path):
     assert payload["parameters"]["alpha2"] == {"im": 0.8, "re": 0.0}
 
 
-def test_cli_rejects_bad_requests(monkeypatch):
+def test_cli_rejects_bad_requests(monkeypatch, capsys):
     assert main(["scenario", "umbrella"]) == 2
     assert main(["scenario", "wheeler", "--alpha1", "0.6"]) == 2
     assert main(["scenario", "eraser", "--alpha1", "nope"]) == 2
     assert main(["scenario", "eraser", "--alpha1", "1", "--alpha2", "1"]) == 2
+    # a NaN amplitude is refused by its own check, not as a bad probability
+    capsys.readouterr()
+    assert main(["scenario", "eraser", "--alpha1", "nan"]) == 2
+    assert "|alpha1|^2 + |alpha2|^2 = nan, expected 1" in capsys.readouterr().err
     assert main(["doubleslit", "--branch", "3"]) == 2
     assert main(["doubleslit", "--shots", "-5"]) == 2
     # refused before any field is stepped, not by the sampler after the run

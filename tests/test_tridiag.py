@@ -32,7 +32,7 @@ from povmlab.doubleslit import (
     init_packet,
 )
 from povmlab.errors import StabilityViolation, ValidationError
-from povmlab.scenarios import DoubleSlitConfig, _on_fields, run_doubleslit
+from povmlab.scenarios import DoubleSlitConfig, _advance, run_doubleslit
 from povmlab.serialize import emit
 
 from conftest import probe_env
@@ -537,34 +537,51 @@ def test_a_run_on_a_pool_that_takes_no_work_raises_instead_of_hanging(backend, m
     _raises_on_pools_that_take_no_work(lambda pool: prop.run(packet, 5, pool=pool))
 
 
-def test_a_pair_of_fields_steps_field_0_here_and_field_1_on_the_pool():
-    # the calling thread is the pair's other worker, and neither field
-    # passes the pool on to its own line blocks
-    ran = {}
+class _Logged:
+    """A stepping that logs each advance and read, with its thread, and reads as its name."""
 
-    def work(field, on):
-        ran[field] = (threading.current_thread(), on)
-        return field.upper()
+    def __init__(self, name, log):
+        self.name, self.log = name, log
 
+    def advance(self, steps, pool=None):
+        self.log.append((self.name, "advance", steps, pool, threading.current_thread()))
+
+    def read(self):
+        self.log.append((self.name, "read", threading.current_thread()))
+        return self.name.upper()
+
+
+def test_a_lone_stepping_steps_here_with_its_blocks_on_the_pool():
+    log = []
     with ThreadPoolExecutor(1) as pool:
-        assert _on_fields(pool, work, ["a", "b"]) == ["A", "B"]
+        assert _advance(pool, [_Logged("a", log)], 7) == ["A"]
+    here = threading.current_thread()
+    assert log == [("a", "advance", 7, pool, here), ("a", "read", here)]
+
+
+def test_a_pair_of_fields_steps_field_0_here_and_field_1_on_the_pool():
+    # the calling thread is the pair's other worker, neither stepping
+    # passes the pool on to its own line blocks, and each is read on the
+    # thread that stepped it, in the order given
+    log = []
+    with ThreadPoolExecutor(1) as pool:
+        assert _advance(pool, [_Logged("a", log), _Logged("b", log)], 7) == ["A", "B"]
         worker = pool.submit(threading.current_thread).result()
-    assert ran == {"a": (threading.current_thread(), None), "b": (worker, None)}
+    here = threading.current_thread()
+    for name, thread in (("a", here), ("b", worker)):
+        assert [entry for entry in log if entry[0] == name] == [
+            (name, "advance", 7, None, thread), (name, "read", thread)
+        ]
+    assert len(log) == 4
 
 
 def test_a_pair_of_fields_on_a_pool_that_takes_no_work_raises_instead_of_hanging():
-    # field 0 starts here only once field 1 has begun on the pool, so
-    # neither field is stepped
-    started = []
-
-    def step(pair, on):
-        started.append(pair)
-        prop, packet = pair
-        return prop.run(packet, 5, pool=on)
-
-    pairs = [_coarse_propagator(branch) for branch in (1, 2)]
-    _raises_on_pools_that_take_no_work(lambda pool: _on_fields(pool, step, pairs))
-    assert started == []
+    # stepping 0 starts here only once stepping 1 has begun on the pool,
+    # so neither is stepped
+    log = []
+    pair = [_Logged("a", log), _Logged("b", log)]
+    _raises_on_pools_that_take_no_work(lambda pool: _advance(pool, pair, 5))
+    assert log == []
 
 
 @pytest.mark.parametrize("backend", ["kernel", "zgttrs"])
@@ -593,7 +610,7 @@ def test_step_counts_past_the_kernels_int_are_refused(backend, monkeypatch):
         with pytest.raises(ValidationError, match="steps"):
             stepping.advance(steps)
         with monkeypatch.context() as patch:
-            patch.setattr(prop, "_start", lambda packet: pytest.fail("run made its entry copy"))
+            patch.setattr(prop, "start", lambda packet: pytest.fail("run made its entry copy"))
             with pytest.raises(ValidationError, match="steps"):
                 prop.run(packet, steps)
     assert np.array_equal(stepping.read().amplitudes.view(np.uint64), before.view(np.uint64))
